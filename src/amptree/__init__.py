@@ -31,8 +31,8 @@ from .dynamics import (LINEAR, QUADRATIC, UNDETERMINED, ConditionReport,
                        profile, verify_conditions)
 from .leveled import (LevelConfig, SimulationTrace, exact_level_distribution,
                       simulate_leveled, width_scaling_experiment)
-from .stream import (PrefixSumTree, StreamConfig, StreamTrace,
-                     phase_progress_report, simulate_stream)
+from .stream import (StreamConfig, StreamTrace, phase_progress_report,
+                     simulate_stream)
 from .learning import LearnedTree, evaluate_learned, learn_threshold
 
 __version__ = "0.1.0"

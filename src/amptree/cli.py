@@ -29,7 +29,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     format: str = "json"
-    threads: int = 1
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -120,6 +119,10 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                              "found": interior})
     if "u" in cfg.params and "v" in cfg.params:
         t = dist.threshold
+        if t is None:
+            sys.stderr.write(f"error: {dist.label} has no threshold to check "
+                             f"--u/--v conditions against\n")
+            return 2
         cond = dynamics.verify_conditions(dist, t, cfg.params["u"],
                                           cfg.params["v"])
         report["conditions"] = {
@@ -211,8 +214,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             dist, dist.threshold,
             gammas=tuple(cfg.params.get("gammas", (0.2, 0.1, 0.05))),
             epsilons=tuple(cfg.params.get("epsilons", (0.1, 0.05, 0.025))),
-            seed=cfg.seed, trials=int(cfg.params.get("trials", 200)),
-            threads=cfg.threads)
+            seed=cfg.seed, trials=int(cfg.params.get("trials", 200)))
         _emit(cfg, res.to_json() + "\n")
         return 0 if res.verdict == "OK" else 1
     return _fail(cfg, [{"check": "mode", "got": mode,
@@ -283,8 +285,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", help="output path (default: stdout)")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap on worker threads for experiment helpers")
     parser.add_argument("--params", help="inline JSON parameter object")
     for flag, _, typ in _FLAG_PARAMS:
         parser.add_argument(flag, type=typ, default=None)
@@ -311,11 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg.out = args.out
     if args.format is not None:
         cfg.format = args.format
-    if args.threads is not None:
-        if args.threads < 1:
-            sys.stderr.write("--threads must be >= 1\n")
-            return 2
-        cfg.threads = args.threads
 
     try:
         return COMMANDS[cfg.command](cfg)
@@ -324,6 +319,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except KeyError as exc:
         sys.stderr.write(f"missing required config field: {exc}\n")
+        return 2
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except json.JSONDecodeError as exc:
+        sys.stderr.write(f"error: malformed JSON input: {exc}\n")
         return 2
 
 

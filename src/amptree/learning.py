@@ -18,8 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .blocks import eval_blocks
+from .catalog import linear_threshold
 from .errors import InputShapeError
 from .rng import generator
+
+#: The block an item freezes to when its example bit is b, at index b:
+#: linear_threshold's (A ^ B) v C for 0, its (A v B) ^ C for 1.
+_BLOCKS = tuple(t for t, _ in reversed(linear_threshold(0.5).entries))
 
 
 @dataclass(frozen=True)
@@ -116,11 +122,7 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     cur = bits
     trace = [float(cur.mean())]
     for blocks, wires in zip(tree.blocks, tree.wiring):
-        leaves = cur[wires]
-        a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
-        t1 = (a | b) & c
-        t2 = (a & b) | c
-        cur = np.where(blocks == 1, t1, t2).astype(np.uint8)
+        cur = eval_blocks(_BLOCKS, blocks, cur[wires])
         trace.append(float(cur.mean()))
     top = cur if sample is None else cur[:sample]
     fraction = float(top.mean())

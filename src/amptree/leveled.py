@@ -13,20 +13,16 @@ are bit-identical, and trials are independent of each other.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 from scipy.stats import binom
 
+from .blocks import check_inputs, entry_table, eval_blocks, input_draw
 from .catalog import TreeDistribution
 from .errors import CapacityError, InputShapeError, RangeError
 from .rng import derive_seed, generator
-from .trees import AND, LEAF, AndOrTree
-
-#: Building blocks wider than this are not simulated item-by-item.
-SIM_LEAF_CAP = 64
 
 #: Dense (m+1)^2 transition matrices are capped here.
 EXACT_WIDTH_CAP = 2000
@@ -51,21 +47,7 @@ class LevelConfig:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if not self.widths or any(w < 1 for w in self.widths):
             raise InputShapeError(f"widths must be positive: {self.widths}")
-        if self.n < 1:
-            raise InputShapeError("input count must be >= 1")
-        if self.trials < 1:
-            raise InputShapeError("trials must be >= 1")
-        if (self.input_p is None) == (self.input_bits is None):
-            raise InputShapeError(
-                "give exactly one of input_p and input_bits")
-        if self.input_bits is not None:
-            bits = tuple(int(b) for b in self.input_bits)
-            if len(bits) != self.n:
-                raise InputShapeError(
-                    f"{len(bits)} input bits for n={self.n}")
-            object.__setattr__(self, "input_bits", bits)
-        elif not 0.0 <= self.input_p <= 1.0:
-            raise RangeError(f"input_p must be in [0,1]: {self.input_p}")
+        check_inputs(self)
 
     @classmethod
     def uniform(cls, m: int, levels: int, **kw) -> "LevelConfig":
@@ -87,30 +69,6 @@ class SimulationTrace:
                 out.write(f"{trial},{level},{self.fractions[trial, level]!r}\n")
 
 
-def _eval_columns(tree: AndOrTree, bits: np.ndarray) -> np.ndarray:
-    """Evaluate a small tree on rows of leaf bits (leaves = columns)."""
-    pos = 0
-
-    def rec(node: AndOrTree) -> np.ndarray:
-        nonlocal pos
-        if node.op == LEAF:
-            col = bits[:, pos]
-            pos += 1
-            return col
-        left = rec(node.left)
-        right = rec(node.right)
-        return left & right if node.op == AND else left | right
-
-    return rec(tree)
-
-
-def _check_simulable(dist: TreeDistribution) -> None:
-    if dist.max_leaf_count > SIM_LEAF_CAP:
-        raise CapacityError(
-            f"{dist.label} has a {dist.max_leaf_count}-leaf block; item-level "
-            f"simulation is capped at {SIM_LEAF_CAP} leaves")
-
-
 def simulate_leveled(dist: TreeDistribution,
                      config: LevelConfig) -> SimulationTrace:
     """Run the leveled construction and record firing fractions.
@@ -119,24 +77,14 @@ def simulate_leveled(dist: TreeDistribution,
     distribution and wires its leaves to uniformly random items of level
     j-1, with replacement.
     """
-    _check_simulable(dist)
-    trees = [t for t, _ in dist.entries]
-    cumw = np.cumsum([w for _, w in dist.entries])
-    leaf_counts = [t.leaf_count for t in trees]
-    max_leaves = max(leaf_counts)
+    trees, cumw, max_leaves = entry_table(dist)
     levels = len(config.widths)
     fractions = np.empty((config.trials, levels + 1), dtype=np.float64)
     final_items = np.empty(config.trials, dtype=np.uint8)
-    explicit = None
-    if config.input_bits is not None:
-        explicit = np.asarray(config.input_bits, dtype=np.uint8)
+    draw = input_draw(config)
 
     for trial in range(config.trials):
-        if explicit is not None:
-            prev = explicit
-        else:
-            rng0 = generator(config.seed, trial, 0)
-            prev = (rng0.random(config.n) < config.input_p).astype(np.uint8)
+        prev = draw(lambda: generator(config.seed, trial, 0))
         fractions[trial, 0] = prev.mean()
         prev_size = config.n
         for level, m in enumerate(config.widths, start=1):
@@ -145,14 +93,8 @@ def simulate_leveled(dist: TreeDistribution,
             which = np.searchsorted(cumw, u[:, 0], side="right")
             idx = np.minimum((u[:, 1:] * prev_size).astype(np.int64),
                              prev_size - 1)
-            new = np.empty(m, dtype=np.uint8)
-            for e, tree in enumerate(trees):
-                rows = np.nonzero(which == e)[0]
-                if rows.size:
-                    leafbits = prev[idx[rows][:, :leaf_counts[e]]]
-                    new[rows] = _eval_columns(tree, leafbits)
-            fractions[trial, level] = new.mean()
-            prev = new
+            prev = eval_blocks(trees, which, prev[idx])
+            fractions[trial, level] = prev.mean()
             prev_size = m
         rng_top = generator(config.seed, trial, levels + 1)
         final_items[trial] = prev[min(int(rng_top.random() * prev_size),
@@ -237,8 +179,8 @@ def _accuracy(dist: TreeDistribution, t: float, epsilon: float, m: int,
 def width_scaling_experiment(dist: TreeDistribution, t: float,
                              gammas: Sequence[float],
                              epsilons: Sequence[float], seed: int,
-                             trials: int = 200, n: int = 2000,
-                             threads: int = 1) -> WidthScalingResult:
+                             trials: int = 200, n: int = 2000
+                             ) -> WidthScalingResult:
     """Minimal widths for 1-gamma accuracy, fit against ln(1/gamma)/eps^2.
 
     For each (gamma, epsilon) cell a doubling search (plus three bisection
@@ -281,11 +223,7 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
 
     cells = [(ig, ie) for ig in range(len(gammas))
              for ie in range(len(epsilons))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve_cell, cells))
-    else:
-        rows = [solve_cell(c) for c in cells]
+    rows = [solve_cell(c) for c in cells]
 
     xs = np.log([r.predictor for r in rows])
     ys = np.log([r.min_width for r in rows])

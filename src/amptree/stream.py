@@ -27,8 +27,9 @@ from typing import TextIO
 
 import numpy as np
 
+from .blocks import check_inputs, entry_table, eval_blocks, input_draw
 from .catalog import TreeDistribution
-from .errors import CapacityError, InputShapeError, RangeError
+from .errors import InputShapeError, RangeError
 from .rng import generator
 from .trees import eval_tree
 
@@ -52,23 +53,11 @@ class StreamConfig:
     input_bits: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InputShapeError("input count must be >= 1")
+        check_inputs(self)
         if self.k < 0:
             raise InputShapeError("items to create must be >= 0")
         if self.alpha < 0:
             raise RangeError("decay rate alpha must be >= 0")
-        if self.trials < 1:
-            raise InputShapeError("trials must be >= 1")
-        if (self.input_p is None) == (self.input_bits is None):
-            raise InputShapeError("give exactly one of input_p and input_bits")
-        if self.input_bits is not None:
-            bits = tuple(int(b) for b in self.input_bits)
-            if len(bits) != self.n:
-                raise InputShapeError(f"{len(bits)} input bits for n={self.n}")
-            object.__setattr__(self, "input_bits", bits)
-        elif not 0.0 <= self.input_p <= 1.0:
-            raise RangeError(f"input_p must be in [0,1]: {self.input_p}")
 
 
 @dataclass(frozen=True)
@@ -144,11 +133,17 @@ class PrefixSumTree:
         return float(self.tree[1])
 
     def find_prefix(self, r: float) -> int:
-        """Largest idx with sum(weights[:idx]) <= r (a weighted draw)."""
+        """The idx with sum(weights[:idx]) <= r < sum(weights[:idx + 1]),
+        a weighted draw; r at or past the total gives the last positive
+        weight.
+
+        The descent never enters a zero-weight subtree, so rounding in the
+        node sums (notably after ``scale``) cannot reach an unwritten slot.
+        """
         i = 1
         while i < self.size:
             left = self.tree[2 * i]
-            if r < left:
+            if r < left or self.tree[2 * i + 1] <= 0.0:
                 i = 2 * i
             else:
                 r -= left
@@ -157,17 +152,6 @@ class PrefixSumTree:
 
     def scale(self, factor: float) -> None:
         self.tree *= factor
-
-
-def _entry_tables(dist: TreeDistribution):
-    trees = [t for t, _ in dist.entries]
-    cumw = np.cumsum([w for _, w in dist.entries])
-    leaf_counts = [t.leaf_count for t in trees]
-    if max(leaf_counts) > 64:
-        raise CapacityError(
-            f"{dist.label} has a {max(leaf_counts)}-leaf block; streaming "
-            f"simulation builds items from small blocks")
-    return trees, cumw, leaf_counts
 
 
 def simulate_stream(dist: TreeDistribution, config: StreamConfig,
@@ -191,9 +175,8 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
 
 def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
                          keep_bits: bool = False) -> StreamTrace:
-    trees, cumw, leaf_counts = _entry_tables(dist)
+    trees, cumw, max_leaves = entry_table(dist)
     n, k, alpha = config.n, config.k, config.alpha
-    max_leaves = max(leaf_counts)
     cols = 1 + max_leaves
     steps = recorded_steps(n, k, alpha)
     x = np.empty((config.trials, len(steps)), dtype=np.float64)
@@ -208,9 +191,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
 
     per_trial = max(1, k) * cols * 8
     batch_size = max(1, min(config.trials, _BATCH_BUDGET // per_trial))
-    explicit = None
-    if config.input_bits is not None:
-        explicit = np.asarray(config.input_bits, dtype=np.uint8)
+    draw = input_draw(config)
     kept = np.empty((config.trials, n + k), dtype=np.uint8) if keep_bits \
         else None
 
@@ -221,10 +202,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         u3 = np.empty((b, k, cols), dtype=np.float64) if k else None
         for row, trial in enumerate(batch):
             rng = generator(config.seed, trial)
-            if explicit is not None:
-                bits[row, :n] = explicit
-            else:
-                bits[row, :n] = rng.random(n) < config.input_p
+            bits[row, :n] = draw(lambda: rng)
             if k:
                 u3[row] = rng.random((k, cols))
         numer = bits[:, :n].sum(axis=1).astype(np.float64)
@@ -249,12 +227,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
                                       side="right").reshape(z.shape) - 1
                 pos = np.clip(pos, 0, max(j - 1, 0))
                 idx = np.where(from_input, idx_inputs, n + pos)
-            new = np.empty(b, dtype=np.uint8)
-            for e, tree in enumerate(trees):
-                sel = np.nonzero(which == e)[0]
-                if sel.size:
-                    leafbits = bits[sel[:, None], idx[sel][:, :leaf_counts[e]]]
-                    new[sel] = _eval_columns_stream(tree, leafbits)
+            new = eval_blocks(trees, which, bits[rows_arange[:, None], idx])
             bits[:, n + j] = new
             numer += (new if alpha == 0 else new * item_w[j])
             if rec < len(steps) and steps[rec] == j + 1:
@@ -269,46 +242,23 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
                        bits=kept)
 
 
-def _eval_columns_stream(tree, bits):
-    from .trees import AND, LEAF
-    pos = 0
-
-    def rec(node):
-        nonlocal pos
-        if node.op == LEAF:
-            col = bits[:, pos]
-            pos += 1
-            return col
-        left = rec(node.left)
-        right = rec(node.right)
-        return left & right if node.op == AND else left | right
-
-    return rec(tree)
-
-
 def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
                      keep_bits: bool = False) -> StreamTrace:
-    trees, cumw, leaf_counts = _entry_tables(dist)
+    trees, cumw, max_leaves = entry_table(dist)
     n, k, alpha = config.n, config.k, config.alpha
-    max_leaves = max(leaf_counts)
     cols = 1 + max_leaves
     steps = recorded_steps(n, k, alpha)
     step_index = {int(s): i for i, s in enumerate(steps)}
     x = np.empty((config.trials, len(steps)), dtype=np.float64)
     final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
     growth = math.exp(alpha)
-    explicit = None
-    if config.input_bits is not None:
-        explicit = np.asarray(config.input_bits, dtype=np.uint8)
+    draw = input_draw(config)
     kept = np.empty((config.trials, n + k), dtype=np.uint8) if keep_bits \
         else None
 
     for trial in range(config.trials):
         rng = generator(config.seed, trial)
-        if explicit is not None:
-            bits0 = explicit
-        else:
-            bits0 = (rng.random(n) < config.input_p).astype(np.uint8)
+        bits0 = draw(lambda: rng)
         u = rng.random((k, cols)) if k else None
         ledger = PrefixSumTree(n + k)
         for i in range(n):
@@ -323,7 +273,7 @@ def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
             e = int(np.searchsorted(cumw, u[j, 0], side="right"))
             leafbits = tuple(
                 int(bits[ledger.find_prefix(u[j, 1 + l] * ledger.total)])
-                for l in range(leaf_counts[e]))
+                for l in range(trees[e].leaf_count))
             bit = eval_tree(trees[e], leafbits)
             ledger[n + j] = weight_next
             bits[n + j] = bit

@@ -153,13 +153,27 @@ def eval_tree(tree: AndOrTree, assignment: Sequence[int]) -> int:
         raise InputShapeError(
             f"assignment has {len(assignment)} bits, tree has "
             f"{tree.leaf_count} leaves")
+    return _eval_leaves(tree, [1 if b else 0 for b in assignment])
+
+
+def eval_columns(tree: AndOrTree, bits):
+    """Vector form of :func:`eval_tree` on the rows of a 0/1 array.
+
+    Entry i is ``eval_tree(tree, bits[i, :tree.leaf_count])``: leaves read
+    the columns left to right, and columns past the leaf count are unused.
+    """
+    return _eval_leaves(tree, bits.T)
+
+
+def _eval_leaves(tree: AndOrTree, leaves):
+    """Gate recursion with leaf i valued ``leaves[i]``, left to right."""
     pos = 0
-    vals: list[int] = []
+    vals: list = []
     stack: list[tuple[AndOrTree, bool]] = [(tree, False)]
     while stack:
         node, expanded = stack.pop()
         if node.op == LEAF:
-            vals.append(1 if assignment[pos] else 0)
+            vals.append(leaves[pos])
             pos += 1
         elif expanded:
             right = vals.pop()

@@ -19,7 +19,7 @@ def test_experiment_config_roundtrip():
     cfg = ExperimentConfig(command="simulate",
                            params={"construction": "quad4", "t": 0.5,
                                    "m": 10, "levels": 3, "n": 8, "p": 0.4},
-                           seed=42, out=None, format="csv", threads=2)
+                           seed=42, out=None, format="csv")
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
 
@@ -134,6 +134,61 @@ def test_config_file_with_flag_override(tmp_path):
                           "--p", "0.6"])
     override = json.loads(text)
     assert base["p"] == 0.4 and override["p"] == 0.6
+
+
+def run_cli_err(args):
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_analyze_conditions_without_threshold_is_a_usage_error():
+    code, out, err = run_cli_err(["analyze", "--construction",
+                                  "soft_threshold", "--k", "5", "--u", "0.1",
+                                  "--v", "0.9"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "no threshold" in err
+
+
+def test_learn_and_eval_with_missing_files_exit_2(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps([1, 0, 1, 0]))
+    learned = tmp_path / "learned.json"
+    assert run_cli(["learn", "--x-file", str(x_file), "--levels", "2",
+                    "--width", "5", "--out", str(learned)])[0] == 0
+    cases = [
+        ["learn", "--x-file", missing, "--levels", "2", "--width", "5"],
+        ["learn", "--x-file", str(tmp_path), "--levels", "2", "--width",
+         "5"],
+        ["eval", "--learned-file", missing, "--input-file", str(x_file)],
+        ["eval", "--learned-file", str(learned), "--input-file", missing],
+    ]
+    for args in cases:
+        code, out, err = run_cli_err(args)
+        assert code == 2, args
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: [Errno")
+
+
+def test_learn_with_malformed_json_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 0,")
+    code, _, err = run_cli_err(["learn", "--x-file", str(bad), "--levels",
+                                "2", "--width", "5"])
+    assert code == 2
+    assert err.count("\n") == 1 and "malformed JSON" in err
+
+
+def test_threads_flag_is_gone():
+    import pytest
+    with pytest.raises(SystemExit) as exc:
+        run_cli_err(["enumerate", "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_unknown_construction_fails_cleanly():

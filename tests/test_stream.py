@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amptree.catalog import linear_threshold, quad4
 from amptree.errors import InputShapeError, RangeError
@@ -38,6 +39,28 @@ def test_prefix_sum_tree():
     tree.scale(2.0)
     assert tree.total == pytest.approx(12.0)
     assert tree.find_prefix(1.1) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 40), created=st.integers(0, 80),
+       spare=st.integers(0, 40), alpha=st.floats(0.0, 3.0),
+       rescale=st.booleans(), ulps=st.integers(1, 4))
+def test_find_prefix_never_picks_a_zero_weight_slot(n, created, spare, alpha,
+                                                    rescale, ulps):
+    # A ledger laid out as the prefix-tree engine lays it out: n inputs of
+    # weight 1, then creations growing by e^alpha, then unwritten slots.
+    # Draws r = u * total with u within a few ulps of 1 sit at the right
+    # edge, where rounding in the node sums matters most.
+    tree = PrefixSumTree(n + created + spare)
+    weights = [1.0] * n + [math.exp(alpha * j) for j in range(created)]
+    for i, w in enumerate(weights):
+        tree[i] = w
+    if rescale:
+        tree.scale(1.0 / weights[-1])
+    u = 1.0 - ulps * 2.0 ** -53
+    idx = tree.find_prefix(u * tree.total)
+    assert idx < len(weights)
+    assert tree.tree[tree.size + idx] > 0.0
 
 
 def test_recorded_steps_contains_doublings_and_strides():

@@ -1,6 +1,7 @@
 """Tree representation, evaluation, polynomials, enumeration."""
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +9,7 @@ from amptree.errors import CapacityError, InputShapeError
 from amptree.trees import (activation, achievable_by_degree,
                            achievable_witnesses, all_trees, and_, build_ak,
                            build_bk, complement_tree, enumerate_achievable,
-                           eval_tree, format_tree, has_and_path, has_or_path,
+                           eval_columns, eval_tree, format_tree, has_and_path, has_or_path,
                            leaf, or_, parse_tree, self_compose,
                            substitute_leaves, tree_polynomial)
 
@@ -53,6 +54,23 @@ def test_eval_consumes_left_to_right():
     # first bit feeds the bare leaf
     assert eval_tree(tree, (0, 1, 1)) == 0
     assert eval_tree(tree, (1, 1, 0)) == 1
+
+
+SMALL_TREES = [t for n in range(1, 6) for t in all_trees(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 1), min_size=7, max_size=7),
+                min_size=1, max_size=12))
+def test_eval_columns_matches_eval_tree_row_by_row(block):
+    # every tree with 1..5 leaves on the same 7-column block: each reads
+    # its leading columns and leaves the rest unused
+    bits = np.array(block, dtype=np.uint8)
+    for tree in SMALL_TREES:
+        got = eval_columns(tree, bits)
+        want = [eval_tree(tree, row[:tree.leaf_count]) for row in bits]
+        assert got.dtype == np.uint8
+        assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------
