@@ -1,8 +1,10 @@
-"""Pinned determinism: sha256 digests of seeded outputs.
+"""Pinned determinism: sha256 digests of seeded and analysis outputs.
 
 Each case renders one seeded run to bytes (the ``write_csv`` trace, the
-learned structure's JSON, the evaluation trace, or the CLI's csv output)
-and compares its sha256 with a value pinned in ``GOLDEN``.  A change that
+learned structure's JSON, the evaluation trace, or the CLI's csv output),
+or one infinite-width analysis result (fixed points, condition reports,
+the certified corridor, the exact chain, the ``analyze`` output), and
+compares its sha256 with a value pinned in ``GOLDEN``.  A change that
 alters any seeded output fails here even if run-against-run determinism
 still holds.  The values were taken with numpy 2.4.6; a numpy release
 that changes PCG64 or ``Generator.random``/``integers`` would change them
@@ -15,10 +17,14 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from amptree.catalog import linear_threshold, quad4, valiant
+from amptree.catalog import (linear_threshold, quad4, quad5, quad_k,
+                             soft_threshold, valiant)
 from amptree.cli import main
+from amptree.dynamics import certified_corridor, verify_conditions
 from amptree.learning import evaluate_learned, learn_threshold
-from amptree.leveled import LevelConfig, simulate_leveled
+from amptree.leveled import (LevelConfig, exact_level_distribution,
+                             simulate_leveled)
+from amptree.polyalg import fixed_points
 from amptree.rng import generator
 from amptree.stream import StreamConfig, simulate_stream
 
@@ -95,9 +101,49 @@ CLI = {
 
 
 def _cli(name: str) -> bytes:
+    return _stdout(CLI[name])
+
+
+SWEEP_CENTERS = (0.028, 0.064, 0.115, 0.22, 0.30, 0.45, 0.55, 0.70, 0.78,
+                 0.885, 0.936, 0.972)
+
+
+def _sweep(build) -> bytes:
+    return repr([build(t).interior_fixed_points()
+                 for t in SWEEP_CENTERS]).encode()
+
+
+FIXED_POINTS = {
+    "valiant": valiant,
+    "quad4": lambda: quad4(0.5),
+    "soft6": lambda: soft_threshold(6),
+}
+
+CONDITIONS = {
+    "quad4": (quad4, 1 / 5, 4 / 5),
+    "quad5": (quad5, 1 / 7, 6 / 7),
+    "linear": (linear_threshold, 1 / 5, 4 / 5),     # fails: linear term
+}
+
+
+def _conditions(name: str) -> bytes:
+    build, u, v = CONDITIONS[name]
+    return repr(verify_conditions(build(0.5), 0.5, u, v)).encode()
+
+
+def _exact() -> bytes:
+    firing, v = exact_level_distribution(quad4(0.5), 200, 0.45, 20)
+    return repr(firing).encode() + v.tobytes()
+
+
+ANALYZE = ["analyze", "--construction", "quad4", "--t", "0.5",
+           "--u", "0.2", "--v", "0.8"]
+
+
+def _stdout(argv) -> bytes:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        assert main(CLI[name]) == 0
+        assert main(argv) == 0
     return buf.getvalue().encode()
 
 
@@ -108,11 +154,31 @@ CASES = {
     "learned-json": _learned_json,
     "learned-trace": _learned_trace,
     **{f"cli-{name}": (lambda n=name: _cli(n)) for name in CLI},
+    "sweep-quad_k": lambda: _sweep(quad_k),
+    "sweep-linear": lambda: _sweep(linear_threshold),
+    **{f"fixed-points-{name}": (lambda n=name: fixed_points(
+        FIXED_POINTS[n]().mixture).to_json().encode())
+       for name in FIXED_POINTS},
+    **{f"conditions-{name}": (lambda n=name: _conditions(n))
+       for name in CONDITIONS},
+    "corridor-quad_k": lambda: repr(
+        certified_corridor(quad_k(0.9).evaluate, 0.9)).encode(),
+    "exact-quad4": _exact,
+    "cli-analyze": lambda: _stdout(ANALYZE),
 }
 
 GOLDEN = {
+    'cli-analyze': 'd3587f5a440429354442725e7c4741173a32cf150a578e09b730a73604c18d49',
     'cli-leveled': '888bf3c21a80528c74047fc9c702af6fa39ac801b3ccf8ff9f50f2fc50862cf8',
     'cli-stream': '94c210bea9a197877f93773758371235ed5b73eb020a132a334f9fe4c486cc2d',
+    'conditions-linear': '8bcb6f5f457d7321ce4163397293b63d4e516241385eee0d2924ff42547cb901',
+    'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
+    'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
+    'corridor-quad_k': '42158e39096f57ba908ef7f0e8e179143119d5bfe20a945f41e7a6a7c5705650',
+    'exact-quad4': 'f50d28b888fdffff60955071eedd4e43cf879dca2c6891e4e1b22cbafa3e68cf',
+    'fixed-points-quad4': 'b11e2f86b228d875cdcbabb5e269bf7bbae5b5e219c3784fede3ab4071a3c26e',
+    'fixed-points-soft6': '0e9a98e6da50496361cf14cefb4203ae069925b14df500cd44e27ae0f2bf62ba',
+    'fixed-points-valiant': '2f7c75a16528845bfa462a7a078abc1684aa9e1d7bc7e7e87f6a1e196bc0db2b',
     'learned-json': '00c80155538d4b0fd9d097d2a92c72fddf68ae04c207506d5758622a8ee1bb23',
     'learned-trace': 'eca4fe156f3e26a2efbb45186b5d38e8be2c2b02319a362a208b2449454014dc',
     'leveled-linear-bits': '3530a1b7c4f04f3a496431af3774e5d50aef244eb713419b213878243b132b7b',
@@ -125,6 +191,8 @@ GOLDEN = {
     'stream-fallback': '4cc63dbbfc5999a44f30d0fb5eae589f9322fc53a151491b489a0fd9cdb856fd',
     'stream-quad4': '20f6aa30fdc47524fb2ce989580f6df198d1c09b1269563017794da4aaf78ea2',
     'stream-wild': '8484d5b3e100fb899714cb3b867cabd1154a46c7c9c5e42308269c2fa115b038',
+    'sweep-linear': '0db62e15febcd8453a54fcedb7705def320fc6546c84068192d4971d26e23996',
+    'sweep-quad_k': '763bcc44bb44f0e84fe4975acff6a7fc314ef363ca91cae7a0e23bcc3e3ef994',
 }
 
 
