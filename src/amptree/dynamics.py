@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
+import numpy as np
+
 from .catalog import TreeDistribution
 from .errors import DegenerateInputError, RangeError
 
@@ -92,31 +94,44 @@ def certified_corridor(f: Callable[[float], float], t: float,
     Finds the largest u with (sup_{(0,u]} f(p)/p^2) * u < factor, and
     symmetrically the smallest v for the 1-side.  Returns None when no
     corridor certifies (constructions with a linear term).
+
+    ``f`` is called on Python floats for the endpoint gate and once per
+    side on that side's grid, a float64 array; it must work elementwise,
+    as ``activation`` and ``TreeDistribution.evaluate`` do.
     """
     # f/p^2 is unbounded near 0 unless f'(0) = 0, which a finite grid
     # cannot see; gate on the endpoint derivatives first.
     if f(1e-9) / 1e-9 > 1e-6 or (1.0 - f(1.0 - 1e-9)) / 1e-9 > 1e-6:
         return None
-    lo_ps = [t * i / grid for i in range(1, grid)]
-    ratios = [f(p) / (p * p) for p in lo_ps]
+    steps = np.arange(1, grid)
+    lo_ps = t * steps / grid
+    ratios = f(lo_ps) / (lo_ps * lo_ps)
     best_u = None
     running = 0.0
-    for p, r in zip(lo_ps, ratios):
+    for p, r in zip(lo_ps.tolist(), ratios.tolist()):
         running = max(running, r)
         if running * p < factor:
             best_u = p
-    hi_ps = [t + (1.0 - t) * i / grid for i in range(1, grid)]
+    hi_ps = t + (1.0 - t) * steps / grid
+    hi_ratios = (1.0 - f(hi_ps)) / _square(1.0 - hi_ps)
     best_v = None
     running = 0.0
-    for p, r in zip(reversed(hi_ps),
-                    reversed([(1.0 - f(p)) / ((1.0 - p) ** 2)
-                              for p in hi_ps])):
+    for p, r in zip(reversed(hi_ps.tolist()), reversed(hi_ratios.tolist())):
         running = max(running, r)
         if running * (1.0 - p) < factor:
             best_v = p
     if best_u is None or best_v is None:
         return None
     return best_u, best_v
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` elementwise, bit for bit as Python's float ``**`` gives it.
+
+    Both call the C library's ``pow``; ndarray ``** 2`` multiplies instead,
+    which differs in the last bit for about one value in a thousand.
+    """
+    return np.float_power(x, 2)
 
 
 def _threshold_of(dist: TreeDistribution) -> float:
@@ -206,40 +221,49 @@ def verify_conditions(dist: TreeDistribution, t: float, u: float, v: float,
     """
     if not 0.0 < u < t < v < 1.0:
         raise RangeError(f"need 0 < u < t < v < 1, got u={u}, t={t}, v={v}")
-    if t - margin <= u or v <= t + margin:
-        raise RangeError("margin swallows the divergence intervals")
+    if not u < t - margin < t < t + margin < v:
+        raise RangeError("margin must be positive and leave room for the "
+                         "divergence intervals")
     f = dist.evaluate
     failures: list[ConditionFailure] = []
 
-    def sweep(lo: float, hi: float, fn: Callable[[float], float],
-              minimize: bool) -> tuple[float, float]:
-        best_val = math.inf if minimize else -math.inf
-        best_p = lo
-        for i in range(grid + 1):
-            p = lo + (hi - lo) * i / grid
-            val = fn(p)
-            if (val < best_val) if minimize else (val > best_val):
-                best_val, best_p = val, p
-        return best_val, best_p
-
-    c1, w1 = sweep(u, t - margin, lambda p: (t - f(p)) / (t - p), True)
+    c1, w1 = _sweep(u, t - margin, lambda p: (t - f(p)) / (t - p), True,
+                    grid)
     if c1 <= 1.0:
         failures.append(ConditionFailure("linear divergence below t",
                                          (u, t - margin), w1, c1))
-    c2, w2 = sweep(t + margin, v, lambda p: (f(p) - t) / (p - t), True)
+    c2, w2 = _sweep(t + margin, v, lambda p: (f(p) - t) / (p - t), True,
+                    grid)
     if c2 <= 1.0:
         failures.append(ConditionFailure("linear divergence above t",
                                          (t + margin, v), w2, c2))
     step = u / grid
-    c3, w3 = sweep(step, u - step, lambda p: f(p) / (p * p), False)
+    c3, w3 = _sweep(step, u - step, lambda p: f(p) / (p * p), False, grid)
     if c3 * u >= 1.0:
         failures.append(ConditionFailure("quadratic convergence to 0",
                                          (0.0, u), w3, c3))
     step = (1.0 - v) / grid
-    c4, w4 = sweep(v + step, 1.0 - step,
-                   lambda p: (1.0 - f(p)) / ((1.0 - p) ** 2), False)
+    c4, w4 = _sweep(v + step, 1.0 - step,
+                    lambda p: (1.0 - f(p)) / _square(1.0 - p), False, grid)
     if c4 * (1.0 - v) >= 1.0:
         failures.append(ConditionFailure("quadratic convergence to 1",
                                          (v, 1.0), w4, c4))
     return ConditionReport(t=t, u=u, v=v, c1=c1, c2=c2, c3=c3, c4=c4,
                            failures=tuple(failures))
+
+
+def _sweep(lo: float, hi: float, fn: Callable[[np.ndarray], np.ndarray],
+           minimize: bool, grid: int) -> tuple[float, float]:
+    """Extreme of ``fn`` over grid + 1 equispaced points of [lo, hi].
+
+    ``fn`` is called once on the whole grid, a float64 array, and must work
+    elementwise.  Returns the extreme value and the first grid point that
+    attains it, both as Python floats.
+    """
+    ps = lo + (hi - lo) * np.arange(grid + 1) / grid
+    best_val = math.inf if minimize else -math.inf
+    best_p = lo
+    for p, val in zip(ps.tolist(), fn(ps).tolist()):
+        if (val < best_val) if minimize else (val > best_val):
+            best_val, best_p = val, p
+    return best_val, best_p

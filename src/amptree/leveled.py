@@ -125,8 +125,7 @@ def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"p must be in [0,1], got {p}")
     counts = np.arange(m + 1)
-    q = np.array([dist.evaluate(i / m) for i in range(m + 1)])
-    q = np.clip(q, 0.0, 1.0)
+    q = np.clip(dist.evaluate(counts / m), 0.0, 1.0)
     kernel = binom.pmf(counts[None, :], m, q[:, None])
     v = binom.pmf(counts, m, min(max(dist.evaluate(p), 0.0), 1.0))
     for _ in range(levels - 1):

@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import (DegenerateInputError, InconsistentFixedPointError,
                      WeightError)
 
@@ -193,15 +195,19 @@ def scan_fixed_points(f: Callable[[float], float], grid: int = DEFAULT_GRID,
                       hi: float = 1.0) -> list[float]:
     """Interior fixed points of a callable on (lo, hi) by sign scan + bisection.
 
-    Roots closer together than the grid pitch can merge; catalog
-    constructions are checked to have well-separated roots.
+    ``f`` is called once on the whole scan grid, a float64 array, and must
+    work elementwise, as :class:`Polynomial`, ``activation`` and
+    ``TreeDistribution.evaluate`` do; the bisection then calls it on
+    Python floats.  Roots closer together than the grid pitch can merge;
+    catalog constructions are checked to have well-separated roots.
     """
     def h(p: float) -> float:
         return f(p) - p
 
     step = (hi - lo) / grid
-    xs = [lo + i * step for i in range(1, grid)]
-    hv = [h(x) for x in xs]
+    points = lo + np.arange(1, grid) * step
+    xs = points.tolist()
+    hv = (f(points) - points).tolist()
     roots = [x for x, v in zip(xs, hv) if v == 0.0]
     for i in range(len(xs) - 1):
         a, b = hv[i], hv[i + 1]

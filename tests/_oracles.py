@@ -3,7 +3,9 @@
 These deliberately avoid the library's own polynomial/iteration code paths:
 activation probabilities come from exhaustive assignment enumeration, and
 fixed-point claims on exact-integer polynomials are verified in rational
-arithmetic.
+arithmetic.  The scalar grid loops at the end are the one-point-per-call
+forms of the library's array-evaluated analysis grids, kept as the
+reference those must match exactly.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, bisect_root
 from amptree.trees import AndOrTree, IntPolynomial, eval_tree
 
 
@@ -64,3 +67,70 @@ def verified_interior_roots(poly: IntPolynomial,
 
 def binom_pmf(m: int, k: int, q: float) -> float:
     return math.comb(m, k) * q ** k * (1.0 - q) ** (m - k)
+
+
+# ---------------------------------------------------------------------------
+# Scalar analysis grids: one call of the scanned function per grid point
+# ---------------------------------------------------------------------------
+
+def scalar_scan_fixed_points(f, grid: int = DEFAULT_GRID,
+                             tol: float = DEFAULT_TOL, lo: float = 0.0,
+                             hi: float = 1.0) -> list[float]:
+    """``polyalg.scan_fixed_points`` with a scalar call per grid point."""
+    def h(p: float) -> float:
+        return f(p) - p
+
+    step = (hi - lo) / grid
+    xs = [lo + i * step for i in range(1, grid)]
+    hv = [h(x) for x in xs]
+    roots = [x for x, v in zip(xs, hv) if v == 0.0]
+    for i in range(len(xs) - 1):
+        a, b = hv[i], hv[i + 1]
+        if a != 0.0 and b != 0.0 and (a > 0) != (b > 0):
+            roots.append(bisect_root(h, xs[i], xs[i + 1], tol))
+    roots.sort()
+    merged: list[float] = []
+    for r in roots:
+        if not merged or r - merged[-1] > 10 * tol:
+            merged.append(r)
+    return merged
+
+
+def scalar_sweep(lo: float, hi: float, fn, minimize: bool,
+                 grid: int) -> tuple[float, float]:
+    """``dynamics._sweep`` with a scalar call per grid point."""
+    best_val = math.inf if minimize else -math.inf
+    best_p = lo
+    for i in range(grid + 1):
+        p = lo + (hi - lo) * i / grid
+        val = fn(p)
+        if (val < best_val) if minimize else (val > best_val):
+            best_val, best_p = val, p
+    return best_val, best_p
+
+
+def scalar_certified_corridor(f, t: float, grid: int = 512,
+                              factor: float = 0.95):
+    """``dynamics.certified_corridor`` with a scalar call per grid point."""
+    if f(1e-9) / 1e-9 > 1e-6 or (1.0 - f(1.0 - 1e-9)) / 1e-9 > 1e-6:
+        return None
+    lo_ps = [t * i / grid for i in range(1, grid)]
+    ratios = [f(p) / (p * p) for p in lo_ps]
+    best_u = None
+    running = 0.0
+    for p, r in zip(lo_ps, ratios):
+        running = max(running, r)
+        if running * p < factor:
+            best_u = p
+    hi_ps = [t + (1.0 - t) * i / grid for i in range(1, grid)]
+    best_v = None
+    running = 0.0
+    for p, r in zip(reversed(hi_ps),
+                    reversed([(1.0 - f(p)) / ((1.0 - p) ** 2)
+                              for p in hi_ps])):
+        running = max(running, r)
+        if running * (1.0 - p) < factor:
+            best_v = p
+    if best_u is None or best_v is None:
+        return None
+    return best_u, best_v

@@ -165,6 +165,9 @@ def test_conditions_fail_for_linear_construction():
 def test_conditions_reject_bad_intervals():
     with pytest.raises(RangeError):
         verify_conditions(quad4(0.5), 0.5, 0.6, 0.8)
+    for margin in (0.0, -0.01, 1e-20, 0.3):
+        with pytest.raises(RangeError):
+            verify_conditions(quad4(0.5), 0.5, 0.2, 0.8, margin=margin)
 
 
 def test_certified_corridor_for_quad_families():
