@@ -15,7 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 
 from . import catalog, dynamics, leveled, learning, stream
-from .errors import AmptreeError
+from .errors import AmptreeError, InputShapeError
 from .polyalg import fixed_points
 from .trees import achievable_by_degree
 
@@ -52,6 +52,10 @@ CONSTRUCTIONS = {
         breakpoints=tuple(p["breakpoints"]), heights=tuple(p["heights"]),
         epsilon=p["epsilon"], delta=p["delta"])),
 }
+
+
+class UsageError(Exception):
+    """Input the command cannot use; reported on one line with exit code 2."""
 
 
 def build_construction(params: dict) -> catalog.TreeDistribution:
@@ -222,9 +226,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                                      "width_scaling"]}])
 
 
+def _read_bits(path: str) -> list:
+    with open(path) as fh:
+        bits = json.load(fh)
+    if not isinstance(bits, list) or any(b not in (0, 1) for b in bits):
+        raise UsageError(f"{path} must hold a JSON list of 0/1 bits")
+    return bits
+
+
 def cmd_learn(cfg: ExperimentConfig) -> int:
-    with open(cfg.params["x_file"]) as fh:
-        x_bits = json.load(fh)
+    x_bits = _read_bits(cfg.params["x_file"])
     tree = learning.learn_threshold(int(cfg.params["levels"]),
                                     int(cfg.params["width"]), x_bits,
                                     cfg.seed)
@@ -233,10 +244,14 @@ def cmd_learn(cfg: ExperimentConfig) -> int:
 
 
 def cmd_eval(cfg: ExperimentConfig) -> int:
-    with open(cfg.params["learned_file"]) as fh:
-        tree = learning.LearnedTree.from_json(fh.read())
-    with open(cfg.params["input_file"]) as fh:
-        bits = json.load(fh)
+    path = cfg.params["learned_file"]
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        tree = learning.LearnedTree.from_json(text)
+    except InputShapeError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+    bits = _read_bits(cfg.params["input_file"])
     sample = cfg.params.get("sample")
     frac = learning.evaluate_learned(tree, bits,
                                      sample=None if sample is None
@@ -300,7 +315,15 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         cfg.command = args.command
     if args.params:
-        cfg.params.update(json.loads(args.params))
+        try:
+            params = json.loads(args.params)
+        except json.JSONDecodeError as exc:
+            sys.stderr.write(f"bad --params: {exc}\n")
+            return 2
+        if not isinstance(params, dict):
+            sys.stderr.write("bad --params: expected a JSON object\n")
+            return 2
+        cfg.params.update(params)
     for flag, name, _ in _FLAG_PARAMS:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None:
@@ -317,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except AmptreeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     except KeyError as exc:
         sys.stderr.write(f"missing required config field: {exc}\n")
         return 2

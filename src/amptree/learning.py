@@ -68,14 +68,34 @@ class LearnedTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LearnedTree":
+        """Parse :meth:`to_json` output.
+
+        Raises InputShapeError when the JSON does not describe a structure
+        :func:`evaluate_learned` can run.
+        """
         data = json.loads(text)
-        blocks = tuple(np.asarray(lvl["blocks"], dtype=np.uint8)
-                       for lvl in data["levels"])
-        wiring = tuple(np.asarray(lvl["wiring"], dtype=np.int64)
-                       for lvl in data["levels"])
-        return cls(n=int(data["n"]), blocks=blocks, wiring=wiring,
-                   seed=int(data["seed"]),
-                   example_ones=int(data["example_ones"]))
+        try:
+            n = int(data["n"])
+            blocks = tuple(np.asarray(lvl["blocks"], dtype=np.uint8)
+                           for lvl in data["levels"])
+            wiring = tuple(np.asarray(lvl["wiring"], dtype=np.int64)
+                           for lvl in data["levels"])
+            seed, ones = int(data["seed"]), int(data["example_ones"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputShapeError(
+                f"not a learned structure ({type(exc).__name__}: {exc})"
+            ) from exc
+        prev_size = n
+        for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
+            if not (b.ndim == 1 and b.size and w.shape == (b.size, 3)
+                    and (b <= 1).all() and (w >= 0).all()
+                    and (w < prev_size).all()):
+                raise InputShapeError(
+                    f"level {level} of the learned structure does not fit "
+                    f"the {prev_size} items below it")
+            prev_size = b.size
+        return cls(n=n, blocks=blocks, wiring=wiring, seed=seed,
+                   example_ones=ones)
 
 
 def learn_threshold(levels: int, width: int, example: Sequence[int],

@@ -184,6 +184,44 @@ def test_learn_with_malformed_json_exits_2(tmp_path):
     assert err.count("\n") == 1 and "malformed JSON" in err
 
 
+def test_bad_params_exit_2():
+    for params in ("{bad", "[1]", "3"):
+        code, out, err = run_cli_err(["analyze", "--construction", "valiant",
+                                      "--params", params])
+        assert code == 2, params
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("bad --params")
+
+
+def test_wrong_shape_input_files_exit_2(tmp_path):
+    bits = tmp_path / "bits.json"
+    bits.write_text("[1, 0, 1]")
+    learned = tmp_path / "learned.json"
+    assert run_cli(["learn", "--x-file", str(bits), "--levels", "2",
+                    "--width", "5", "--out", str(learned)])[0] == 0
+    good = json.loads(learned.read_text())
+    out_of_range = dict(good, levels=[dict(good["levels"][0],
+                                           wiring=[[0, 0, 3]] * 5)])
+    bad = {}
+    for name, value in (("list", [1, 0, 1]), ("levels", {"levels": 4}),
+                        ("wiring", out_of_range), ("object", {"a": 1}),
+                        ("number", 5), ("strings", [1, "x"]),
+                        ("twos", [1, 2, 0])):
+        bad[name] = tmp_path / f"{name}.json"
+        bad[name].write_text(json.dumps(value))
+    cases = [["eval", "--learned-file", str(bad[name]), "--input-file",
+              str(bits)] for name in ("list", "levels", "wiring")]
+    cases += [["eval", "--learned-file", str(learned), "--input-file",
+               str(bad[name])] for name in ("object", "number", "strings")]
+    cases += [["learn", "--x-file", str(bad[name]), "--levels", "2",
+               "--width", "5"] for name in ("object", "number", "twos")]
+    for args in cases:
+        code, out, err = run_cli_err(args)
+        assert code == 2, args
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
 def test_threads_flag_is_gone():
     import pytest
     with pytest.raises(SystemExit) as exc:
