@@ -64,9 +64,9 @@ class SimulationTrace:
 
     def write_csv(self, out: TextIO) -> None:
         out.write("trial,level,fraction\n")
-        for trial in range(self.fractions.shape[0]):
-            for level in range(self.fractions.shape[1]):
-                out.write(f"{trial},{level},{self.fractions[trial, level]!r}\n")
+        for trial, row in enumerate(self.fractions.tolist()):
+            for level, x in enumerate(row):
+                out.write(f"{trial},{level},{x!r}\n")
 
 
 def simulate_leveled(dist: TreeDistribution,

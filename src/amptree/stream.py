@@ -72,9 +72,10 @@ class StreamTrace:
 
     def write_csv(self, out: TextIO) -> None:
         out.write("trial,step,x\n")
-        for trial in range(self.x.shape[0]):
-            for j, step in enumerate(self.steps):
-                out.write(f"{trial},{int(step)},{self.x[trial, j]!r}\n")
+        steps = [int(step) for step in self.steps]
+        for trial, row in enumerate(self.x.tolist()):
+            for step, x in zip(steps, row):
+                out.write(f"{trial},{step},{x!r}\n")
 
     def recompute_x(self, trial: int, step: int) -> float:
         """X after ``step`` creations from the raw bits and the closed-form

@@ -10,11 +10,13 @@ still holds.  The values were taken with numpy 2.4.6; a numpy release
 that changes PCG64 or ``Generator.random``/``integers`` would change them
 too.
 """
+import csv
 import hashlib
 import io
 import json
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from amptree.catalog import (linear_threshold, quad4, quad5, quad_k,
@@ -169,8 +171,8 @@ CASES = {
 
 GOLDEN = {
     'cli-analyze': 'd3587f5a440429354442725e7c4741173a32cf150a578e09b730a73604c18d49',
-    'cli-leveled': '888bf3c21a80528c74047fc9c702af6fa39ac801b3ccf8ff9f50f2fc50862cf8',
-    'cli-stream': '94c210bea9a197877f93773758371235ed5b73eb020a132a334f9fe4c486cc2d',
+    'cli-leveled': '56e6be50307b7aed1f85a5adf5755ceed82cca89f74cb1eaeb8120658de3fbde',
+    'cli-stream': 'baab4851d8ecce7e5d5d39b3d0218387285f465323603449f4eee867b5fab176',
     'conditions-linear': '8bcb6f5f457d7321ce4163397293b63d4e516241385eee0d2924ff42547cb901',
     'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
     'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
@@ -181,16 +183,16 @@ GOLDEN = {
     'fixed-points-valiant': '2f7c75a16528845bfa462a7a078abc1684aa9e1d7bc7e7e87f6a1e196bc0db2b',
     'learned-json': '00c80155538d4b0fd9d097d2a92c72fddf68ae04c207506d5758622a8ee1bb23',
     'learned-trace': 'eca4fe156f3e26a2efbb45186b5d38e8be2c2b02319a362a208b2449454014dc',
-    'leveled-linear-bits': '3530a1b7c4f04f3a496431af3774e5d50aef244eb713419b213878243b132b7b',
-    'leveled-linear-p': '57d089b26c501b64ab54a07be23e0d97cc6b97e661105c81d1600da8ea6c859f',
-    'leveled-quad4-bits': 'c0aa9b0f208c610ab8b81237a6d0793f5a33c270cd3e8ae3f48f39c28d678962',
-    'leveled-quad4-p': 'eedd7736e79361a7c5499fc8332f7dbb63473e0bc5f6bb59b405d521b2bbea49',
-    'leveled-valiant-bits': 'a47f7058ee5816cfba103e2c58f3c8c089bfcd025b006dd439555ced9104db3b',
-    'leveled-valiant-p': '7cd7f404ee96f1370de2b510a7dddf8eb29cbb2f5dee58ed178345ed8b4e09eb',
-    'stream-decay': '54a9cb2fdbe908bbd60ddbb5961f79a7657efce88e66dbfcf6034e92099371cc',
-    'stream-fallback': '4cc63dbbfc5999a44f30d0fb5eae589f9322fc53a151491b489a0fd9cdb856fd',
-    'stream-quad4': '20f6aa30fdc47524fb2ce989580f6df198d1c09b1269563017794da4aaf78ea2',
-    'stream-wild': '8484d5b3e100fb899714cb3b867cabd1154a46c7c9c5e42308269c2fa115b038',
+    'leveled-linear-bits': '654012d0c9bb3147c9b3ca04c3878eab11a412de73a368de803ee2bcdba4e500',
+    'leveled-linear-p': '1f9dec92fd69e762ad457dcc4782ccaee376f3b00a0e95ba491df8bf7f4140ce',
+    'leveled-quad4-bits': '754a3a12f20e06eae672033abf3d1a24805cd3da9e0eb18a8702960d64e13053',
+    'leveled-quad4-p': '6af860d03a2c5c4329c9aac73f819e9c9aed1a6f0596d347f7773b734c85e5fd',
+    'leveled-valiant-bits': '702fc51b839b931d0daf5ded4ec160aef6bd4b241babab98c04a3de8ff2de110',
+    'leveled-valiant-p': '7eb91a078d3b57bfffc0d9bece56ba3ec595fe86f603ab5aa2caf43b8182bdc3',
+    'stream-decay': '887df5db79603006129ef87e7e859a77818445a1e5098a64f03a1a090a0d38cf',
+    'stream-fallback': '736bee58ce629175b9f5a2841a596d7267a910920f3b6304871653766a558d40',
+    'stream-quad4': '985ace8d6b7531601915a0c8a254366402ced2823a82fd92071eab84c482b9c5',
+    'stream-wild': '585a583eee7f2cc0e9a9e1410924973d40553b6b60348bd4bbec948581721cee',
     'sweep-linear': '0db62e15febcd8453a54fcedb7705def320fc6546c84068192d4971d26e23996',
     'sweep-quad_k': '763bcc44bb44f0e84fe4975acff6a7fc314ef363ca91cae7a0e23bcc3e3ef994',
 }
@@ -207,6 +209,22 @@ def test_golden_digest(case):
 
 def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("kind", ["leveled", "stream"])
+def test_csv_values_are_plain_numbers(kind):
+    if kind == "leveled":
+        trace = simulate_leveled(quad4(0.5), LevelConfig(
+            widths=(30, 25), n=BITS_N, seed=3, trials=4, input_p=0.42))
+        values = trace.fractions
+    else:
+        dist, kw = STREAMS["decay"]
+        trace = simulate_stream(dist, StreamConfig(seed=77, **kw))
+        values = trace.x
+    rows = list(csv.reader(io.StringIO(_csv(trace).decode())))
+    assert len(rows) == 1 + values.size
+    parsed = np.array([float(row[2]) for row in rows[1:]])
+    assert (parsed == values.ravel()).all()
 
 
 if __name__ == "__main__":
