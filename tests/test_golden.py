@@ -99,11 +99,16 @@ CLI = {
                "--mode", "stream", "--n", "16", "--k", "300",
                "--alpha", "0.02", "--p", "0.4", "--trials", "4",
                "--seed", "9", "--format", "csv"],
+    "analyze": ["analyze", "--construction", "quad4", "--t", "0.5",
+                "--u", "0.2", "--v", "0.8"],
 }
 
 
 def _cli(name: str) -> bytes:
-    return _stdout(CLI[name])
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(CLI[name]) == 0
+    return buf.getvalue().encode()
 
 
 SWEEP_CENTERS = (0.028, 0.064, 0.115, 0.22, 0.30, 0.45, 0.55, 0.70, 0.78,
@@ -138,17 +143,6 @@ def _exact() -> bytes:
     return repr(firing).encode() + v.tobytes()
 
 
-ANALYZE = ["analyze", "--construction", "quad4", "--t", "0.5",
-           "--u", "0.2", "--v", "0.8"]
-
-
-def _stdout(argv) -> bytes:
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        assert main(argv) == 0
-    return buf.getvalue().encode()
-
-
 CASES = {
     **{f"leveled-{name}-{inputs}": (lambda n=name, i=inputs: _leveled(n, i))
        for name in LEVELED_DISTS for inputs in ("p", "bits")},
@@ -166,7 +160,6 @@ CASES = {
     "corridor-quad_k": lambda: repr(
         certified_corridor(quad_k(0.9).evaluate, 0.9)).encode(),
     "exact-quad4": _exact,
-    "cli-analyze": lambda: _stdout(ANALYZE),
 }
 
 GOLDEN = {
