@@ -22,6 +22,7 @@ engines consume the same block, so each is bit-reproducible per
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -35,6 +36,9 @@ from .trees import eval_tree
 
 #: Vectorized exponential weights stay in float range below this exponent.
 _MAX_TOTAL_EXPONENT = 600.0
+
+#: e^alpha is a finite float up to this decay rate.
+_MAX_ALPHA = math.log(sys.float_info.max)
 
 #: Memory budget (bytes) for pregenerated uniforms per batch.
 _BATCH_BUDGET = 320_000_000
@@ -56,8 +60,9 @@ class StreamConfig:
         check_inputs(self)
         if self.k < 0:
             raise InputShapeError("items to create must be >= 0")
-        if self.alpha < 0:
-            raise RangeError("decay rate alpha must be >= 0")
+        if not 0.0 <= self.alpha <= _MAX_ALPHA:
+            raise RangeError(f"decay rate alpha must be a number in "
+                             f"[0, {_MAX_ALPHA:.2f}]: {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,17 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
+def test_non_finite_alpha_is_one_error_line():
+    for alpha in ("nan", "inf"):
+        code, out, err = run_cli_err(["simulate", "--construction", "linear",
+                                      "--t", "0.5", "--mode", "stream",
+                                      "--n", "8", "--k", "20", "--p", "0.5",
+                                      "--alpha", alpha])
+        assert code == 1, alpha
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
 def test_threads_flag_is_gone():
     import pytest
     with pytest.raises(SystemExit) as exc:

@@ -20,8 +20,9 @@ def test_config_validation():
         StreamConfig(n=0, k=5, alpha=0.0, seed=1, input_p=0.5)
     with pytest.raises(InputShapeError):
         StreamConfig(n=5, k=-1, alpha=0.0, seed=1, input_p=0.5)
-    with pytest.raises(RangeError):
-        StreamConfig(n=5, k=5, alpha=-0.1, seed=1, input_p=0.5)
+    for alpha in (-0.1, math.nan, math.inf, 710.0):
+        with pytest.raises(RangeError):
+            StreamConfig(n=5, k=5, alpha=alpha, seed=1, input_p=0.5)
     with pytest.raises(InputShapeError):
         StreamConfig(n=5, k=5, alpha=0.0, seed=1)
 
