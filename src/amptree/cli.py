@@ -35,7 +35,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        """Parse a config; TypeError or ValueError names a bad field."""
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise TypeError("expected a JSON object")
+        cfg = cls(**data)
+        for name, ok, want in (
+                ("command", isinstance(cfg.command, str), "a string"),
+                ("params", isinstance(cfg.params, dict), "an object"),
+                ("seed", type(cfg.seed) is int, "an integer"),
+                ("out", cfg.out is None or isinstance(cfg.out, str),
+                 "a string or null"),
+                ("format", cfg.format in ("csv", "json"), "csv or json")):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {want}: {getattr(cfg, name)!r}")
+        return cfg
 
 
 CONSTRUCTIONS = {
@@ -310,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.config) as fh:
                 cfg = ExperimentConfig.from_json(fh.read())
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             sys.stderr.write(f"bad config {args.config}: {exc}\n")
             return 2
         cfg.command = args.command

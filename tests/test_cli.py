@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from amptree.cli import ExperimentConfig, main
 
 
@@ -222,19 +224,37 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
-def test_non_finite_alpha_is_one_error_line():
-    for alpha in ("nan", "inf"):
-        code, out, err = run_cli_err(["simulate", "--construction", "linear",
-                                      "--t", "0.5", "--mode", "stream",
-                                      "--n", "8", "--k", "20", "--p", "0.5",
-                                      "--alpha", alpha])
-        assert code == 1, alpha
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: "), err
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_non_finite_alpha_is_one_error_line(alpha):
+    code, out, err = run_cli_err(["simulate", "--construction", "linear",
+                                  "--t", "0.5", "--mode", "stream",
+                                  "--n", "8", "--k", "20", "--p", "0.5",
+                                  "--alpha", alpha])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("params", {"command": "analyze", "params": [1]}),
+    ("seed", {"command": "simulate", "seed": "x"}),
+    ("out", {"command": "analyze", "out": 5}),
+    ("format", {"command": "analyze", "format": "xml"}),
+])
+def test_bad_config_field_exits_2(tmp_path, name, fields):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    code, out, err = run_cli_err(["simulate", "--config", str(path),
+                                  "--construction", "valiant",
+                                  "--mode", "leveled", "--m", "10",
+                                  "--levels", "2", "--n", "8", "--p", "0.4"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("bad config"), err
+    assert f"{name} must be" in err
 
 
 def test_threads_flag_is_gone():
-    import pytest
     with pytest.raises(SystemExit) as exc:
         run_cli_err(["enumerate", "--threads", "2"])
     assert exc.value.code == 2
