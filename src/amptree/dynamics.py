@@ -153,6 +153,7 @@ def profile(dist: TreeDistribution, p: float,
     corridor attached to the distribution, a measured certificate, or the
     symmetric 0.2/0.8 default, in that order.
     """
+    p = float(p)
     t = _threshold_of(dist)
     if abs(p - t) <= 1e-12:
         raise DegenerateInputError(

@@ -22,7 +22,7 @@ import pytest
 from amptree.catalog import (linear_threshold, quad4, quad5, quad_k,
                              soft_threshold, valiant)
 from amptree.cli import main
-from amptree.dynamics import certified_corridor, verify_conditions
+from amptree.dynamics import certified_corridor, profile, verify_conditions
 from amptree.learning import evaluate_learned, learn_threshold
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled)
@@ -204,20 +204,25 @@ def test_every_case_is_pinned():
     assert sorted(GOLDEN) == sorted(CASES)
 
 
-@pytest.mark.parametrize("kind", ["leveled", "stream"])
+@pytest.mark.parametrize("kind", ["leveled", "stream", "profile"])
 def test_csv_values_are_plain_numbers(kind):
+    columns = slice(2, 3)
     if kind == "leveled":
         trace = simulate_leveled(quad4(0.5), LevelConfig(
             widths=(30, 25), n=BITS_N, seed=3, trials=4, input_p=0.42))
         values = trace.fractions
-    else:
+    elif kind == "stream":
         dist, kw = STREAMS["decay"]
         trace = simulate_stream(dist, StreamConfig(seed=77, **kw))
         values = trace.x
+    else:
+        trace = profile(quad4(0.5), np.float64(0.4), max_levels=3)
+        values = np.array([trace.iterates, trace.errors]).T
+        columns = slice(1, 3)
     rows = list(csv.reader(io.StringIO(_csv(trace).decode())))
-    assert len(rows) == 1 + values.size
-    parsed = np.array([float(row[2]) for row in rows[1:]])
-    assert (parsed == values.ravel()).all()
+    parsed = np.array([[float(v) for v in row[columns]] for row in rows[1:]])
+    assert parsed.size == values.size
+    assert (parsed.ravel() == values.ravel()).all()
 
 
 if __name__ == "__main__":
