@@ -4,20 +4,20 @@ A single growing pool: each new item samples a tree and wires its leaves
 to existing items with probability proportional to item weight.  Weights
 decay by e^-alpha per creation step; alpha = 0 is the wild construction.
 
-Since every weight decays by the same factor, relative weights never need
-rescaling: the item created at step j carries relative weight e^(alpha*j)
-against inputs at weight 1, and the cumulative weight of the first m items
-is the geometric sum S(m) = (e^(alpha*m) - 1)/(e^alpha - 1).  The default
-engine samples by inverting this cumulative ledger directly (vectorized
-across trials); the ``prefix_tree`` engine maintains an explicit prefix-sum
-tree with O(log N) draws and periodic renormalization of the shared
-exponent, and is the reference for cross-validation.
+Since every weight decays by the same factor, only relative weights
+matter.  The default engine holds them relative to the item created at
+step ``base`` (item j weighs e^(alpha*(j - base))) and samples by
+inverting the cumulative ledger, vectorized across trials.  Before an
+exponent passes 600 it rescales and moves ``base`` up, so the ledger
+stays finite for any alpha*k.  The ``prefix_tree`` engine keeps an
+explicit prefix-sum tree with O(log N) draws; it is a reference only.
 
 Determinism: each trial owns generator PCG64(derive_seed(seed, trial));
-it first draws the Bernoulli inputs (if any), then one (k, 1 + max_leaves)
-uniform block: column 0 picks the tree, the rest pick its leaves.  Both
-engines consume the same block, so each is bit-reproducible per
-(seed, trial) independent of batching.
+it first draws the Bernoulli inputs (if any), then k rows of 1 + max_leaves
+uniforms: column 0 picks the tree, the rest pick its leaves.  The default
+engine draws them in step chunks, the reference in one block; the numbers
+are the same, so a run is bit-reproducible per (seed, trial) however it
+is chunked or batched.
 """
 from __future__ import annotations
 
@@ -34,13 +34,16 @@ from .errors import InputShapeError, RangeError
 from .rng import generator
 from .trees import eval_tree
 
-#: Vectorized exponential weights stay in float range below this exponent.
+#: The ledger is renormalized before a weight's exponent passes this.
 _MAX_TOTAL_EXPONENT = 600.0
 
 #: e^alpha is a finite float up to this decay rate.
 _MAX_ALPHA = math.log(sys.float_info.max)
 
-#: Memory budget (bytes) for pregenerated uniforms per batch.
+#: Uniform rows drawn from each trial's generator at a time.
+_STEP_CHUNK = 1024
+
+#: Memory budget (bytes) per batch: its items and one chunk of uniforms.
 _BATCH_BUDGET = 320_000_000
 
 
@@ -172,10 +175,6 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
         return _simulate_prefix(dist, config, keep_bits)
     if engine != "vectorized":
         raise RangeError(f"unknown engine {engine!r}")
-    if config.alpha * config.k > _MAX_TOTAL_EXPONENT:
-        # Relative weights would overflow the analytic ledger; the prefix
-        # tree engine renormalizes as it goes.
-        return _simulate_prefix(dist, config, keep_bits)
     return _simulate_vectorized(dist, config, keep_bits)
 
 
@@ -188,14 +187,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
     x = np.empty((config.trials, len(steps)), dtype=np.float64)
     final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
 
-    if alpha > 0:
-        js = np.arange(k + 1, dtype=np.float64)
-        cumweight = np.expm1(alpha * js) / np.expm1(alpha)   # S[m]
-        item_w = np.exp(alpha * np.arange(k, dtype=np.float64))
-    else:
-        cumweight = item_w = None
-
-    per_trial = max(1, k) * cols * 8
+    per_trial = n + k + _STEP_CHUNK * cols * 8
     batch_size = max(1, min(config.trials, _BATCH_BUDGET // per_trial))
     draw = input_draw(config)
     kept = np.empty((config.trials, n + k), dtype=np.uint8) if keep_bits \
@@ -205,39 +197,50 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         batch = range(start, min(start + batch_size, config.trials))
         b = len(batch)
         bits = np.zeros((b, n + k), dtype=np.uint8)
-        u3 = np.empty((b, k, cols), dtype=np.float64) if k else None
-        for row, trial in enumerate(batch):
-            rng = generator(config.seed, trial)
+        rngs = [generator(config.seed, trial) for trial in batch]
+        for row, rng in enumerate(rngs):
             bits[row, :n] = draw(lambda: rng)
-            if k:
-                u3[row] = rng.random((k, cols))
         numer = bits[:, :n].sum(axis=1).astype(np.float64)
         rows_arange = np.arange(b)
-        rec = 0
-        if steps[rec] == 0:
-            x[start:start + b, rec] = numer / n
-            rec += 1
+        x[start:start + b, 0] = numer / n          # steps[0] == 0
+        rec, base, end = 1, 0, 0
         for j in range(k):
-            u = u3[:, j, :]
+            if j % _STEP_CHUNK == 0:
+                rows = min(_STEP_CHUNK, k - j)
+                u3 = np.stack([rng.random((rows, cols)) for rng in rngs])
+            u = u3[:, j % _STEP_CHUNK, :]
             which = np.searchsorted(cumw, u[:, 0], side="right")
             if alpha == 0:
                 total = float(n + j)
                 idx = np.minimum((u[:, 1:] * total).astype(np.int64), n + j - 1)
             else:
-                total = n + cumweight[j]
+                if j + 1 > end:
+                    # Renormalize: weights relative to e^(alpha*j) up to end.
+                    numer *= math.exp(alpha * (base - j))
+                    base = j
+                    expo = alpha * (np.arange(k + 1, dtype=np.float64) - base)
+                    end = max(j + 1, int(np.searchsorted(
+                        expo, _MAX_TOTAL_EXPONENT, side="right")) - 1)
+                    cumweight = ((np.expm1(expo[:end + 1])
+                                  - np.expm1(-alpha * base)) / np.expm1(alpha))
+                    item_w = np.exp(expo[base:end])
+                    w_in = math.exp(-alpha * base)        # one input's weight
+                    n_w = n * w_in
+                total = n_w + cumweight[j]
                 r = u[:, 1:] * total
-                from_input = r < n
-                idx_inputs = np.minimum(r, n - 1).astype(np.int64)
-                z = np.maximum(r - n, 0.0)
+                # r < n_w is false once w_in underflows; any divisor serves
+                idx_inputs = np.minimum(np.minimum(r, n_w) / (w_in or 1.0),
+                                        n - 1).astype(np.int64)
+                z = np.maximum(r - n_w, 0.0)
                 pos = np.searchsorted(cumweight, z.ravel(),
                                       side="right").reshape(z.shape) - 1
-                pos = np.clip(pos, 0, max(j - 1, 0))
-                idx = np.where(from_input, idx_inputs, n + pos)
+                idx = np.where(r < n_w, idx_inputs,
+                               n + np.clip(pos, 0, max(j - 1, 0)))
             new = eval_blocks(trees, which, bits[rows_arange[:, None], idx])
             bits[:, n + j] = new
-            numer += (new if alpha == 0 else new * item_w[j])
+            numer += (new if alpha == 0 else new * item_w[j - base])
             if rec < len(steps) and steps[rec] == j + 1:
-                denom = (n + j + 1) if alpha == 0 else (n + cumweight[j + 1])
+                denom = (n + j + 1) if alpha == 0 else (n_w + cumweight[j + 1])
                 x[start:start + b, rec] = numer / denom
                 rec += 1
         if k:

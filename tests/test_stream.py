@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amptree import stream
 from amptree.catalog import linear_threshold, quad4
 from amptree.errors import InputShapeError, RangeError
 from amptree.stream import (PrefixSumTree, StreamConfig,
@@ -121,12 +122,46 @@ def test_engines_agree_exactly_on_wild():
     assert np.allclose(vec.x, ref.x, atol=1e-12)
 
 
-def test_huge_alpha_falls_back_to_renormalizing_engine():
-    cfg = StreamConfig(n=8, k=200, alpha=5.0, seed=2, trials=2, input_p=0.5)
-    trace = simulate_stream(LT, cfg)     # alpha * k >> 600
-    assert np.all((trace.x >= 0) & (trace.x <= 1))
-    again = simulate_stream(LT, cfg)
-    assert np.array_equal(trace.x, again.x)
+#: X is a ratio of two float sums; both engines can return 1 + a few ulps.
+X_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("n, k, alpha", [(24, 720, 1.0), (8, 200, 5.0)])
+def test_default_engine_renormalizes_past_600(monkeypatch, n, k, alpha):
+    # alpha * k = 720 and 1000: the default engine renormalizes its ledger
+    # and never reaches the prefix-tree reference, yet agrees with it
+    cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=2, trials=3, input_p=0.5)
+    ref = simulate_stream(LT, cfg, engine="prefix_tree")
+
+    def refuse(*args):
+        raise AssertionError("a default call reached the prefix engine")
+
+    monkeypatch.setattr(stream, "_simulate_prefix", refuse)
+    trace = simulate_stream(LT, cfg)
+    assert np.array_equal(trace.final_bits, ref.final_bits)
+    assert np.allclose(trace.x, ref.x, rtol=0.0, atol=1e-9)
+    assert np.all((trace.x >= 0) & (trace.x <= 1 + X_ROUNDING))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0 renormalizes
+@pytest.mark.parametrize("inputs", ["p", "bits"])
+def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
+    n, k, trials = 12, 200, 5
+    given = ({"input_p": 0.45} if inputs == "p"
+             else {"input_bits": tuple(int(i % 3 == 0) for i in range(n))})
+    cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=31, trials=trials,
+                       **given)
+    ref = simulate_stream(LT, cfg, keep_bits=True)
+    cols = 1 + LT.max_leaf_count
+    for chunk in (1, 7):
+        for per_batch in (trials, 2, 1):
+            monkeypatch.setattr(stream, "_STEP_CHUNK", chunk)
+            monkeypatch.setattr(stream, "_BATCH_BUDGET",
+                                per_batch * (n + k + chunk * cols * 8))
+            trace = simulate_stream(LT, cfg, keep_bits=True)
+            assert np.array_equal(trace.x, ref.x), (chunk, per_batch)
+            assert np.array_equal(trace.final_bits, ref.final_bits)
+            assert np.array_equal(trace.bits, ref.bits)
 
 
 def test_csv_format():
