@@ -58,8 +58,8 @@ STREAMS = {
              dict(n=24, k=600, alpha=0.0, trials=5, input_p=0.4)),
     "decay": (linear_threshold(0.5),
               dict(n=24, k=600, alpha=0.01, trials=5, input_bits=BITS[:24])),
-    # alpha * k = 720 > 600: served by the prefix-tree engine, which
-    # renormalizes its weights once the newest passes 1e250.
+    # alpha * k = 720 > 600: the default engine renormalizes its ledger
+    # once, at step 600.
     "fallback": (linear_threshold(0.5),
                  dict(n=24, k=720, alpha=1.0, trials=3, input_p=0.45)),
     "quad4": (quad4(0.5), dict(n=24, k=500, alpha=0.0, trials=4,
@@ -183,7 +183,7 @@ GOLDEN = {
     'leveled-valiant-bits': '702fc51b839b931d0daf5ded4ec160aef6bd4b241babab98c04a3de8ff2de110',
     'leveled-valiant-p': '7eb91a078d3b57bfffc0d9bece56ba3ec595fe86f603ab5aa2caf43b8182bdc3',
     'stream-decay': '887df5db79603006129ef87e7e859a77818445a1e5098a64f03a1a090a0d38cf',
-    'stream-fallback': '736bee58ce629175b9f5a2841a596d7267a910920f3b6304871653766a558d40',
+    'stream-fallback': 'ecf53cbb262a29225f9aee925308aed09b900a9769af3aa1138e7cf1d11d64a5',
     'stream-quad4': '985ace8d6b7531601915a0c8a254366402ced2823a82fd92071eab84c482b9c5',
     'stream-wild': '585a583eee7f2cc0e9a9e1410924973d40553b6b60348bd4bbec948581721cee',
     'sweep-linear': '0db62e15febcd8453a54fcedb7705def320fc6546c84068192d4971d26e23996',
