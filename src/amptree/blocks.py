@@ -46,8 +46,8 @@ def eval_blocks(trees, which, leafbits):
 
 def check_inputs(config) -> None:
     """Check a config's n, trials and inputs: exactly one of ``input_p``
-    (Bernoulli, drawn per trial) and ``input_bits`` (explicit, shared by
-    all trials), stored back as a tuple of ints."""
+    (Bernoulli, drawn per trial) and ``input_bits`` (explicit 0/1 bits,
+    shared by all trials), stored back as a tuple of ints."""
     if config.n < 1:
         raise InputShapeError("input count must be >= 1")
     if config.trials < 1:
@@ -55,6 +55,8 @@ def check_inputs(config) -> None:
     if (config.input_p is None) == (config.input_bits is None):
         raise InputShapeError("give exactly one of input_p and input_bits")
     if config.input_bits is not None:
+        if any(b not in (0, 1) for b in config.input_bits):
+            raise RangeError(f"input bits must be 0 or 1: {config.input_bits}")
         bits = tuple(int(b) for b in config.input_bits)
         if len(bits) != config.n:
             raise InputShapeError(f"{len(bits)} input bits for n={config.n}")

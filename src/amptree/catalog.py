@@ -187,8 +187,11 @@ def _solve_pair_weight(f1: Callable[[float], float],
 
 
 def _degree_floor(t: float) -> int:
-    """Minimum leaves any quadratically-convergent construction needs at t."""
+    """Minimum leaves any quadratically-convergent construction needs at t;
+    RangeError outside (0, 1), where no construction has a threshold."""
     s = min(t, 1.0 - t)
+    if not s > 0.0:
+        raise RangeError(f"threshold must be in (0,1), got {t}")
     return math.ceil(1.0 / math.sqrt(2.0 * s))
 
 

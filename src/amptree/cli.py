@@ -1,10 +1,12 @@
 """Command-line front end: enumerate | analyze | iterate | simulate | learn | eval.
 
-Every command takes its parameters from ``--config`` (a JSON file) with
-individual flags overriding config fields, writes CSV (traces) or JSON
-(reports) to ``--out`` or stdout, and exits 0 iff all requested checks
-pass.  Outputs carry no timestamps, so a rerun with the same config and
-seed is byte-identical.
+Parameters come from ``--config`` (a JSON file), ``--params`` (a JSON
+object) and flags, each overriding the last, and are checked once against
+``PARAMS``.  Every command writes CSV (traces) or JSON (reports) to
+``--out`` or stdout and exits 0 iff all requested checks pass, 1 on a
+failed check or a value out of range, 2 on input it cannot use.  Outputs
+carry no timestamps, so a rerun with the same config and seed is
+byte-identical.
 """
 from __future__ import annotations
 
@@ -64,13 +66,69 @@ CONSTRUCTIONS = {
     "one_step": lambda p: catalog.one_step(p["alpha"]),
     "soft_threshold": lambda p: catalog.soft_threshold(p["k"]),
     "staircase": lambda p: catalog.staircase(catalog.StaircaseSpec(
-        breakpoints=tuple(p["breakpoints"]), heights=tuple(p["heights"]),
+        breakpoints=p["breakpoints"], heights=p["heights"],
         epsilon=p["epsilon"], delta=p["delta"])),
 }
+
+_BUILDS = ("analyze", "iterate", "simulate")
+
+#: Every parameter: its JSON type and the commands that read it.  ``[T]``
+#: is a JSON array of T; an int is a float, a bool is not an int.
+PARAMS = {
+    "max_degree": (int, ("enumerate",)),
+    "construction": (str, _BUILDS),
+    "t": (float, _BUILDS),
+    "alpha": (float, _BUILDS),
+    "k": (int, _BUILDS),
+    "p": (float, ("iterate", "simulate")),
+    "levels": (int, ("iterate", "simulate", "learn")),
+    "m": (int, ("simulate",)),
+    "n": (int, ("simulate",)),
+    "width": (int, ("learn",)),
+    "trials": (int, ("simulate",)),
+    "mode": (str, ("simulate",)),
+    "u": (float, ("analyze",)), "v": (float, ("analyze",)),
+    "sample": (int, ("eval",)),
+    "x_file": (str, ("learn",)),
+    "learned_file": (str, ("eval",)), "input_file": (str, ("eval",)),
+    "breakpoints": ([float], _BUILDS), "heights": ([float], _BUILDS),
+    "epsilon": (float, _BUILDS), "delta": (float, _BUILDS),
+    "widths": ([int], ("simulate",)),
+    "bits": ([int], ("simulate",)),
+    "gammas": ([float], ("simulate",)), "epsilons": ([float], ("simulate",)),
+}
+
+#: Construction parameters that stream mode reads too (decay rate, items).
+_SHARED = {"one_step": "alpha", "soft_threshold": "k"}
 
 
 class UsageError(Exception):
     """Input the command cannot use; reported on one line with exit code 2."""
+
+
+def _has_type(value, typ) -> bool:
+    if isinstance(typ, list):
+        return isinstance(value, list) and all(_has_type(v, typ[0])
+                                               for v in value)
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if typ is float else typ)
+
+
+def check_params(command: str, params: dict) -> None:
+    """Raise UsageError for a key ``command`` does not read, a value not of
+    its PARAMS type, or a key that would set two things at once."""
+    for name, value in params.items():
+        typ, readers = PARAMS.get(name, (None, ()))
+        if command not in readers:
+            raise UsageError(f"{command} does not read parameter {name!r}")
+        if not _has_type(value, typ):
+            want = (f"a list of {typ[0].__name__}" if isinstance(typ, list)
+                    else typ.__name__)
+            raise UsageError(f"{name} must be {want}: {value!r}")
+    shared = _SHARED.get(params.get("construction"))
+    if shared and params.get("mode") == "stream":
+        raise UsageError(f"{params['construction']} cannot run in stream "
+                         f"mode: {shared} would set both it and the stream")
 
 
 def build_construction(params: dict) -> catalog.TreeDistribution:
@@ -101,7 +159,7 @@ def _fail(cfg: ExperimentConfig, failures: list) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(cfg: ExperimentConfig) -> int:
-    max_degree = int(cfg.params.get("max_degree", 5))
+    max_degree = cfg.params.get("max_degree", 5)
     table = achievable_by_degree(max_degree)
     if cfg.format == "csv":
         buf = io.StringIO()
@@ -139,9 +197,8 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     if "u" in cfg.params and "v" in cfg.params:
         t = dist.threshold
         if t is None:
-            sys.stderr.write(f"error: {dist.label} has no threshold to check "
-                             f"--u/--v conditions against\n")
-            return 2
+            raise UsageError(f"{dist.label} has no threshold to check --u/--v "
+                             f"conditions against")
         cond = dynamics.verify_conditions(dist, t, cfg.params["u"],
                                           cfg.params["v"])
         report["conditions"] = {
@@ -164,7 +221,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 def cmd_iterate(cfg: ExperimentConfig) -> int:
     dist = build_construction(cfg.params)
     prof = dynamics.profile(dist, cfg.params["p"],
-                            max_levels=int(cfg.params.get("levels", 200)))
+                            max_levels=cfg.params.get("levels", 200))
     if cfg.format == "csv":
         buf = io.StringIO()
         prof.write_csv(buf)
@@ -178,17 +235,15 @@ def cmd_iterate(cfg: ExperimentConfig) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     dist = build_construction(cfg.params)
-    mode = cfg.params.get("mode", "leveled")
+    params = cfg.params
+    mode = params.get("mode", "leveled")
+    inputs = dict(seed=cfg.seed, trials=params.get("trials", 1),
+                  input_p=params.get("p"), input_bits=params.get("bits"))
     if mode == "leveled":
-        widths = cfg.params.get("widths")
+        widths = params.get("widths")
         if widths is None:
-            widths = [int(cfg.params["m"])] * int(cfg.params["levels"])
-        config = leveled.LevelConfig(
-            widths=tuple(int(w) for w in widths), n=int(cfg.params["n"]),
-            seed=cfg.seed, trials=int(cfg.params.get("trials", 1)),
-            input_p=cfg.params.get("p"),
-            input_bits=(tuple(cfg.params["bits"])
-                        if "bits" in cfg.params else None))
+            widths = [params["m"]] * params["levels"]
+        config = leveled.LevelConfig(widths=widths, n=params["n"], **inputs)
         trace = leveled.simulate_leveled(dist, config)
         if cfg.format == "csv":
             buf = io.StringIO()
@@ -201,13 +256,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             }, sort_keys=True) + "\n")
         return 0
     if mode == "stream":
-        config = stream.StreamConfig(
-            n=int(cfg.params["n"]), k=int(cfg.params["k"]),
-            alpha=float(cfg.params.get("alpha", 0.0)), seed=cfg.seed,
-            trials=int(cfg.params.get("trials", 1)),
-            input_p=cfg.params.get("p"),
-            input_bits=(tuple(cfg.params["bits"])
-                        if "bits" in cfg.params else None))
+        config = stream.StreamConfig(n=params["n"], k=params["k"],
+                                     alpha=params.get("alpha", 0.0), **inputs)
         trace = stream.simulate_stream(dist, config)
         if cfg.format == "csv":
             buf = io.StringIO()
@@ -224,16 +274,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         return 0
     if mode == "exact":
         firing, _ = leveled.exact_level_distribution(
-            dist, int(cfg.params["m"]), float(cfg.params["p"]),
-            int(cfg.params["levels"]))
+            dist, params["m"], params["p"], params["levels"])
         _emit(cfg, json.dumps({"firing_probability": firing}) + "\n")
         return 0
     if mode == "width_scaling":
         res = leveled.width_scaling_experiment(
             dist, dist.threshold,
-            gammas=tuple(cfg.params.get("gammas", (0.2, 0.1, 0.05))),
-            epsilons=tuple(cfg.params.get("epsilons", (0.1, 0.05, 0.025))),
-            seed=cfg.seed, trials=int(cfg.params.get("trials", 200)))
+            gammas=params.get("gammas", (0.2, 0.1, 0.05)),
+            epsilons=params.get("epsilons", (0.1, 0.05, 0.025)),
+            seed=cfg.seed, trials=params.get("trials", 200))
         _emit(cfg, res.to_json() + "\n")
         return 0 if res.verdict == "OK" else 1
     return _fail(cfg, [{"check": "mode", "got": mode,
@@ -251,9 +300,8 @@ def _read_bits(path: str) -> list:
 
 def cmd_learn(cfg: ExperimentConfig) -> int:
     x_bits = _read_bits(cfg.params["x_file"])
-    tree = learning.learn_threshold(int(cfg.params["levels"]),
-                                    int(cfg.params["width"]), x_bits,
-                                    cfg.seed)
+    tree = learning.learn_threshold(cfg.params["levels"],
+                                    cfg.params["width"], x_bits, cfg.seed)
     _emit(cfg, tree.to_json() + "\n")
     return 0
 
@@ -267,10 +315,8 @@ def cmd_eval(cfg: ExperimentConfig) -> int:
     except InputShapeError as exc:
         raise UsageError(f"{path}: {exc}") from exc
     bits = _read_bits(cfg.params["input_file"])
-    sample = cfg.params.get("sample")
     frac = learning.evaluate_learned(tree, bits,
-                                     sample=None if sample is None
-                                     else int(sample))
+                                     sample=cfg.params.get("sample"))
     _emit(cfg, json.dumps({"firing_fraction": frac}) + "\n")
     return 0
 
@@ -284,31 +330,10 @@ COMMANDS = {
     "eval": cmd_eval,
 }
 
-_FLAG_PARAMS = [
-    ("--max-degree", "max_degree", int),
-    ("--construction", "construction", str),
-    ("--t", "t", float),
-    ("--alpha", "alpha", float),
-    ("--k", "k", int),
-    ("--p", "p", float),
-    ("--levels", "levels", int),
-    ("--m", "m", int),
-    ("--n", "n", int),
-    ("--width", "width", int),
-    ("--trials", "trials", int),
-    ("--mode", "mode", str),
-    ("--u", "u", float),
-    ("--v", "v", float),
-    ("--sample", "sample", int),
-    ("--x-file", "x_file", str),
-    ("--learned-file", "learned_file", str),
-    ("--input-file", "input_file", str),
-]
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="amptree",
+        prog="amptree", usage=argparse.SUPPRESS,   # errors on one line
         description="Iterative AND/OR-tree threshold constructions.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON config file")
@@ -316,8 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--params", help="inline JSON parameter object")
-    for flag, _, typ in _FLAG_PARAMS:
-        parser.add_argument(flag, type=typ, default=None)
+    for name, (typ, _) in PARAMS.items():     # staircase scalars: no flag
+        if not isinstance(typ, list) and name not in ("epsilon", "delta"):
+            parser.add_argument("--" + name.replace("_", "-"), type=typ)
     args = parser.parse_args(argv)
 
     cfg = ExperimentConfig(command=args.command)
@@ -339,30 +365,23 @@ def main(argv: list[str] | None = None) -> int:
             sys.stderr.write("bad --params: expected a JSON object\n")
             return 2
         cfg.params.update(params)
-    for flag, name, _ in _FLAG_PARAMS:
-        value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if value is not None:
-            cfg.params[name] = value
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
+    cfg.params.update({name: value for name, value in vars(args).items()
+                       if name in PARAMS and value is not None})
+    for name in ("seed", "out", "format"):
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
 
     try:
+        check_params(cfg.command, cfg.params)
         return COMMANDS[cfg.command](cfg)
     except AmptreeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyError as exc:
         sys.stderr.write(f"missing required config field: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
         return 2
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON input: {exc}\n")

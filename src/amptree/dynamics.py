@@ -160,6 +160,8 @@ def profile(dist: TreeDistribution, p: float,
             f"p={p} sits on the interior fixed point {t}; iterates stay put")
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"p must be in [0,1], got {p}")
+    if max_levels < 1:
+        raise RangeError(f"max_levels must be >= 1, got {max_levels}")
     limit = 0.0 if p < t else 1.0
     iterates = [p]
     errors = [abs(p - limit)]
@@ -225,6 +227,11 @@ def verify_conditions(dist: TreeDistribution, t: float, u: float, v: float,
     if not u < t - margin < t < t + margin < v:
         raise RangeError("margin must be positive and leave room for the "
                          "divergence intervals")
+    # The end sweeps divide by squared distances to 0 and 1 on the grid.
+    lo_step, hi_step = u / grid, (1.0 - v) / grid
+    if lo_step * lo_step == 0.0 or 1.0 - hi_step == 1.0:
+        raise RangeError(f"u={u} and v={v} are too close to 0 and 1 for a "
+                         f"{grid}-point grid")
     f = dist.evaluate
     failures: list[ConditionFailure] = []
 
@@ -238,13 +245,12 @@ def verify_conditions(dist: TreeDistribution, t: float, u: float, v: float,
     if c2 <= 1.0:
         failures.append(ConditionFailure("linear divergence above t",
                                          (t + margin, v), w2, c2))
-    step = u / grid
-    c3, w3 = _sweep(step, u - step, lambda p: f(p) / (p * p), False, grid)
+    c3, w3 = _sweep(lo_step, u - lo_step, lambda p: f(p) / (p * p), False,
+                    grid)
     if c3 * u >= 1.0:
         failures.append(ConditionFailure("quadratic convergence to 0",
                                          (0.0, u), w3, c3))
-    step = (1.0 - v) / grid
-    c4, w4 = _sweep(v + step, 1.0 - step,
+    c4, w4 = _sweep(v + hi_step, 1.0 - hi_step,
                     lambda p: (1.0 - f(p)) / _square(1.0 - p), False, grid)
     if c4 * (1.0 - v) >= 1.0:
         failures.append(ConditionFailure("quadratic convergence to 1",

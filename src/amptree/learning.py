@@ -20,7 +20,7 @@ import numpy as np
 
 from .blocks import eval_blocks
 from .catalog import linear_threshold
-from .errors import InputShapeError
+from .errors import InputShapeError, RangeError
 from .rng import generator
 
 #: The block an item freezes to when its example bit is b, at index b:
@@ -135,6 +135,8 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     is a uniform sample and keeps evaluation deterministic).  With
     ``return_trace`` also returns the per-level firing fractions.
     """
+    if sample is not None and sample < 1:
+        raise RangeError(f"sample must be >= 1, got {sample}")
     bits = np.asarray(list(input_bits), dtype=np.uint8)
     if bits.size != tree.n:
         raise InputShapeError(

@@ -188,6 +188,15 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
     against the predictor is the scaling-law verdict.  The constants inside
     the width bound are not reproducible; the slope is what is asserted.
     """
+    if t is None or not 0.0 < t < 1.0:
+        raise RangeError(f"width scaling needs a threshold in (0,1), got {t}")
+    if not gammas or not epsilons:
+        raise RangeError("width scaling needs at least one gamma and one "
+                         "epsilon")
+    if not (all(0.0 < g < 1.0 for g in gammas)
+            and all(0.0 < e <= t for e in epsilons)):
+        raise RangeError(f"gammas must be in (0,1) and epsilons in (0, t]: "
+                         f"{gammas}, {epsilons}")
 
     def solve_cell(cell) -> WidthScalingRow:
         ig, ie = cell

@@ -94,9 +94,11 @@ class StreamTrace:
         row = self.bits[trial]
         if alpha == 0:
             return float(row[:n + step].sum()) / (n + step)
-        weights = np.exp(alpha * np.arange(step))
-        numer = float(row[:n].sum()) + float(weights @ row[n:n + step])
-        return numer / (n + float(weights.sum()))
+        # Weights relative to e^(alpha*step), as the ledger holds them.
+        w_in = math.exp(-alpha * step)
+        weights = np.exp(alpha * (np.arange(step) - step))
+        numer = float(row[:n].sum()) * w_in + float(weights @ row[n:n + step])
+        return numer / (n * w_in + float(weights.sum()))
 
 
 def recorded_steps(n: int, k: int, alpha: float) -> np.ndarray:
@@ -109,9 +111,15 @@ def recorded_steps(n: int, k: int, alpha: float) -> np.ndarray:
         marks.add(n * (2 ** i) - n)
         i += 1
     if alpha > 0:
-        stride = max(1, math.ceil(1.0 / alpha))
+        stride = _stride(alpha, k)
         marks.update(range(stride, k + 1, stride))
     return np.array(sorted(marks), dtype=np.int64)
+
+
+def _stride(alpha: float, k: int) -> int:
+    """ceil(1/alpha) for alpha > 0, capped at k + 1 (a stride past k marks
+    nothing), so that a subnormal alpha cannot overflow it."""
+    return max(1, math.ceil(min(1.0 / alpha, k + 1)))
 
 
 class PrefixSumTree:
@@ -358,7 +366,7 @@ def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:
                  and _is_pow2((cfg.n + s) // cfg.n)]
         marks = [0] + marks
     else:
-        stride = max(1, math.ceil(1.0 / cfg.alpha))
+        stride = _stride(cfg.alpha, cfg.k)
         marks = [s for s in steps if s % stride == 0]
     marks = [s for s in marks if s in steps]
     trials = trace.x.shape[0]

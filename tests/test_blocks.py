@@ -78,6 +78,8 @@ def test_both_configs_share_the_input_check(make):
         make(n=3, input_bits=(1, 0))
     with pytest.raises(RangeError, match="input_p"):
         make(n=3, input_p=1.5)
+    with pytest.raises(RangeError, match="0 or 1"):
+        make(n=3, input_bits=(1, 2, 3))
     cfg = make(n=3, input_bits=[True, 0, 1])
     assert cfg.input_bits == (1, 0, 1)
 

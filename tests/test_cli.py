@@ -1,16 +1,20 @@
 """Command-line interface: subcommands, config round-trip, determinism."""
+import io
 import json
+import math
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from amptree import cli, learning
 from amptree.cli import ExperimentConfig, main
 
 
 def run_cli(args, tmp_path=None):
-    import io
-    from contextlib import redirect_stdout
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(args)
@@ -139,8 +143,6 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def run_cli_err(args):
-    import io
-    from contextlib import redirect_stderr, redirect_stdout
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(args)
@@ -271,3 +273,236 @@ def test_console_entry_point_runs():
          "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["2"] == [[0, 0, 1], [0, 2, -1]]
+
+
+SIMULATE = {"construction": "valiant", "mode": "leveled", "m": 5,
+            "levels": 2, "n": 4, "p": 0.5}
+
+
+@pytest.mark.parametrize("command, params, message", [
+    ("simulate", dict(SIMULATE, trials=2.7), "trials must be int"),
+    ("simulate", dict(SIMULATE, n=True), "n must be int"),
+    ("simulate", dict(SIMULATE, p=None), "p must be float"),
+    ("simulate", {"construction": "valiant", "m": 5, "levels": 2, "n": 2,
+                  "bits": [1, "a"]}, "bits must be a list of int"),
+    ("simulate", dict(SIMULATE, widths=[1e400]),
+     "widths must be a list of int"),
+    ("analyze", {"construction": "linear", "t": "x"}, "t must be float"),
+    ("analyze", {"construction": "linear", "t": None}, "t must be float"),
+    ("analyze", {"construction": ["x"]}, "construction must be str"),
+    ("analyze", {"construction": "staircase", "heights": "ab"},
+     "heights must be a list of float"),
+    ("learn", {"x_file": 5, "levels": 2, "width": 3}, "x_file must be str"),
+    ("analyze", {"construction": "valiant", "p": 0.5},
+     "analyze does not read parameter 'p'"),
+    ("enumerate", {"bogus": 1}, "enumerate does not read parameter 'bogus'"),
+])
+def test_mistyped_or_unread_params_exit_2(tmp_path, command, params,
+                                          message):
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(command=command,
+                                       params=params).to_json())
+    for source in (["--params", json.dumps(params)],
+                   ["--config", str(config)]):
+        code, out, err = run_cli_err([command] + source)
+        assert code == 2, source
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--construction", "valiant", "--m", "5", "--levels", "2",
+     "--n", "2", "--params", '{"bits": [2, 3]}'],
+    ["simulate", "--construction", "valiant", "--mode", "stream", "--k", "4",
+     "--n", "2", "--params", '{"bits": [2, 3]}'],
+    ["iterate", "--construction", "linear", "--t", "0.5", "--p", "0.4",
+     "--levels", "-1"],
+    ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+     "width_scaling", "--params", '{"gammas": []}'],
+])
+def test_out_of_range_values_are_one_error_line(args):
+    code, out, err = run_cli_err(args)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_flags_and_params_take_one_check():
+    code, _, flag_err = run_cli_err(["analyze", "--construction", "valiant",
+                                     "--p", "0.5"])
+    assert code == 2
+    code, _, params_err = run_cli_err(["analyze", "--params",
+                                       '{"construction": "valiant", '
+                                       '"p": 0.5}'])
+    assert code == 2 and flag_err == params_err
+
+
+def test_flags_are_the_scalar_params():
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        main(["-h"])
+    flags = set(re.findall(r"--[a-z-]+", out.getvalue()))
+    scalars = {"--" + name.replace("_", "-")
+               for name, (typ, _) in cli.PARAMS.items()
+               if not isinstance(typ, list)} - {"--epsilon", "--delta"}
+    assert len(scalars) == 18
+    assert flags == scalars | {"--help", "--config", "--out", "--format",
+                               "--seed", "--params"}
+
+
+def test_int_params_pass_as_floats():
+    code, text = run_cli(["simulate", "--params", json.dumps(
+        dict(SIMULATE, mode="exact", p=1))])
+    assert code == 0
+    assert json.loads(text)["firing_probability"] == 1.0
+
+
+@pytest.mark.parametrize("construction, flags, key", [
+    ("one_step", ["--alpha", "0.5"], "alpha"),
+    ("soft_threshold", ["--k", "6"], "k"),
+])
+def test_shared_keys_in_stream_mode_exit_2(construction, flags, key):
+    code, out, err = run_cli_err(["simulate", "--construction", construction,
+                                  "--mode", "stream", "--n", "4", "--p",
+                                  "0.5"] + flags)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and f"{key} would set both" in err
+
+
+def test_subnormal_alpha_runs():
+    code, out, err = run_cli_err(["simulate", "--construction", "linear",
+                                  "--t", "0.5", "--mode", "stream", "--n",
+                                  "8", "--k", "20", "--p", "0.5", "--alpha",
+                                  "5e-324"])
+    assert code == 0, err
+    assert json.loads(out)["phases"] == []
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing the parameter table
+# ---------------------------------------------------------------------------
+
+#: Values of the wrong type for every parameter, or of the right type at
+#: an extreme.
+WRONG = st.one_of(
+    st.text(max_size=4), st.lists(st.integers(-1, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.none(), st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e400]))
+
+#: Never width_scaling: it runs a width search.
+MODES = st.one_of(st.sampled_from(["leveled", "stream", "exact"]),
+                  st.text(max_size=5))
+
+#: One call per command and simulate mode that exits 0; each fuzzed call
+#: starts from one.  "bits" and "learned" name files of fuzz_files.
+VALID = (
+    ("enumerate", {"max_degree": 3}),
+    ("analyze", {"construction": "quad4", "t": 0.5, "u": 0.2, "v": 0.8}),
+    ("iterate", {"construction": "linear", "t": 0.5, "p": 0.4, "levels": 6}),
+    ("simulate", {"construction": "valiant", "mode": "leveled", "m": 5,
+                  "levels": 3, "n": 4, "p": 0.5, "trials": 2}),
+    ("analyze", {"construction": "staircase", "breakpoints": [0.5],
+                 "heights": [], "epsilon": 0.2, "delta": 0.2}),
+    ("simulate", {"construction": "valiant", "widths": [6, 4], "n": 4,
+                  "bits": [1, 0, 1, 1]}),
+    ("simulate", {"construction": "linear", "t": 0.5, "mode": "stream",
+                  "n": 4, "k": 8, "alpha": 0.5, "p": 0.5, "trials": 2}),
+    ("simulate", {"construction": "quad4", "t": 0.5, "mode": "exact",
+                  "m": 6, "levels": 3, "p": 0.4}),
+    ("learn", {"x_file": "bits", "levels": 2, "width": 4}),
+    ("eval", {"learned_file": "learned", "input_file": "bits",
+              "sample": 3}),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """File parameters by name: valid, malformed, wrong shape, missing."""
+    root = tmp_path_factory.mktemp("fuzz")
+    bits = [1, 0, 1, 1]
+    contents = {
+        "bits": json.dumps(bits),
+        "learned": learning.learn_threshold(2, 4, bits, 0).to_json(),
+        "malformed": "[1, 0,", "object": '{"a": 1}', "twos": "[2, 3]"}
+    for name, text in contents.items():
+        (root / f"{name}.json").write_text(text)
+    return {name: str(root / f"{name}.json")
+            for name in list(contents) + ["missing", "config"]}
+
+
+def _right(name, typ, files):
+    """A small value of ``typ`` for parameter ``name``."""
+    if isinstance(typ, list):
+        return st.lists(_right(name, typ[0], files), max_size=8)
+    if name.endswith("_file"):
+        return st.sampled_from([files[f] for f in sorted(files)
+                                if f != "config"])
+    if name == "mode":
+        return MODES
+    if name == "construction":
+        return st.one_of(st.sampled_from(sorted(cli.CONSTRUCTIONS)),
+                         st.text(max_size=5))
+    if typ is str:
+        return st.text(max_size=5)
+    if typ is int:
+        top = 4 if name == "max_degree" else 8
+        return st.one_of(st.integers(0, 1), st.integers(-1, top))
+    return st.one_of(st.floats(0, 1), st.floats(-1, 8), st.integers(0, 1))
+
+
+def _has_flag(name):
+    return not isinstance(cli.PARAMS[name][0], list) and \
+        name not in ("epsilon", "delta")
+
+
+@st.composite
+def cli_calls(draw, files):
+    """argv for one CLI call: a VALID call with a few of its command's
+    PARAMS redrawn (right-typed or wrong) or dropped, sometimes one key
+    the command does not read, passed as flags, --params or --config."""
+    command, base = draw(st.sampled_from(VALID))
+    params = {name: files.get(value, value) if name.endswith("_file")
+              else value for name, value in base.items()}
+    read = [name for name, (_, readers) in cli.PARAMS.items()
+            if command in readers]
+    names = draw(st.lists(st.sampled_from(read), max_size=3))
+    if draw(st.integers(0, 9)) == 0:
+        names.append(draw(st.sampled_from(sorted(cli.PARAMS) + ["bogus"])))
+    for name in names:
+        how = draw(st.sampled_from(["right", "right", "wrong", "drop"]))
+        if how == "drop":
+            params.pop(name, None)
+        else:
+            params[name] = draw(WRONG if how == "wrong" else _right(
+                name, cli.PARAMS.get(name, (str,))[0], files))
+    argv = [command]
+    via = draw(st.sampled_from(["flags", "params", "config"]))
+    if via == "flags":
+        for name in [name for name in params if name in cli.PARAMS
+                     and _has_flag(name)]:
+            argv += ["--" + name.replace("_", "-"), str(params.pop(name))]
+    if via == "config":
+        with open(files["config"], "w") as fh:
+            fh.write(ExperimentConfig(command=command, params=params)
+                     .to_json())
+        argv += ["--config", files["config"]]
+    elif params:
+        argv += ["--params", json.dumps(params)]
+    fmt = draw(st.sampled_from([None, "csv", "json"]))
+    return argv + (["--format", fmt] if fmt else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_params_exit_cleanly(fuzz_files, data):
+    argv = data.draw(cli_calls(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

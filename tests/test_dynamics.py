@@ -58,6 +58,9 @@ def test_profile_rejects_fixed_point_start():
         profile(linear_threshold(0.5), 0.5)
     with pytest.raises(RangeError):
         profile(linear_threshold(0.5), 1.5)
+    for levels in (0, -1):
+        with pytest.raises(RangeError, match="max_levels"):
+            profile(linear_threshold(0.5), 0.4, max_levels=levels)
 
 
 def test_profile_levels_to_and_csv():

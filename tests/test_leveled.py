@@ -27,6 +27,12 @@ def test_config_validation():
         LevelConfig(widths=(3,), n=5, seed=1, input_bits=(1, 0))
     with pytest.raises(RangeError):
         LevelConfig(widths=(3,), n=5, seed=1, input_p=1.5)
+    for t, gammas, epsilons in ((0.5, (), (0.1,)), (0.5, (0.1,), ()),
+                                (None, (0.1,), (0.1,)),
+                                (0.5, (2.0,), (0.1,)), (0.5, (0.1,), (0,)),
+                                (0.5, (0.1,), (0.6,))):
+        with pytest.raises(RangeError):
+            width_scaling_experiment(quad4(0.5), t, gammas, epsilons, seed=1)
 
 
 def test_trace_determinism():

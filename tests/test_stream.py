@@ -114,6 +114,29 @@ def test_ledger_matches_scratch_recomputation():
     assert np.allclose(vec.x[:, -1], ref.x[:, -1], atol=1e-9)
 
 
+@pytest.mark.parametrize("n, k, alpha", [(16, 1000, 5.0), (32, 2000, 2.5)])
+def test_recompute_x_agrees_past_renormalization(n, k, alpha):
+    # alpha*k = 5000: e^(alpha*step) overflows, weights relative to the
+    # step do not
+    cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=4, trials=2, input_p=0.5)
+    trace = simulate_stream(LT, cfg, keep_bits=True)
+    for trial in range(2):
+        for idx, step in enumerate(trace.steps):
+            scratch = trace.recompute_x(trial, int(step))
+            assert abs(scratch - trace.x[trial, idx]) <= 1e-9
+
+
+def test_subnormal_alpha_strides_past_k():
+    # 1/alpha overflows to inf; the stride is capped at k + 1, so it marks
+    # nothing and no phase ends
+    alpha = 5e-324
+    assert np.array_equal(recorded_steps(8, 20, alpha),
+                          recorded_steps(8, 20, 0.0))
+    trace = simulate_stream(LT, StreamConfig(n=8, k=20, alpha=alpha, seed=1,
+                                             trials=2, input_p=0.5))
+    assert phase_progress_report(trace, 0.5).rows == ()
+
+
 def test_engines_agree_exactly_on_wild():
     cfg = StreamConfig(n=16, k=300, alpha=0.0, seed=23, trials=5, input_p=0.4)
     vec = simulate_stream(LT, cfg)
