@@ -66,13 +66,13 @@ def check_inputs(config) -> None:
 
 
 def input_draw(config):
-    """``draw(make_rng)``: a trial's uint8 inputs for a checked config.
+    """``draw(random)``: uint8 inputs for a checked config.
 
     Explicit bits are converted once and shared by every trial; otherwise
-    n Bernoulli(input_p) bits come from ``make_rng()``, called only then.
+    Bernoulli(input_p) bits come from the uniforms ``random(n)``, called
+    only then.
     """
     if config.input_bits is not None:
         fixed = np.asarray(config.input_bits, dtype=np.uint8)
-        return lambda make_rng: fixed
-    return lambda make_rng: (
-        make_rng().random(config.n) < config.input_p).astype(np.uint8)
+        return lambda random: fixed
+    return lambda random: (random(config.n) < config.input_p).astype(np.uint8)

@@ -9,6 +9,11 @@ avalanche (see :mod:`amptree.rng`).  Each level draws one uniform block of
 shape (m, 1 + max_leaves): column 0 picks the building-block tree, the
 remaining columns pick its leaves.  Reruns with the same config and seed
 are bit-identical, and trials are independent of each other.
+
+Trials run in batches that fit ``_BATCH_BUDGET``: a level of a batch is
+one (trials, m) array, and the batch's (trial, level) streams are seeded
+together (:func:`amptree.rng.stacked_streams`).  Each stream is still the
+one above, so the batch size changes no number.
 """
 from __future__ import annotations
 
@@ -22,10 +27,13 @@ from scipy.stats import binom
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw
 from .catalog import TreeDistribution
 from .errors import CapacityError, InputShapeError, RangeError
-from .rng import derive_seed, generator
+from .rng import derive_seed, stacked_streams
 
 #: Dense (m+1)^2 transition matrices are capped here.
 EXACT_WIDTH_CAP = 2000
+
+#: Memory budget (bytes) per trial batch: one level's uniforms and indices.
+_BATCH_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,30 +83,40 @@ def simulate_leveled(dist: TreeDistribution,
 
     Level 0 is the inputs.  Each item at level j samples a tree from the
     distribution and wires its leaves to uniformly random items of level
-    j-1, with replacement.
+    j-1, with replacement.  Trials run in batches of ``_BATCH_BUDGET``
+    bytes; each level of a batch is one (trials, width) array.
     """
     trees, cumw, max_leaves = entry_table(dist)
-    levels = len(config.widths)
+    levels, cols = len(config.widths), 1 + max_leaves
     fractions = np.empty((config.trials, levels + 1), dtype=np.float64)
     final_items = np.empty(config.trials, dtype=np.uint8)
     draw = input_draw(config)
+    per_trial = 8 * config.n + 16 * cols * max(config.widths)
+    batch_size = max(1, min(config.trials, _BATCH_BUDGET // per_trial))
 
-    for trial in range(config.trials):
-        prev = draw(lambda: generator(config.seed, trial, 0))
-        fractions[trial, 0] = prev.mean()
+    for start in range(0, config.trials, batch_size):
+        batch = range(start, min(start + batch_size, config.trials))
+        b, rows = len(batch), slice(batch.start, batch.stop)
+        random = stacked_streams(config.seed, batch, levels + 2)
+        prev = np.broadcast_to(draw(lambda size: random(0, (size,))),
+                               (b, config.n))
+        fractions[rows, 0] = prev.mean(axis=1)
         prev_size = config.n
         for level, m in enumerate(config.widths, start=1):
-            rng = generator(config.seed, trial, level)
-            u = rng.random((m, 1 + max_leaves))
-            which = np.searchsorted(cumw, u[:, 0], side="right")
-            idx = np.minimum((u[:, 1:] * prev_size).astype(np.int64),
+            u = random(level, (m, cols))
+            which = np.searchsorted(cumw, u[..., 0], side="right")
+            idx = np.minimum((u[..., 1:] * prev_size).astype(np.int64),
                              prev_size - 1)
-            prev = eval_blocks(trees, which, prev[idx])
-            fractions[trial, level] = prev.mean()
+            # One flat gather: 2-D fancy indexing is several times slower.
+            idx += np.arange(0, b * prev_size, prev_size)[:, None, None]
+            prev = eval_blocks(trees, which.ravel(),
+                               np.ravel(prev)[idx].reshape(b * m, -1))
+            prev = prev.reshape(b, m)
+            fractions[rows, level] = prev.mean(axis=1)
             prev_size = m
-        rng_top = generator(config.seed, trial, levels + 1)
-        final_items[trial] = prev[min(int(rng_top.random() * prev_size),
-                                      prev_size - 1)]
+        top = np.minimum((random(levels + 1, (1,))[:, 0] * prev_size)
+                         .astype(np.int64), prev_size - 1)
+        final_items[rows] = prev[np.arange(b), top]
     return SimulationTrace(fractions=fractions, final_items=final_items,
                            config=config)
 

@@ -5,6 +5,10 @@ a tuple of integer indices (trial, level, ...).  The derivation mixes each
 index into the state with the splitmix64 avalanche function, so streams for
 distinct index tuples are statistically independent and a rerun with the
 same (seed, indices) is bit-identical regardless of execution order.
+
+``stacked_streams`` seeds many (trial, stream) generators at once: it runs
+splitmix64 and numpy's PCG64 seeding (the SeedSequence hash, then two LCG
+steps) as array operations, and sets one reusable PCG64 to each state.
 """
 from __future__ import annotations
 
@@ -12,10 +16,13 @@ import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def splitmix64(x: int) -> int:
-    """One splitmix64 step: add the golden-gamma, then avalanche."""
+    """One splitmix64 step: add the golden-gamma, then avalanche.  Also
+    takes a uint64 array, on which numpy wraps modulo 2^64."""
     x = (x + _GAMMA) & _MASK
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -34,3 +41,67 @@ def derive_seed(root: int, *indices: int) -> int:
 def generator(root: int, *indices: int) -> np.random.Generator:
     """A PCG64 generator seeded from ``derive_seed(root, *indices)``."""
     return np.random.Generator(np.random.PCG64(derive_seed(root, *indices)))
+
+
+def _hash32(v: np.ndarray, const: int, mult: int):
+    """One SeedSequence hash step on uint32 words; returns the next const."""
+    nxt = const * mult & 0xFFFFFFFF
+    v = (v ^ np.uint32(const)) * np.uint32(nxt)
+    return v ^ (v >> np.uint32(16)), nxt
+
+
+def pcg64_states(seeds) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``np.random.PCG64(s).state`` for each uint64 s.
+
+    numpy seeds PCG64 from ``SeedSequence(s).generate_state(4, uint64)``.
+    A seed is at most two 32-bit entropy words in a pool of four padded
+    with zeros, so every seed takes the same steps with the same constants.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+    const, pool = 0x43B0D7E5, []
+    for word in (seeds & 0xFFFFFFFF, seeds >> 32, seeds & 0, seeds & 0):
+        h, const = _hash32(word.astype(np.uint32), const, 0x931E8875)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hash32(pool[src], const, 0x931E8875)
+                r = (np.uint32(0xCA01F9DD) * pool[dst]
+                     - np.uint32(0x4973F715) * h)
+                pool[dst] = r ^ (r >> np.uint32(16))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        h, const = _hash32(pool[i % 4], const, 0x58F38DED)
+        words.append(h.astype(np.uint64))
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(
+            (words[k] | words[k + 1] << np.uint64(32)).tolist()
+            for k in range(0, 8, 2))):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        seed = s_hi << 64 | s_lo
+        states.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def stacked_streams(root: int, trials: range, streams: int):
+    """``random(j, shape)``: the ``(len(trials), *shape)`` array whose row
+    i is ``generator(root, trials[i], j).random(shape)``, for j < streams.
+
+    Every (trial, stream) state is seeded here, in one pass; ``random``
+    sets one PCG64, owned by this call, to each state of stream j.
+    """
+    first = splitmix64(splitmix64(root & _MASK)
+                       ^ np.asarray(trials, dtype=np.uint64))
+    states = pcg64_states(splitmix64(
+        first ^ np.arange(streams, dtype=np.uint64)[:, None]))
+    gen, rows = np.random.Generator(np.random.PCG64(0)), len(trials)
+
+    def random(j: int, shape: tuple[int, ...]) -> np.ndarray:
+        out = np.empty((rows, *shape))
+        for row, (state, inc) in zip(out, states[j * rows:(j + 1) * rows]):
+            gen.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": state, "inc": inc}}
+            gen.random(out=row)
+        return out
+    return random

@@ -207,7 +207,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         bits = np.zeros((b, n + k), dtype=np.uint8)
         rngs = [generator(config.seed, trial) for trial in batch]
         for row, rng in enumerate(rngs):
-            bits[row, :n] = draw(lambda: rng)
+            bits[row, :n] = draw(rng.random)
         numer = bits[:, :n].sum(axis=1).astype(np.float64)
         rows_arange = np.arange(b)
         x[start:start + b, 0] = numer / n          # steps[0] == 0
@@ -275,7 +275,7 @@ def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
 
     for trial in range(config.trials):
         rng = generator(config.seed, trial)
-        bits0 = draw(lambda: rng)
+        bits0 = draw(rng.random)
         u = rng.random((k, cols)) if k else None
         ledger = PrefixSumTree(n + k)
         for i in range(n):

@@ -87,11 +87,11 @@ def test_both_configs_share_the_input_check(make):
 def test_input_draw():
     explicit = LevelConfig(widths=(4,), n=3, seed=1, input_bits=(1, 0, 1))
     draw = input_draw(explicit)
-    first = draw(lambda: pytest.fail("explicit inputs draw nothing"))
+    first = draw(lambda size: pytest.fail("explicit inputs draw nothing"))
     assert first.dtype == np.uint8 and first.tolist() == [1, 0, 1]
     assert draw(None) is first
     bernoulli = LevelConfig(widths=(4,), n=50, seed=1, input_p=0.3)
-    bits = input_draw(bernoulli)(lambda: generator(9))
+    bits = input_draw(bernoulli)(generator(9).random)
     want = (generator(9).random(50) < 0.3).astype(np.uint8)
     assert bits.dtype == np.uint8 and np.array_equal(bits, want)
 

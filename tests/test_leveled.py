@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from amptree import leveled
 from amptree.catalog import linear_threshold, quad4, valiant
 from amptree.errors import CapacityError, InputShapeError, RangeError
 from amptree.leveled import (LevelConfig, exact_level_distribution,
@@ -52,6 +53,23 @@ def test_trials_are_independent_of_trial_count():
     small = simulate_leveled(valiant(), LevelConfig(trials=3, **base))
     large = simulate_leveled(valiant(), LevelConfig(trials=7, **base))
     assert np.array_equal(small.fractions, large.fractions[:3])
+
+
+@pytest.mark.parametrize("dist", [quad4(0.5), linear_threshold(0.45),
+                                  valiant()], ids=lambda d: d.label)
+@pytest.mark.parametrize("inputs", ["p", "bits"])
+def test_batches_do_not_change_a_run(monkeypatch, dist, inputs):
+    n, widths, trials = 200, (5, 300, 17), 7
+    given = ({"input_p": 0.45} if inputs == "p"
+             else {"input_bits": tuple(int(i % 3 == 0) for i in range(n))})
+    cfg = LevelConfig(widths=widths, n=n, seed=13, trials=trials, **given)
+    ref = simulate_leveled(dist, cfg)
+    per_trial = 8 * n + 16 * (1 + dist.max_leaf_count) * max(widths)
+    for per_batch in (1, 3, trials):
+        monkeypatch.setattr(leveled, "_BATCH_BUDGET", per_batch * per_trial)
+        trace = simulate_leveled(dist, cfg)
+        assert np.array_equal(trace.fractions, ref.fractions), per_batch
+        assert np.array_equal(trace.final_items, ref.final_items)
 
 
 def test_all_ones_input_fires():
