@@ -209,6 +209,9 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         for row, rng in enumerate(rngs):
             bits[row, :n] = draw(rng.random)
         numer = bits[:, :n].sum(axis=1).astype(np.float64)
+        # denom takes numer's operations with every item firing, so that
+        # rounding, which is monotone, keeps numer <= denom.
+        denom = float(n)
         rows_arange = np.arange(b)
         x[start:start + b, 0] = numer / n          # steps[0] == 0
         rec, base, end = 1, 0, 0
@@ -225,6 +228,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
                 if j + 1 > end:
                     # Renormalize: weights relative to e^(alpha*j) up to end.
                     numer *= math.exp(alpha * (base - j))
+                    denom *= math.exp(alpha * (base - j))
                     base = j
                     expo = alpha * (np.arange(k + 1, dtype=np.float64) - base)
                     end = max(j + 1, int(np.searchsorted(
@@ -247,8 +251,8 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
             new = eval_blocks(trees, which, bits[rows_arange[:, None], idx])
             bits[:, n + j] = new
             numer += (new if alpha == 0 else new * item_w[j - base])
+            denom += 1.0 if alpha == 0 else item_w[j - base]
             if rec < len(steps) and steps[rec] == j + 1:
-                denom = (n + j + 1) if alpha == 0 else (n_w + cumweight[j + 1])
                 x[start:start + b, rec] = numer / denom
                 rec += 1
         if k:

@@ -165,7 +165,7 @@ CASES = {
 GOLDEN = {
     'cli-analyze': 'd3587f5a440429354442725e7c4741173a32cf150a578e09b730a73604c18d49',
     'cli-leveled': '56e6be50307b7aed1f85a5adf5755ceed82cca89f74cb1eaeb8120658de3fbde',
-    'cli-stream': 'baab4851d8ecce7e5d5d39b3d0218387285f465323603449f4eee867b5fab176',
+    'cli-stream': 'c2d506eb9f0b07a4770c27870973004227e51be55c849964e95ee247cf0ef89d',
     'conditions-linear': '8bcb6f5f457d7321ce4163397293b63d4e516241385eee0d2924ff42547cb901',
     'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
     'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
@@ -182,8 +182,8 @@ GOLDEN = {
     'leveled-quad4-p': '6af860d03a2c5c4329c9aac73f819e9c9aed1a6f0596d347f7773b734c85e5fd',
     'leveled-valiant-bits': '702fc51b839b931d0daf5ded4ec160aef6bd4b241babab98c04a3de8ff2de110',
     'leveled-valiant-p': '7eb91a078d3b57bfffc0d9bece56ba3ec595fe86f603ab5aa2caf43b8182bdc3',
-    'stream-decay': '887df5db79603006129ef87e7e859a77818445a1e5098a64f03a1a090a0d38cf',
-    'stream-fallback': 'ecf53cbb262a29225f9aee925308aed09b900a9769af3aa1138e7cf1d11d64a5',
+    'stream-decay': '3c0642d9b46ef9c8a2e9a3c2a32538567f178c2ff107986b7f312813eed67b37',
+    'stream-fallback': 'bfccabe63e792d93c490de2d39e9182a6db0c633683e696905eba40dbb47cf94',
     'stream-quad4': '985ace8d6b7531601915a0c8a254366402ced2823a82fd92071eab84c482b9c5',
     'stream-wild': '585a583eee7f2cc0e9a9e1410924973d40553b6b60348bd4bbec948581721cee',
     'sweep-linear': '0db62e15febcd8453a54fcedb7705def320fc6546c84068192d4971d26e23996',

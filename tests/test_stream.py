@@ -145,10 +145,6 @@ def test_engines_agree_exactly_on_wild():
     assert np.allclose(vec.x, ref.x, atol=1e-12)
 
 
-#: X is a ratio of two float sums; both engines can return 1 + a few ulps.
-X_ROUNDING = 1e-12
-
-
 @pytest.mark.parametrize("n, k, alpha", [(24, 720, 1.0), (8, 200, 5.0)])
 def test_default_engine_renormalizes_past_600(monkeypatch, n, k, alpha):
     # alpha * k = 720 and 1000: the default engine renormalizes its ledger
@@ -163,7 +159,24 @@ def test_default_engine_renormalizes_past_600(monkeypatch, n, k, alpha):
     trace = simulate_stream(LT, cfg)
     assert np.array_equal(trace.final_bits, ref.final_bits)
     assert np.allclose(trace.x, ref.x, rtol=0.0, atol=1e-9)
-    assert np.all((trace.x >= 0) & (trace.x <= 1 + X_ROUNDING))
+    assert np.all((trace.x >= 0) & (trace.x <= 1.0))
+
+
+def test_x_never_exceeds_one():
+    # the ledger total once drifted from the summed firing weight, and this
+    # run reached X = 1 + 5.5e-14
+    cfg = StreamConfig(n=600, k=8000, alpha=0.07, seed=77, trials=20,
+                       input_p=0.9)
+    assert simulate_stream(LT, cfg).x.max() <= 1.0
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0, 5.0])
+def test_x_is_one_when_every_item_fires(alpha):
+    cfg = StreamConfig(n=16, k=700, alpha=alpha, seed=3, trials=2,
+                       input_bits=(1,) * 16)
+    trace = simulate_stream(LT, cfg)
+    assert trace.final_bits.tolist() == [1, 1]
+    assert np.all(trace.x == 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0 renormalizes
