@@ -215,6 +215,9 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
             and all(0.0 < e <= t for e in epsilons)):
         raise RangeError(f"gammas must be in (0,1) and epsilons in (0, t]: "
                          f"{gammas}, {epsilons}")
+    if len({math.log(1 / g) / e ** 2 for g in gammas for e in epsilons}) < 2:
+        raise RangeError(f"the slope fit needs two distinct predictors "
+                         f"ln(1/gamma)/epsilon^2: {gammas}, {epsilons}")
 
     def solve_cell(cell) -> WidthScalingRow:
         ig, ie = cell

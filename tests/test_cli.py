@@ -319,6 +319,12 @@ def test_mistyped_or_unread_params_exit_2(tmp_path, command, params,
      "--levels", "-1"],
     ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
      "width_scaling", "--params", '{"gammas": []}'],
+    ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+     "width_scaling", "--params",
+     '{"gammas": [0.3], "epsilons": [0.2], "trials": 10}'],
+    ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+     "width_scaling", "--params",
+     '{"gammas": [0.3, 0.3], "epsilons": [0.2], "trials": 10}'],
 ])
 def test_out_of_range_values_are_one_error_line(args):
     code, out, err = run_cli_err(args)

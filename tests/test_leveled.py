@@ -31,9 +31,12 @@ def test_config_validation():
     for t, gammas, epsilons in ((0.5, (), (0.1,)), (0.5, (0.1,), ()),
                                 (None, (0.1,), (0.1,)),
                                 (0.5, (2.0,), (0.1,)), (0.5, (0.1,), (0,)),
-                                (0.5, (0.1,), (0.6,))):
-        with pytest.raises(RangeError):
-            width_scaling_experiment(quad4(0.5), t, gammas, epsilons, seed=1)
+                                (0.5, (0.1,), (0.6,)),
+                                (0.5, (0.3,), (0.2,)),
+                                (0.5, (0.3, 0.3), (0.2,))):
+        with pytest.raises(RangeError):     # before any width is searched
+            width_scaling_experiment(quad4(0.5), t, gammas, epsilons, seed=1,
+                                     trials=10, n=100)
 
 
 def test_trace_determinism():
