@@ -7,13 +7,11 @@ Determinism: the generator for (trial, level) is PCG64 seeded by mixing the
 root seed, the trial index and the level index through the splitmix64
 avalanche (see :mod:`amptree.rng`).  Each level draws one uniform block of
 shape (m, 1 + max_leaves): column 0 picks the building-block tree, the
-remaining columns pick its leaves.  Reruns with the same config and seed
-are bit-identical, and trials are independent of each other.
-
-Trials run in batches that fit ``_BATCH_BUDGET``: a level of a batch is
-one (trials, m) array, and the batch's (trial, level) streams are seeded
-together (:func:`amptree.rng.stacked_streams`).  Each stream is still the
-one above, so the batch size changes no number.
+remaining columns pick its leaves.  Trials run in batches, a level of a
+batch as one (trials, m) array, and a batch's streams are seeded at once
+(:func:`amptree.rng.stacked_streams`).  The streams stay those above, so
+reruns with the same config and seed are bit-identical whatever the batch
+size, and trials are independent of each other.
 """
 from __future__ import annotations
 
@@ -83,8 +81,7 @@ def simulate_leveled(dist: TreeDistribution,
 
     Level 0 is the inputs.  Each item at level j samples a tree from the
     distribution and wires its leaves to uniformly random items of level
-    j-1, with replacement.  Trials run in batches of ``_BATCH_BUDGET``
-    bytes; each level of a batch is one (trials, width) array.
+    j-1, with replacement.
     """
     trees, cumw, max_leaves = entry_table(dist)
     levels, cols = len(config.widths), 1 + max_leaves
@@ -109,9 +106,8 @@ def simulate_leveled(dist: TreeDistribution,
                              prev_size - 1)
             # One flat gather: 2-D fancy indexing is several times slower.
             idx += np.arange(0, b * prev_size, prev_size)[:, None, None]
-            prev = eval_blocks(trees, which.ravel(),
-                               np.ravel(prev)[idx].reshape(b * m, -1))
-            prev = prev.reshape(b, m)
+            prev = eval_blocks(trees, which.ravel(), np.ravel(prev)[idx]
+                               .reshape(b * m, -1)).reshape(b, m)
             fractions[rows, level] = prev.mean(axis=1)
             prev_size = m
         top = np.minimum((random(levels + 1, (1,))[:, 0] * prev_size)

@@ -6,9 +6,8 @@ index into the state with the splitmix64 avalanche function, so streams for
 distinct index tuples are statistically independent and a rerun with the
 same (seed, indices) is bit-identical regardless of execution order.
 
-``stacked_streams`` seeds many (trial, stream) generators at once: it runs
-splitmix64 and numpy's PCG64 seeding (the SeedSequence hash, then two LCG
-steps) as array operations, and sets one reusable PCG64 to each state.
+``stacked_streams`` seeds many (trial, stream) generators at once, as
+array operations, and draws from them through one reusable PCG64.
 """
 from __future__ import annotations
 
@@ -50,18 +49,17 @@ def _hash32(v: np.ndarray, const: int, mult: int):
     return v ^ (v >> np.uint32(16)), nxt
 
 
-def pcg64_states(seeds) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.PCG64(s).state`` for each uint64 s.
+def pcg64_states(seeds) -> list[dict]:
+    """``np.random.PCG64(s).state`` for each uint64 seed s, in one pass.
 
-    numpy seeds PCG64 from ``SeedSequence(s).generate_state(4, uint64)``.
-    A seed is at most two 32-bit entropy words in a pool of four padded
-    with zeros, so every seed takes the same steps with the same constants.
+    numpy's SeedSequence hashes a seed's (at most two) 32-bit words into a
+    zero-padded pool of four, so every seed takes the same uint32 steps.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
-    const, pool = 0x43B0D7E5, []
-    for word in (seeds & 0xFFFFFFFF, seeds >> 32, seeds & 0, seeds & 0):
-        h, const = _hash32(word.astype(np.uint32), const, 0x931E8875)
-        pool.append(h)
+    zero = np.zeros_like(seeds)
+    const, pool = 0x43B0D7E5, [seeds & 0xFFFFFFFF, seeds >> 32, zero, zero]
+    for i in range(4):
+        pool[i], const = _hash32(pool[i].astype(np.uint32), const, 0x931E8875)
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -69,26 +67,24 @@ def pcg64_states(seeds) -> list[tuple[int, int]]:
                 r = (np.uint32(0xCA01F9DD) * pool[dst]
                      - np.uint32(0x4973F715) * h)
                 pool[dst] = r ^ (r >> np.uint32(16))
-    const, words = 0x8B51F9DD, []
+    const, words = 0x8B51F9DD, np.empty((8, seeds.size), dtype=np.uint64)
     for i in range(8):
-        h, const = _hash32(pool[i % 4], const, 0x58F38DED)
-        words.append(h.astype(np.uint64))
+        words[i], const = _hash32(pool[i % 4], const, 0x58F38DED)
     states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(
-            (words[k] | words[k + 1] << np.uint64(32)).tolist()
-            for k in range(0, 8, 2))):
+    for s_hi, s_lo, i_hi, i_lo in zip(
+            *(words[0::2] | words[1::2] << np.uint64(32)).tolist()):
+        # PCG64's seeding: two LCG steps from state 0 (O'Neill 2014)
         inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-        seed = s_hi << 64 | s_lo
-        states.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "has_uint32": 0,
+                       "uinteger": 0, "state": {"state": state, "inc": inc}})
     return states
 
 
 def stacked_streams(root: int, trials: range, streams: int):
     """``random(j, shape)``: the ``(len(trials), *shape)`` array whose row
     i is ``generator(root, trials[i], j).random(shape)``, for j < streams.
-
-    Every (trial, stream) state is seeded here, in one pass; ``random``
-    sets one PCG64, owned by this call, to each state of stream j.
+    Seeds every (trial, stream) at once; draws through one PCG64 of its own.
     """
     first = splitmix64(splitmix64(root & _MASK)
                        ^ np.asarray(trials, dtype=np.uint64))
@@ -98,10 +94,8 @@ def stacked_streams(root: int, trials: range, streams: int):
 
     def random(j: int, shape: tuple[int, ...]) -> np.ndarray:
         out = np.empty((rows, *shape))
-        for row, (state, inc) in zip(out, states[j * rows:(j + 1) * rows]):
-            gen.bit_generator.state = {
-                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                "state": {"state": state, "inc": inc}}
+        for row, state in zip(out, states[j * rows:(j + 1) * rows]):
+            gen.bit_generator.state = state
             gen.random(out=row)
         return out
     return random

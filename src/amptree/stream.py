@@ -209,8 +209,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         for row, rng in enumerate(rngs):
             bits[row, :n] = draw(rng.random)
         numer = bits[:, :n].sum(axis=1).astype(np.float64)
-        # denom takes numer's operations with every item firing, so that
-        # rounding, which is monotone, keeps numer <= denom.
+        # denom takes numer's steps with every item firing: numer <= denom.
         denom = float(n)
         rows_arange = np.arange(b)
         x[start:start + b, 0] = numer / n          # steps[0] == 0
