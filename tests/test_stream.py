@@ -163,8 +163,8 @@ def test_default_engine_renormalizes_past_600(monkeypatch, n, k, alpha):
 
 
 def test_x_never_exceeds_one():
-    # the ledger total once drifted from the summed firing weight, and this
-    # run reached X = 1 + 5.5e-14
+    # dividing by the closed-form ledger total instead of a total summed
+    # like the firing weight gives X = 1 + 5.5e-14 on this run
     cfg = StreamConfig(n=600, k=8000, alpha=0.07, seed=77, trials=20,
                        input_p=0.9)
     assert simulate_stream(LT, cfg).x.max() <= 1.0
