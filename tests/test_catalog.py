@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from amptree.catalog import (GOLDEN, VALIANT_THRESHOLD, StaircaseSpec,
                              TreeDistribution, ak_fixed_point, amplifier,
@@ -206,6 +207,25 @@ def test_quad67_admissible_ranges():
         quad6(0.12)
     with pytest.raises(RangeError):
         quad7(0.10)
+
+
+def _pair_range(build) -> str:
+    """'[lo, hi]' from the fixed points of the two trees ``build`` mixes."""
+    lo, hi = sorted(scan_fixed_points(lambda p, tr=tree: activation(tr, p))[0]
+                    for tree, _ in build(0.5).entries)
+    return f"[{lo:.6f}, {hi:.6f}]"
+
+
+@settings(max_examples=60, deadline=None)
+@given(build=st.sampled_from([quad4, quad5, quad6, quad7]),
+       t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_quad_pair_names_its_range_or_fixes_t(build, t):
+    try:
+        dist = build(t)
+    except RangeError as err:
+        assert _pair_range(build) in str(err)
+        return
+    assert min(abs(r - t) for r in dist.interior_fixed_points()) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Each case renders one seeded run to bytes (the ``write_csv`` trace, the
 learned structure's JSON, the evaluation trace, or the CLI's csv output),
 or one infinite-width analysis result (fixed points, condition reports,
-the certified corridor, the exact chain, the ``analyze`` output), and
+the certified corridor, the exact chain, the ``analyze`` output, the quad
+constructions' mixing weights), and
 compares its sha256 with a value pinned in ``GOLDEN``.  A change that
 alters any seeded output fails here even if run-against-run determinism
 still holds.  The values were taken with numpy 2.4.6; a numpy release
@@ -19,8 +20,9 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from amptree.catalog import (linear_threshold, quad4, quad5, quad_k,
-                             soft_threshold, valiant)
+from amptree.catalog import (GOLDEN as PHI, VALIANT_THRESHOLD,
+                             linear_threshold, quad4, quad5, quad6, quad7,
+                             quad_k, soft_threshold, valiant)
 from amptree.cli import main
 from amptree.dynamics import certified_corridor, profile, verify_conditions
 from amptree.learning import evaluate_learned, learn_threshold
@@ -120,6 +122,22 @@ def _sweep(build) -> bytes:
                  for t in SWEEP_CENTERS]).encode()
 
 
+#: Five admissible thresholds per quad pair: both ends of quad4's range
+#: and points near the ends of the others'.
+QUAD_WEIGHTS = {
+    "quad4": (quad4, (VALIANT_THRESHOLD, 0.45, 0.5, 0.55, PHI - 1.0)),
+    "quad5": (quad5, (0.246, 0.35, 0.5, 0.65, 0.754)),
+    "quad6": (quad6, (0.152, 0.3, 0.5, 0.7, 0.848)),
+    "quad7": (quad7, (0.12, 0.3, 0.5, 0.7, 0.88)),
+    "quad_k": (quad_k, SWEEP_CENTERS),
+}
+
+
+def _weights(name: str) -> bytes:
+    build, ts = QUAD_WEIGHTS[name]
+    return repr([[w for _, w in build(t).entries] for t in ts]).encode()
+
+
 FIXED_POINTS = {
     "valiant": valiant,
     "quad4": lambda: quad4(0.5),
@@ -152,6 +170,8 @@ CASES = {
     **{f"cli-{name}": (lambda n=name: _cli(n)) for name in CLI},
     "sweep-quad_k": lambda: _sweep(quad_k),
     "sweep-linear": lambda: _sweep(linear_threshold),
+    **{f"weights-{name}": (lambda n=name: _weights(n))
+       for name in QUAD_WEIGHTS},
     **{f"fixed-points-{name}": (lambda n=name: fixed_points(
         FIXED_POINTS[n]().mixture).to_json().encode())
        for name in FIXED_POINTS},
@@ -188,6 +208,11 @@ GOLDEN = {
     'stream-wild': '585a583eee7f2cc0e9a9e1410924973d40553b6b60348bd4bbec948581721cee',
     'sweep-linear': '0db62e15febcd8453a54fcedb7705def320fc6546c84068192d4971d26e23996',
     'sweep-quad_k': '763bcc44bb44f0e84fe4975acff6a7fc314ef363ca91cae7a0e23bcc3e3ef994',
+    'weights-quad4': '647dc095dab515517b077f68a823ff4aac2fde3acfb347fcbaaab7b4b1808c93',
+    'weights-quad5': '6a764d8a5883794f70765424d6a2b9146ba391fddcfc7661e05e7ea9e35c8bf4',
+    'weights-quad6': '50c342817aba4915b821bc9245b7e6cb52045f4d411ef869ce82f8f59343206a',
+    'weights-quad7': '207b0c37468a39d38159ef6a5316248a156d6ed78fd0e61911d1912bd706334b',
+    'weights-quad_k': '1fab6b4500309182497eb1c1d605ded5c1020f37d75e386bde0ca80dcf004338',
 }
 
 
