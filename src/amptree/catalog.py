@@ -11,11 +11,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (CapacityError, DegenerateInputError,
                      InvalidStaircaseError, RangeError, WeightError)
-from .polyalg import Polynomial, bisect_root, mix, poly_from_ints, scan_fixed_points
+from .polyalg import (Polynomial, bisect_root, check_weights, iterate_point,
+                      mix, poly_from_ints, scan_fixed_points)
 from .trees import (AndOrTree, activation, and_, and_chain, build_ak, build_bk,
                     complement_tree, format_tree, leaf, or_, or_chain,
                     parse_tree, self_compose, substitute_leaves,
@@ -55,11 +56,7 @@ class TreeDistribution:
     def __post_init__(self):
         if not self.entries:
             raise WeightError("a distribution needs at least one tree")
-        weights = [w for _, w in self.entries]
-        if any(w < 0 for w in weights):
-            raise WeightError(f"negative weight in {weights}")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise WeightError(f"weights sum to {sum(weights)!r}, not 1")
+        check_weights([w for _, w in self.entries])
 
     @property
     def max_leaf_count(self) -> int:
@@ -84,9 +81,8 @@ class TreeDistribution:
         """
         return sum(w * activation(t, p) for t, w in self.entries)
 
-    def interior_fixed_points(self, grid: int = 10_000,
-                              tol: float = 1e-12) -> list[float]:
-        return scan_fixed_points(self.evaluate, grid=grid, tol=tol)
+    def interior_fixed_points(self) -> list[float]:
+        return scan_fixed_points(self.evaluate)
 
     def complement(self) -> "TreeDistribution":
         """Same weights on the complemented trees."""
@@ -129,21 +125,23 @@ def _single(label: str, tree: AndOrTree, **kw) -> TreeDistribution:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def bk_fixed_point(k: int) -> float:
-    """Interior fixed point of 2 p^k - p^{2k}, in (1 - 1/(k(k-1)), 1 - 1/k^2)."""
-    if k < 2:
-        raise RangeError("B_k needs k >= 2")
-
-    def h(p: float) -> float:
-        return 2.0 * p ** k - p ** (2 * k) - p
-
-    return bisect_root(h, 1.0 - 1.0 / (k * (k - 1)), 1.0 - 1.0 / (k * k),
-                       tol=1e-14)
-
-
 def ak_fixed_point(k: int) -> float:
-    """Interior fixed point of (1 - (1-p)^k)^2; the complement of b_k."""
-    return 1.0 - bk_fixed_point(k)
+    """Interior fixed point q of (1 - (1-q)^k)^2, in (1/k^2, 1/(k(k-1))).
+
+    The residual is bisected as q - expm1(k log1p(-q))^2 to a tolerance
+    relative to q, so the bracket keeps its sign and the root its digits
+    as q nears 0 (k in the tens of thousands).
+    """
+    if k < 2:
+        raise RangeError("A_k and B_k need k >= 2")
+    lo = 1.0 / (k * k)
+    return bisect_root(lambda q: q - math.expm1(k * math.log1p(-q)) ** 2,
+                       lo, 1.0 / (k * (k - 1)), tol=1e-14 * lo)
+
+
+def bk_fixed_point(k: int) -> float:
+    """Interior fixed point of 2 p^k - p^{2k}; the complement of a_k."""
+    return 1.0 - ak_fixed_point(k)
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +170,6 @@ def linear_threshold(t: float) -> TreeDistribution:
         threshold=t)
 
 
-def _solve_pair_weight(f1: Callable[[float], float],
-                       f2: Callable[[float], float], t: float) -> float:
-    """alpha with alpha f1(t) + (1-alpha) f2(t) = t, clamped vs float fuzz."""
-    denom = f1(t) - f2(t)
-    if denom == 0.0:
-        raise DegenerateInputError("the two trees agree at t; weight undefined")
-    alpha = (t - f2(t)) / denom
-    if -1e-9 < alpha < 0.0:
-        alpha = 0.0
-    if 1.0 < alpha < 1.0 + 1e-9:
-        alpha = 1.0
-    return alpha
-
-
 def _degree_floor(t: float) -> int:
     """Minimum leaves any quadratically-convergent construction needs at t;
     RangeError outside (0, 1), where no construction has a threshold."""
@@ -197,14 +181,25 @@ def _degree_floor(t: float) -> int:
 
 def _quad_pair(label: str, tree_a: AndOrTree, tree_b: AndOrTree,
                t: float, corridor=None) -> TreeDistribution:
-    fa = lambda p: activation(tree_a, p)
-    fb = lambda p: activation(tree_b, p)
-    alpha = _solve_pair_weight(fa, fb, t)
+    """Weight alpha on ``tree_a`` and 1 - alpha on ``tree_b`` with t fixed.
+
+    alpha solves alpha f_a(t) + (1 - alpha) f_b(t) = t.  The pair covers
+    the t whose alpha lies in [0, 1] (clamped there against 1e-9 of float
+    fuzz): the range between the two trees' interior fixed points, where
+    alpha is 1 and 0.  RangeError elsewhere, naming that range.
+    """
+    _degree_floor(t)                    # RangeError outside (0, 1)
+    fa, fb = activation(tree_a, t), activation(tree_b, t)
+    alpha = (t - fb) / (fa - fb) if fa != fb else math.nan
+    if -1e-9 < alpha < 0.0:
+        alpha = 0.0
+    if 1.0 < alpha < 1.0 + 1e-9:
+        alpha = 1.0
     if not 0.0 <= alpha <= 1.0:
-        leaves = tree_a.leaf_count
+        lo, hi = sorted(map(_unique_interior_fp, (tree_a, tree_b)))
         raise RangeError(
-            f"no quadratically convergent mixture on {leaves}-leaf trees has "
-            f"threshold {t}; at least {_degree_floor(t)} leaves are needed")
+            f"{label}: the pair covers [{lo:.6f}, {hi:.6f}]; t={t} needs at "
+            f"least {_degree_floor(t)} leaves")
     return TreeDistribution(
         label=label, entries=((tree_a, alpha), (tree_b, 1.0 - alpha)),
         threshold=t, corridor=corridor)
@@ -216,11 +211,6 @@ def quad4(t: float) -> TreeDistribution:
     F1 = (A v B) ^ (C v D) and F2 = (A ^ B) v (C ^ D), the unique 4-leaf
     tree with polynomial 2 p^2 - p^4.
     """
-    if not VALIANT_THRESHOLD - 1e-12 <= t <= GOLDEN - 1.0 + 1e-12:
-        raise RangeError(
-            f"4-leaf quadratic constructions cover [{VALIANT_THRESHOLD:.6f}, "
-            f"{GOLDEN - 1.0:.6f}]; t={t} needs at least {_degree_floor(t)} "
-            f"leaves")
     return _quad_pair(f"quad4({t})", build_ak(2), build_bk(2), t,
                       corridor=(0.2, 0.8))
 
@@ -233,13 +223,6 @@ def _v1_tree() -> AndOrTree:
 def _v2_tree() -> AndOrTree:
     """(A v B) ^ (C v D v E): polynomial 6 p^2 - 9 p^3 + 5 p^4 - p^5."""
     return and_(or_chain(2), or_chain(3))
-
-
-@lru_cache(maxsize=None)
-def _quad5_range() -> tuple[float, float]:
-    lo = _unique_interior_fp(_v2_tree())
-    hi = _unique_interior_fp(_v1_tree())
-    return lo, hi
 
 
 def _unique_interior_fp(tree: AndOrTree) -> float:
@@ -256,32 +239,19 @@ def quad5(t: float) -> TreeDistribution:
     Admissible thresholds are where the solved weight lies in [0, 1];
     numerically [~0.245, ~0.755].
     """
-    lo, hi = _quad5_range()
-    if not lo - 1e-12 <= t <= hi + 1e-12:
-        raise RangeError(
-            f"5-leaf quadratic constructions cover [{lo:.6f}, {hi:.6f}]; "
-            f"t={t} needs at least {_degree_floor(t)} leaves")
     return _quad_pair(f"quad5({t})", _v1_tree(), _v2_tree(), t,
                       corridor=(1.0 / 7.0, 6.0 / 7.0))
 
 
 def quad6(t: float) -> TreeDistribution:
     """6-leaf analogue (A_3 with B_3); admissible range found numerically."""
-    lo, hi = ak_fixed_point(3), bk_fixed_point(3)
-    if not lo - 1e-12 <= t <= hi + 1e-12:
-        raise RangeError(f"6-leaf pair covers [{lo:.6f}, {hi:.6f}], got {t}")
     return _quad_pair(f"quad6({t})", build_ak(3), build_bk(3), t)
 
 
 def quad7(t: float) -> TreeDistribution:
     """7-leaf analogue: OR3^OR4 against AND3vAND4; range found numerically."""
-    tree_a = and_(or_chain(3), or_chain(4))
-    tree_b = or_(and_chain(3), and_chain(4))
-    lo = _unique_interior_fp(tree_a)
-    hi = _unique_interior_fp(tree_b)
-    if not lo - 1e-12 <= t <= hi + 1e-12:
-        raise RangeError(f"7-leaf pair covers [{lo:.6f}, {hi:.6f}], got {t}")
-    return _quad_pair(f"quad7({t})", tree_a, tree_b, t)
+    return _quad_pair(f"quad7({t})", and_(or_chain(3), or_chain(4)),
+                      or_(and_chain(3), and_chain(4)), t)
 
 
 def quad_k(t: float) -> TreeDistribution:
@@ -289,21 +259,27 @@ def quad_k(t: float) -> TreeDistribution:
 
     For t >= phi-1, finds k with b_k <= t < b_{k+1} and mixes B_k with
     B_{k+1}; thresholds at or below 2-phi use the complementary A-family;
-    the middle range delegates to the 4-leaf construction.
+    the middle range delegates to the 4-leaf construction.  CapacityError
+    when the pair would pass ``DEFAULT_TREE_CAP`` leaves (t within about
+    4e-12 of 0 or 1).
     """
     if not 0.0 < t < 1.0:
         raise RangeError(f"threshold must be in (0,1), got {t}")
     phi1 = GOLDEN - 1.0
     if VALIANT_THRESHOLD < t < phi1:
         return quad4(t)
+    # a_k > 1/k^2, so every rung below 1/sqrt(min(t, 1-t)) - 1 is passed:
+    # the search starts there, not at k = 2.
+    k = max(2, int(1.0 / math.sqrt(min(t, 1.0 - t))) - 1)
+    if 2 * k > DEFAULT_TREE_CAP:
+        raise CapacityError(f"quad_k({t}) needs trees past the size guard "
+                            f"of {DEFAULT_TREE_CAP} leaves")
     if t >= phi1:
-        k = 2
         while bk_fixed_point(k + 1) <= t:
             k += 1
         return _quad_pair(f"quad_k({t}, B{k}/B{k + 1})",
                           build_bk(k), build_bk(k + 1), t)
     # A-family: a_{k+1} <= t <= a_k with a_k decreasing in k.
-    k = 2
     while ak_fixed_point(k + 1) > t:
         k += 1
     return _quad_pair(f"quad_k({t}, A{k}/A{k + 1})",
@@ -352,15 +328,7 @@ class AmplifierResult(NamedTuple):
     anchor: float
 
 
-def _iterate_activation(tree: AndOrTree, p: float, k: int) -> float:
-    x = p
-    for _ in range(k):
-        x = activation(tree, x)
-    return x
-
-
 def amplifier(tree: AndOrTree, delta: float, epsilon: float,
-              t_anchor: float | None = None,
               max_leaves: int = DEFAULT_TREE_CAP) -> AmplifierResult:
     """Self-compose ``tree`` until it is a (delta, epsilon)-sharp threshold.
 
@@ -374,8 +342,7 @@ def amplifier(tree: AndOrTree, delta: float, epsilon: float,
         raise RangeError(f"delta must be in (0,1), got {delta}")
     if not 0.0 < epsilon < 1.0:
         raise RangeError(f"epsilon must be in (0,1), got {epsilon}")
-    if t_anchor is None:
-        t_anchor = _unique_interior_fp(tree)
+    t_anchor = _unique_interior_fp(tree)
     if tree.leaf_count < 2:
         raise DegenerateInputError("cannot amplify a bare leaf")
     # A side whose interval [0, t-eps] or [t+eps, 1] is empty is vacuous.
@@ -454,7 +421,8 @@ def dense_fixed_point(target: float, epsilon: float,
         hi = min(x + allowed / 2.0, 1.0 - 1e-9)
 
         def composed(q: float, steps: int) -> float:
-            return _iterate_activation(tree, _g_value(q, j), steps)
+            return iterate_point(lambda x: activation(tree, x),
+                                 _g_value(q, j), steps)[-1]
 
         steps = None
         for cand in range(1, 65):

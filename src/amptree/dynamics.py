@@ -27,6 +27,15 @@ STOP_ERROR = 1e-15
 
 DEFAULT_CORRIDOR = (0.2, 0.8)
 
+#: ``certified_corridor`` scans each side of t on this many cells, and
+#: certifies where the running sup of the end ratio times the distance to
+#: the end stays below ``CORRIDOR_FACTOR``.
+CORRIDOR_GRID = 512
+CORRIDOR_FACTOR = 0.95
+
+#: ``verify_conditions`` sweeps each interval on this many cells.
+CONDITION_GRID = 2000
+
 
 @dataclass(frozen=True)
 class ConvergenceProfile:
@@ -52,17 +61,16 @@ class ConvergenceProfile:
             out.write(f"{level},{x!r},{e!r}\n")
 
 
-def order_estimate(errors: Sequence[float], lower: float = ERROR_FLOOR,
-                   upper: float = 0.2) -> str:
+def order_estimate(errors: Sequence[float], upper: float = 0.2) -> str:
     """Classify a decaying error sequence as LINEAR or QUADRATIC.
 
     Fits the slope of log e_{l+1} against log e_l over consecutive pairs in
-    the window (lower, upper).  A slope near 1 is geometric decay; slopes
+    the window (ERROR_FLOOR, upper).  A slope near 1 is geometric decay; slopes
     of 2 and above mean the error is squared (or better) each level, which
     is what buys the log-k level count, so anything from 1.7 up classifies
     as QUADRATIC.  Fewer than 4 usable points: UNDETERMINED.
     """
-    usable = [lower < e < upper for e in errors]
+    usable = [ERROR_FLOOR < e < upper for e in errors]
     if sum(usable) < 4:
         return UNDETERMINED
     xs: list[float] = []
@@ -86,13 +94,12 @@ def order_estimate(errors: Sequence[float], lower: float = ERROR_FLOOR,
     return UNDETERMINED
 
 
-def certified_corridor(f: Callable[[float], float], t: float,
-                       grid: int = 512, factor: float = 0.95
+def certified_corridor(f: Callable[[float], float], t: float
                        ) -> tuple[float, float] | None:
     """Measure (u, v) satisfying the quadratic-convergence conditions.
 
-    Finds the largest u with (sup_{(0,u]} f(p)/p^2) * u < factor, and
-    symmetrically the smallest v for the 1-side.  Returns None when no
+    Finds the largest u with (sup_{(0,u]} f(p)/p^2) * u < CORRIDOR_FACTOR,
+    and symmetrically the smallest v for the 1-side.  Returns None when no
     corridor certifies (constructions with a linear term).
 
     ``f`` is called on Python floats for the endpoint gate and once per
@@ -103,22 +110,22 @@ def certified_corridor(f: Callable[[float], float], t: float,
     # cannot see; gate on the endpoint derivatives first.
     if f(1e-9) / 1e-9 > 1e-6 or (1.0 - f(1.0 - 1e-9)) / 1e-9 > 1e-6:
         return None
-    steps = np.arange(1, grid)
-    lo_ps = t * steps / grid
+    steps = np.arange(1, CORRIDOR_GRID)
+    lo_ps = t * steps / CORRIDOR_GRID
     ratios = f(lo_ps) / (lo_ps * lo_ps)
     best_u = None
     running = 0.0
     for p, r in zip(lo_ps.tolist(), ratios.tolist()):
         running = max(running, r)
-        if running * p < factor:
+        if running * p < CORRIDOR_FACTOR:
             best_u = p
-    hi_ps = t + (1.0 - t) * steps / grid
+    hi_ps = t + (1.0 - t) * steps / CORRIDOR_GRID
     hi_ratios = (1.0 - f(hi_ps)) / _square(1.0 - hi_ps)
     best_v = None
     running = 0.0
     for p, r in zip(reversed(hi_ps.tolist()), reversed(hi_ratios.tolist())):
         running = max(running, r)
-        if running * (1.0 - p) < factor:
+        if running * (1.0 - p) < CORRIDOR_FACTOR:
             best_v = p
     if best_u is None or best_v is None:
         return None
@@ -213,8 +220,7 @@ class ConditionReport:
 
 
 def verify_conditions(dist: TreeDistribution, t: float, u: float, v: float,
-                      margin: float = 1e-3, grid: int = 2000
-                      ) -> ConditionReport:
+                      margin: float = 1e-3) -> ConditionReport:
     """Numerically certify the convergence conditions on grids.
 
     Requires c1, c2 > 1 on the divergence intervals [u, t-margin] and
@@ -228,30 +234,31 @@ def verify_conditions(dist: TreeDistribution, t: float, u: float, v: float,
         raise RangeError("margin must be positive and leave room for the "
                          "divergence intervals")
     # The end sweeps divide by squared distances to 0 and 1 on the grid.
-    lo_step, hi_step = u / grid, (1.0 - v) / grid
+    lo_step, hi_step = u / CONDITION_GRID, (1.0 - v) / CONDITION_GRID
     if lo_step * lo_step == 0.0 or 1.0 - hi_step == 1.0:
         raise RangeError(f"u={u} and v={v} are too close to 0 and 1 for a "
-                         f"{grid}-point grid")
+                         f"{CONDITION_GRID}-point grid")
     f = dist.evaluate
     failures: list[ConditionFailure] = []
 
     c1, w1 = _sweep(u, t - margin, lambda p: (t - f(p)) / (t - p), True,
-                    grid)
+                    CONDITION_GRID)
     if c1 <= 1.0:
         failures.append(ConditionFailure("linear divergence below t",
                                          (u, t - margin), w1, c1))
     c2, w2 = _sweep(t + margin, v, lambda p: (f(p) - t) / (p - t), True,
-                    grid)
+                    CONDITION_GRID)
     if c2 <= 1.0:
         failures.append(ConditionFailure("linear divergence above t",
                                          (t + margin, v), w2, c2))
     c3, w3 = _sweep(lo_step, u - lo_step, lambda p: f(p) / (p * p), False,
-                    grid)
+                    CONDITION_GRID)
     if c3 * u >= 1.0:
         failures.append(ConditionFailure("quadratic convergence to 0",
                                          (0.0, u), w3, c3))
     c4, w4 = _sweep(v + hi_step, 1.0 - hi_step,
-                    lambda p: (1.0 - f(p)) / _square(1.0 - p), False, grid)
+                    lambda p: (1.0 - f(p)) / _square(1.0 - p), False,
+                    CONDITION_GRID)
     if c4 * (1.0 - v) >= 1.0:
         failures.append(ConditionFailure("quadratic convergence to 1",
                                          (v, 1.0), w4, c4))

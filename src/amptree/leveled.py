@@ -55,10 +55,6 @@ class LevelConfig:
             raise InputShapeError(f"widths must be positive: {self.widths}")
         check_inputs(self)
 
-    @classmethod
-    def uniform(cls, m: int, levels: int, **kw) -> "LevelConfig":
-        return cls(widths=(m,) * levels, **kw)
-
 
 @dataclass(frozen=True)
 class SimulationTrace:

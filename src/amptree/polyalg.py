@@ -9,6 +9,7 @@ jobs and documents its degree growth.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -29,6 +30,9 @@ ENDPOINT_TOL = 1e-9
 
 DEFAULT_GRID = 10_000
 DEFAULT_TOL = 1e-12
+
+#: Largest remainder ``divergence_ratio`` accepts from each linear factor.
+REMAINDER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,20 @@ def poly_from_ints(coeffs: Iterable[int]) -> Polynomial:
     return Polynomial(tuple(float(c) for c in coeffs))
 
 
+def check_weights(weights: Sequence[float]) -> None:
+    """WeightError unless every weight is finite and >= 0 and they sum to 1."""
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise WeightError(f"weights must be finite and >= 0: {list(weights)}")
+    total = sum(weights)
+    if abs(total - 1.0) > 1e-12:
+        raise WeightError(f"weights sum to {total!r}, not 1")
+
+
 def mix(weights: Sequence[float], polys: Sequence[Polynomial]) -> Polynomial:
     """Coefficient-wise convex combination of polynomials."""
     if len(weights) != len(polys):
         raise WeightError("one weight per polynomial required")
-    if any(w < 0 for w in weights):
-        raise WeightError(f"negative weight in {list(weights)}")
-    total = sum(weights)
-    if abs(total - 1.0) > 1e-12:
-        raise WeightError(f"weights sum to {total!r}, not 1")
+    check_weights(weights)
     width = max(len(p.coeffs) for p in polys)
     out = [0.0] * width
     for w, p in zip(weights, polys):
@@ -159,10 +168,10 @@ class FixedPointReport:
             for fp in self.points])
 
 
-def classify(derivative: float, tol: float = CLASS_TOL) -> str:
-    if derivative < 1.0 - tol:
+def classify(derivative: float) -> str:
+    if derivative < 1.0 - CLASS_TOL:
         return ATTRACTIVE
-    if derivative > 1.0 + tol:
+    if derivative > 1.0 + CLASS_TOL:
         return NON_ATTRACTIVE
     return MARGINAL
 
@@ -190,10 +199,9 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def scan_fixed_points(f: Callable[[float], float], grid: int = DEFAULT_GRID,
-                      tol: float = DEFAULT_TOL, lo: float = 0.0,
-                      hi: float = 1.0) -> list[float]:
-    """Interior fixed points of a callable on (lo, hi) by sign scan + bisection.
+def scan_fixed_points(f: Callable[[float], float],
+                      grid: int = DEFAULT_GRID) -> list[float]:
+    """Interior fixed points of a callable on (0, 1) by sign scan + bisection.
 
     ``f`` is called once on the whole scan grid, a float64 array, and must
     work elementwise, as :class:`Polynomial`, ``activation`` and
@@ -204,25 +212,23 @@ def scan_fixed_points(f: Callable[[float], float], grid: int = DEFAULT_GRID,
     def h(p: float) -> float:
         return f(p) - p
 
-    step = (hi - lo) / grid
-    points = lo + np.arange(1, grid) * step
+    points = np.arange(1, grid) * (1.0 / grid)
     xs = points.tolist()
     hv = (f(points) - points).tolist()
     roots = [x for x, v in zip(xs, hv) if v == 0.0]
     for i in range(len(xs) - 1):
         a, b = hv[i], hv[i + 1]
         if a != 0.0 and b != 0.0 and (a > 0) != (b > 0):
-            roots.append(bisect_root(h, xs[i], xs[i + 1], tol))
+            roots.append(bisect_root(h, xs[i], xs[i + 1]))
     roots.sort()
     merged: list[float] = []
     for r in roots:
-        if not merged or r - merged[-1] > 10 * tol:
+        if not merged or r - merged[-1] > 10 * DEFAULT_TOL:
             merged.append(r)
     return merged
 
 
-def fixed_points(poly: Polynomial, grid: int = DEFAULT_GRID,
-                 tol: float = DEFAULT_TOL) -> FixedPointReport:
+def fixed_points(poly: Polynomial) -> FixedPointReport:
     """All fixed points of ``poly`` in [0, 1], classified by derivative.
 
     Endpoints are checked directly; the interior is covered by a uniform
@@ -236,8 +242,8 @@ def fixed_points(poly: Polynomial, grid: int = DEFAULT_GRID,
     found: list[float] = []
     if abs(poly(0.0)) <= ENDPOINT_TOL:
         found.append(0.0)
-    interior = scan_fixed_points(poly, grid=grid, tol=tol)
-    found.extend(r for r in interior if tol < r < 1.0 - tol)
+    interior = scan_fixed_points(poly)
+    found.extend(r for r in interior if DEFAULT_TOL < r < 1.0 - DEFAULT_TOL)
     if abs(poly(1.0) - 1.0) <= ENDPOINT_TOL:
         found.append(1.0)
     pts = tuple(FixedPoint(r, deriv(r), classify(deriv(r)))
@@ -261,8 +267,7 @@ def _synthetic_divide(coeffs: Sequence[float], root: float
     return quot, carry
 
 
-def divergence_ratio(poly: Polynomial, t: float,
-                     remainder_tol: float = 1e-8) -> Polynomial:
+def divergence_ratio(poly: Polynomial, t: float) -> Polynomial:
     """The quotient polynomial g with f(p) - p = p (1-p) (p-t) g(p).
 
     Dividing out the three linear factors exactly (synthetic division)
@@ -272,16 +277,16 @@ def divergence_ratio(poly: Polynomial, t: float,
     while len(h) < 2:
         h.append(0.0)
     h[1] -= 1.0
-    if abs(h[0]) > remainder_tol:
+    if abs(h[0]) > REMAINDER_TOL:
         raise InconsistentFixedPointError(
             f"f(0) = {h[0]!r}; 0 is not a fixed point")
     q = h[1:]                                   # divided by p
     q, rem_t = _synthetic_divide(q, t)
-    if abs(rem_t) > remainder_tol:
+    if abs(rem_t) > REMAINDER_TOL:
         raise InconsistentFixedPointError(
             f"remainder {rem_t!r} dividing by (p - {t}); not a fixed point")
     q, rem_1 = _synthetic_divide(q, 1.0)
-    if abs(rem_1) > remainder_tol:
+    if abs(rem_1) > REMAINDER_TOL:
         raise InconsistentFixedPointError(
             f"remainder {rem_1!r} dividing by (p - 1); 1 is not a fixed point")
     # (1-p) = -(p-1), so negate the quotient once.

@@ -290,12 +290,6 @@ class IntPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_mul(self.coeffs, other.coeffs))
-
-    def or_with(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(_or(self.coeffs, other.coeffs))
-
     def __call__(self, p: float) -> float:
         acc = 0.0
         for c in reversed(self.coeffs):
@@ -308,22 +302,18 @@ class IntPolynomial:
             acc = acc * p + c
         return acc
 
-    def to_floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coeffs)
 
-
-def tree_polynomial(tree: AndOrTree,
-                    max_degree: int = POLYNOMIAL_LEAF_CAP) -> IntPolynomial:
+def tree_polynomial(tree: AndOrTree) -> IntPolynomial:
     """Exact activation polynomial of a tree; degree equals its leaf count.
 
     Dense integer coefficients are only meaningful for moderate trees; for
     composed giants use :func:`activation` pointwise.
     """
-    if tree.leaf_count > max_degree:
+    if tree.leaf_count > POLYNOMIAL_LEAF_CAP:
         raise CapacityError(
             f"tree has {tree.leaf_count} leaves; dense coefficients are "
-            f"capped at degree {max_degree} - evaluate with activation() "
-            f"instead")
+            f"capped at degree {POLYNOMIAL_LEAF_CAP} - evaluate with "
+            f"activation() instead")
     coeffs = fold(tree, (0, 1), _mul, _or)
     return IntPolynomial(tuple(coeffs))
 

@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from amptree.dynamics import CORRIDOR_FACTOR, CORRIDOR_GRID
 from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, bisect_root
 from amptree.trees import AndOrTree, IntPolynomial, eval_tree
 
@@ -73,25 +74,23 @@ def binom_pmf(m: int, k: int, q: float) -> float:
 # Scalar analysis grids: one call of the scanned function per grid point
 # ---------------------------------------------------------------------------
 
-def scalar_scan_fixed_points(f, grid: int = DEFAULT_GRID,
-                             tol: float = DEFAULT_TOL, lo: float = 0.0,
-                             hi: float = 1.0) -> list[float]:
+def scalar_scan_fixed_points(f, grid: int = DEFAULT_GRID) -> list[float]:
     """``polyalg.scan_fixed_points`` with a scalar call per grid point."""
     def h(p: float) -> float:
         return f(p) - p
 
-    step = (hi - lo) / grid
-    xs = [lo + i * step for i in range(1, grid)]
+    step = 1.0 / grid
+    xs = [i * step for i in range(1, grid)]
     hv = [h(x) for x in xs]
     roots = [x for x, v in zip(xs, hv) if v == 0.0]
     for i in range(len(xs) - 1):
         a, b = hv[i], hv[i + 1]
         if a != 0.0 and b != 0.0 and (a > 0) != (b > 0):
-            roots.append(bisect_root(h, xs[i], xs[i + 1], tol))
+            roots.append(bisect_root(h, xs[i], xs[i + 1]))
     roots.sort()
     merged: list[float] = []
     for r in roots:
-        if not merged or r - merged[-1] > 10 * tol:
+        if not merged or r - merged[-1] > 10 * DEFAULT_TOL:
             merged.append(r)
     return merged
 
@@ -109,9 +108,9 @@ def scalar_sweep(lo: float, hi: float, fn, minimize: bool,
     return best_val, best_p
 
 
-def scalar_certified_corridor(f, t: float, grid: int = 512,
-                              factor: float = 0.95):
+def scalar_certified_corridor(f, t: float):
     """``dynamics.certified_corridor`` with a scalar call per grid point."""
+    grid, factor = CORRIDOR_GRID, CORRIDOR_FACTOR
     if f(1e-9) / 1e-9 > 1e-6 or (1.0 - f(1.0 - 1e-9)) / 1e-9 > 1e-6:
         return None
     lo_ps = [t * i / grid for i in range(1, grid)]

@@ -1,5 +1,6 @@
 """Construction catalog: thresholds, staircases, amplification."""
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,15 @@ def test_weights_must_sum_to_one():
         TreeDistribution("bad", ((and_(x, x), 0.6), (or_(x, x), 0.6)))
     with pytest.raises(WeightError):
         TreeDistribution("bad", ((and_(x, x), -0.5), (or_(x, x), 1.5)))
+
+
+def test_weights_must_be_finite():
+    # A NaN weight fails neither "w < 0" nor "|sum - 1| > 1e-12".
+    for weights in ([float("nan")], [0.5, float("nan")]):
+        text = json.dumps({"label": "nan", "entries": [
+            {"tree": "(AND x x)", "weight": w} for w in weights]})
+        with pytest.raises(WeightError):
+            TreeDistribution.from_json(text)
 
 
 def test_mixture_equals_weighted_sum():
@@ -209,6 +219,16 @@ def test_quad67_admissible_ranges():
         quad7(0.10)
 
 
+def test_quad_pair_end_within_weight_clamp_is_pure_tree():
+    # The solved weight is clamped to [0, 1] within 1e-9, about 1e-10 in t.
+    assert [w for _, w in quad4(VALIANT_THRESHOLD - 1e-11).entries] == \
+        [1.0, 0.0]
+    assert [w for _, w in quad4(PHI1 + 1e-11).entries] == [0.0, 1.0]
+    for t in (VALIANT_THRESHOLD - 3e-10, PHI1 + 3e-10):
+        with pytest.raises(RangeError, match=r"\[0\.381966, 0\.618034\]"):
+            quad4(t)
+
+
 def _pair_range(build) -> str:
     """'[lo, hi]' from the fixed points of the two trees ``build`` mixes."""
     lo, hi = sorted(scan_fixed_points(lambda p, tr=tree: activation(tr, p))[0]
@@ -253,6 +273,29 @@ def test_quad_k_fixed_points():
     for t in (0.05, 0.1, 0.9, 0.95):
         roots = quad_k(t).interior_fixed_points()
         assert min(abs(r - t) for r in roots) <= 1e-9
+
+
+def test_quad_k_near_0_and_1():
+    # a_k's bracket lost its sign near k = 9,000 when bisected in p
+    for t in (1e-8, 1e-9, 1.0 - 1e-8):
+        d = quad_k(t)
+        assert all(0.0 <= w <= 1.0 for _, w in d.entries)
+        assert abs(d.evaluate(t) - t) <= 1e-12 * t
+    for t in (1e-12, 1.0 - 1e-15):
+        with pytest.raises(CapacityError):
+            quad_k(t)
+
+
+def test_ak_fixed_point_in_its_bracket():
+    # q - (1 - (1-q)^k)^2 changes sign, in exact arithmetic, within a
+    # relative 1e-12 of the float root.
+    for k in (2, 3, 10, 9_000):
+        a = ak_fixed_point(k)
+        assert 1.0 / k ** 2 < a < 1.0 / (k * (k - 1))
+        for q, sign in ((a * (1 - 1e-12), 1), (a * (1 + 1e-12), -1)):
+            q = Fraction(q)
+            assert sign * (q - (1 - (1 - q) ** k) ** 2) > 0
+        assert bk_fixed_point(k) == 1.0 - a
 
 
 def test_quad_k_divergence_ratio_bound():

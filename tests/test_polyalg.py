@@ -60,6 +60,8 @@ def test_mix_rejects_bad_weights():
         mix((-0.1, 1.1), (f, f))
     with pytest.raises(WeightError):
         mix((1.0,), (f, f))
+    with pytest.raises(WeightError):
+        mix((float("nan"), 1.0), (f, f))
 
 
 def test_derivative():
