@@ -186,20 +186,23 @@ def _quad_pair(label: str, tree_a: AndOrTree, tree_b: AndOrTree,
     alpha solves alpha f_a(t) + (1 - alpha) f_b(t) = t.  The pair covers
     the t whose alpha lies in [0, 1] (clamped there against 1e-9 of float
     fuzz): the range between the two trees' interior fixed points, where
-    alpha is 1 and 0.  RangeError elsewhere, naming that range.
+    alpha is 1 and 0.  RangeError elsewhere, naming that range, and where
+    the larger tree has fewer leaves than the degree floor at t (there an
+    activation can round to t and fake a fixed point).
     """
-    _degree_floor(t)                    # RangeError outside (0, 1)
+    floor = _degree_floor(t)            # RangeError outside (0, 1)
     fa, fb = activation(tree_a, t), activation(tree_b, t)
     alpha = (t - fb) / (fa - fb) if fa != fb else math.nan
     if -1e-9 < alpha < 0.0:
         alpha = 0.0
     if 1.0 < alpha < 1.0 + 1e-9:
         alpha = 1.0
-    if not 0.0 <= alpha <= 1.0:
+    if (not 0.0 <= alpha <= 1.0
+            or max(tree_a.leaf_count, tree_b.leaf_count) < floor):
         lo, hi = sorted(map(_unique_interior_fp, (tree_a, tree_b)))
         raise RangeError(
             f"{label}: the pair covers [{lo:.6f}, {hi:.6f}]; t={t} needs at "
-            f"least {_degree_floor(t)} leaves")
+            f"least {floor} leaves")
     return TreeDistribution(
         label=label, entries=((tree_a, alpha), (tree_b, 1.0 - alpha)),
         threshold=t, corridor=corridor)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from amptree.catalog import (GOLDEN, VALIANT_THRESHOLD, StaircaseSpec,
                              TreeDistribution, ak_fixed_point, amplifier,
@@ -239,6 +239,7 @@ def _pair_range(build) -> str:
 @settings(max_examples=60, deadline=None)
 @given(build=st.sampled_from([quad4, quad5, quad6, quad7]),
        t=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(build=quad7, t=0.9999999999999999)   # activation rounds to t
 def test_quad_pair_names_its_range_or_fixes_t(build, t):
     try:
         dist = build(t)
