@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence, TextIO
 
 import numpy as np
-from scipy.stats import binom
 
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw
 from .catalog import TreeDistribution
@@ -113,6 +113,25 @@ def simulate_leveled(dist: TreeDistribution,
                            config=config)
 
 
+def _binomial_rows(m: int, q) -> np.ndarray:
+    """Binomial(m, q) probabilities of 0..m, one row per q.
+
+    Entry j is exp(log C(m, j) + (m - j) log1p(-q) + j log q), with
+    log C(m, j) taken from the exact integer; q = 0 and q = 1 give exact
+    point masses.
+    """
+    q = np.asarray(q, dtype=np.float64)[:, None]
+    j = np.arange(m + 1)
+    combs = accumulate(range(m), lambda c, k: c * (m - k) // (k + 1),
+                       initial=1)                   # C(m, 0..m), exact ints
+    log_comb = np.array([math.log(c) for c in combs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.exp(log_comb + (m - j) * np.log1p(-q) + j * np.log(q))
+    rows[q[:, 0] == 0.0] = j == 0
+    rows[q[:, 0] == 1.0] = j == m
+    return rows
+
+
 def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
                              levels: int) -> tuple[float, np.ndarray]:
     """Exact level-L firing probability by transition-matrix propagation.
@@ -136,8 +155,8 @@ def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
         raise RangeError(f"p must be in [0,1], got {p}")
     counts = np.arange(m + 1)
     q = np.clip(dist.evaluate(counts / m), 0.0, 1.0)
-    kernel = binom.pmf(counts[None, :], m, q[:, None])
-    v = binom.pmf(counts, m, min(max(dist.evaluate(p), 0.0), 1.0))
+    kernel = _binomial_rows(m, q)
+    v = _binomial_rows(m, [min(max(dist.evaluate(p), 0.0), 1.0)])[0]
     for _ in range(levels - 1):
         v = v @ kernel
     firing = float(v @ counts) / m

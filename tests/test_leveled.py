@@ -1,10 +1,14 @@
 """Finite-width leveled simulation and the exact transition matrix."""
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import amptree
 from amptree import leveled
 from amptree.catalog import linear_threshold, quad4, valiant
 from amptree.errors import CapacityError, InputShapeError, RangeError
@@ -134,6 +138,49 @@ def test_exact_m2_l2_matches_hand_enumeration():
             expected += w1 * binom_pmf(m, c2, f(c1 / m)) * (c2 / m)
     firing, _ = exact_level_distribution(d, m, p, 2)
     assert firing == pytest.approx(expected, abs=1e-12)
+
+
+KERNEL_QS = (0.0, 1.0, 5e-324, 1e-300, 1e-8, 0.5, 1 - 2 ** -53, 1 - 1e-9,
+             *np.random.default_rng(0).random(25).tolist())
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 60, 200])
+def test_binomial_rows_match_exact_fractions(m):
+    rows = leveled._binomial_rows(m, KERNEL_QS)
+    exact = []
+    for q in KERNEL_QS:
+        a, d = q.as_integer_ratio()             # q = a/d, 1 - q = (d - a)/d
+        exact.append([math.comb(m, j) * a ** j * (d - a) ** (m - j) / d ** m
+                      for j in range(m + 1)])   # int / int rounds correctly
+    exact = np.array(exact)
+    big = exact > 1e-290
+    assert np.max(np.abs(rows - exact)[big] / exact[big]) <= 2e-13
+    assert np.all(np.abs(rows[~big]) < 1e-280)
+    assert rows[0].tolist() == [1.0] + [0.0] * m          # q = 0
+    assert rows[1].tolist() == [0.0] * m + [1.0]          # q = 1
+
+
+@pytest.mark.parametrize("m", [1000, 2000])
+def test_binomial_rows_match_scipy_at_large_width(m):
+    from scipy.stats import binom
+    qs = np.concatenate([np.random.default_rng(m).random(300),
+                         [0.0, 1.0, 1e-12, 0.5, 1 - 1e-12]])
+    rows = leveled._binomial_rows(m, qs)
+    ref = binom.pmf(np.arange(m + 1)[None, :], m, qs[:, None])
+    big = ref > 1e-250
+    assert np.max(np.abs(rows - ref)[big] / ref[big]) <= 2e-12
+    assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(amptree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, amptree; print(sorted(m for m "
+         "in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_exact_distribution_sums_to_one():
