@@ -190,7 +190,7 @@ GOLDEN = {
     'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
     'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
     'corridor-quad_k': '42158e39096f57ba908ef7f0e8e179143119d5bfe20a945f41e7a6a7c5705650',
-    'exact-quad4': 'f50d28b888fdffff60955071eedd4e43cf879dca2c6891e4e1b22cbafa3e68cf',
+    'exact-quad4': '4e90e221fef379c471f0af8ed7ea4df0578118585a6135dbebfd4f44b2892a95',
     'fixed-points-quad4': 'b11e2f86b228d875cdcbabb5e269bf7bbae5b5e219c3784fede3ab4071a3c26e',
     'fixed-points-soft6': '0e9a98e6da50496361cf14cefb4203ae069925b14df500cd44e27ae0f2bf62ba',
     'fixed-points-valiant': '2f7c75a16528845bfa462a7a078abc1684aa9e1d7bc7e7e87f6a1e196bc0db2b',
