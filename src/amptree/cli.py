@@ -70,36 +70,44 @@ CONSTRUCTIONS = {
         epsilon=p["epsilon"], delta=p["delta"])),
 }
 
-_BUILDS = ("analyze", "iterate", "simulate")
+#: What ``simulate`` runs; each mode reads its own parameters.
+MODES = ("leveled", "stream", "exact", "width_scaling")
 
-#: Every parameter: its JSON type and the commands that read it.  ``[T]``
-#: is a JSON array of T; an int is a float, a bool is not an int.
+_BUILDS = ("analyze", "iterate") + MODES
+
+#: Every parameter: its JSON type and what reads it, a command or a
+#: simulate mode.  ``[T]`` is a JSON array of T; an int is a float, a bool
+#: is not an int.
 PARAMS = {
     "max_degree": (int, ("enumerate",)),
     "construction": (str, _BUILDS),
     "t": (float, _BUILDS),
     "alpha": (float, _BUILDS),
     "k": (int, _BUILDS),
-    "p": (float, ("iterate", "simulate")),
-    "levels": (int, ("iterate", "simulate", "learn")),
-    "m": (int, ("simulate",)),
-    "n": (int, ("simulate",)),
+    "p": (float, ("iterate", "leveled", "stream", "exact")),
+    "levels": (int, ("iterate", "leveled", "exact", "learn")),
+    "m": (int, ("leveled", "exact")),
+    "n": (int, ("leveled", "stream")),
     "width": (int, ("learn",)),
-    "trials": (int, ("simulate",)),
-    "mode": (str, ("simulate",)),
+    "trials": (int, ("leveled", "stream", "width_scaling")),
+    "mode": (str, MODES),
     "u": (float, ("analyze",)), "v": (float, ("analyze",)),
     "sample": (int, ("eval",)),
     "x_file": (str, ("learn",)),
     "learned_file": (str, ("eval",)), "input_file": (str, ("eval",)),
     "breakpoints": ([float], _BUILDS), "heights": ([float], _BUILDS),
     "epsilon": (float, _BUILDS), "delta": (float, _BUILDS),
-    "widths": ([int], ("simulate",)),
-    "bits": ([int], ("simulate",)),
-    "gammas": ([float], ("simulate",)), "epsilons": ([float], ("simulate",)),
+    "widths": ([int], ("leveled",)),
+    "bits": ([int], ("leveled", "stream")),
+    "gammas": ([float], ("width_scaling",)),
+    "epsilons": ([float], ("width_scaling",)),
 }
 
 #: Construction parameters that stream mode reads too (decay rate, items).
 _SHARED = {"one_step": "alpha", "soft_threshold": "k"}
+
+#: The commands and simulate modes that can write CSV; the rest write JSON.
+_CSV = ("enumerate", "iterate", "leveled", "stream")
 
 
 class UsageError(Exception):
@@ -114,21 +122,41 @@ def _has_type(value, typ) -> bool:
         value, (int, float) if typ is float else typ)
 
 
-def check_params(command: str, params: dict) -> None:
-    """Raise UsageError for a key ``command`` does not read, a value not of
-    its PARAMS type, or a key that would set two things at once."""
+def reader_of(command: str, params: dict) -> str:
+    """What reads ``params`` in PARAMS: the command, or simulate's mode."""
+    if command != "simulate":
+        return command
+    mode = params.get("mode", "leveled")
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {', '.join(MODES)}: {mode!r}")
+    return mode
+
+
+def check_params(cfg: ExperimentConfig) -> None:
+    """Raise UsageError for a value not of its PARAMS type, a key that is
+    not read, a key that would set two things at once, or csv output
+    where there is only JSON."""
+    command, params = cfg.command, cfg.params
     for name, value in params.items():
-        typ, readers = PARAMS.get(name, (None, ()))
-        if command not in readers:
-            raise UsageError(f"{command} does not read parameter {name!r}")
-        if not _has_type(value, typ):
+        typ = PARAMS.get(name, (None,))[0]
+        if typ is not None and not _has_type(value, typ):
             want = (f"a list of {typ[0].__name__}" if isinstance(typ, list)
                     else typ.__name__)
             raise UsageError(f"{name} must be {want}: {value!r}")
+    what = reader_of(command, params)
+    label = command if what == command else f"simulate --mode {what}"
+    for name in params:
+        if what not in PARAMS.get(name, (None, ()))[1]:
+            raise UsageError(f"{label} does not read parameter {name!r}")
     shared = _SHARED.get(params.get("construction"))
-    if shared and params.get("mode") == "stream":
+    if shared and what == "stream":
         raise UsageError(f"{params['construction']} cannot run in stream "
                          f"mode: {shared} would set both it and the stream")
+    if "widths" in params and ("m" in params or "levels" in params):
+        raise UsageError("widths sets every level's width; give it without "
+                         "m and levels")
+    if cfg.format == "csv" and what not in _CSV:
+        raise UsageError(f"{label} writes JSON only, not csv")
 
 
 def build_construction(params: dict) -> catalog.TreeDistribution:
@@ -146,12 +174,6 @@ def _emit(cfg: ExperimentConfig, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fail(cfg: ExperimentConfig, failures: list) -> int:
-    _emit(cfg, json.dumps({"status": "fail", "failures": failures},
-                          sort_keys=True) + "\n")
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +258,7 @@ def cmd_iterate(cfg: ExperimentConfig) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     dist = build_construction(cfg.params)
     params = cfg.params
-    mode = params.get("mode", "leveled")
+    mode = reader_of("simulate", params)
     inputs = dict(seed=cfg.seed, trials=params.get("trials", 1),
                   input_p=params.get("p"), input_bits=params.get("bits"))
     if mode == "leveled":
@@ -277,17 +299,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             dist, params["m"], params["p"], params["levels"])
         _emit(cfg, json.dumps({"firing_probability": firing}) + "\n")
         return 0
-    if mode == "width_scaling":
-        res = leveled.width_scaling_experiment(
-            dist, dist.threshold,
-            gammas=params.get("gammas", (0.2, 0.1, 0.05)),
-            epsilons=params.get("epsilons", (0.1, 0.05, 0.025)),
-            seed=cfg.seed, trials=params.get("trials", 200))
-        _emit(cfg, res.to_json() + "\n")
-        return 0 if res.verdict == "OK" else 1
-    return _fail(cfg, [{"check": "mode", "got": mode,
-                        "expected": ["leveled", "stream", "exact",
-                                     "width_scaling"]}])
+    res = leveled.width_scaling_experiment(               # width_scaling
+        dist, dist.threshold,
+        gammas=params.get("gammas", (0.2, 0.1, 0.05)),
+        epsilons=params.get("epsilons", (0.1, 0.05, 0.025)),
+        seed=cfg.seed, trials=params.get("trials", 200))
+    _emit(cfg, res.to_json() + "\n")
+    return 0 if res.verdict == "OK" else 1
 
 
 def _read_bits(path: str) -> list:
@@ -372,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             setattr(cfg, name, getattr(args, name))
 
     try:
-        check_params(cfg.command, cfg.params)
+        check_params(cfg)
         return COMMANDS[cfg.command](cfg)
     except AmptreeError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -356,9 +356,48 @@ def test_flags_are_the_scalar_params():
                                "--seed", "--params"}
 
 
+STREAM = ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+          "stream", "--n", "8", "--k", "20", "--p", "0.3"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (STREAM + ["--m", "99", "--levels", "4"],
+     "simulate --mode stream does not read parameter 'levels'"),
+    (["simulate", "--construction", "valiant", "--mode", "exact", "--m",
+      "5", "--levels", "2", "--p", "0.5", "--trials", "7", "--n", "5"],
+     "simulate --mode exact does not read parameter 'n'"),
+    (["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+      "width_scaling", "--n", "5", "--m", "3", "--p", "0.3"],
+     "simulate --mode width_scaling does not read parameter 'p'"),
+    (["simulate", "--construction", "valiant", "--mode", "leveled", "--m",
+      "5", "--levels", "2", "--n", "4", "--p", "0.5", "--params",
+      '{"widths": [3]}'], "widths sets every level's width"),
+    (["simulate", "--construction", "valiant", "--mode", "bogus"],
+     "mode must be one of leveled, stream, exact, width_scaling: 'bogus'"),
+    (["analyze", "--construction", "valiant", "--format", "csv"],
+     "analyze writes JSON only"),
+    (["learn", "--x-file", "x.json", "--levels", "2", "--width", "4",
+      "--format", "csv"], "learn writes JSON only"),
+    (["eval", "--learned-file", "l.json", "--input-file", "x.json",
+      "--format", "csv"], "eval writes JSON only"),
+    (["simulate", "--construction", "valiant", "--mode", "exact", "--m",
+      "5", "--levels", "2", "--p", "0.5", "--format", "csv"],
+     "simulate --mode exact writes JSON only"),
+    (["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+      "width_scaling", "--format", "csv"],
+     "simulate --mode width_scaling writes JSON only"),
+])
+def test_params_a_mode_does_not_read_exit_2(args, message):
+    code, out, err = run_cli_err(args)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}"), err
+
+
 def test_int_params_pass_as_floats():
     code, text = run_cli(["simulate", "--params", json.dumps(
-        dict(SIMULATE, mode="exact", p=1))])
+        {"construction": "valiant", "mode": "exact", "m": 5, "levels": 2,
+         "p": 1})])
     assert code == 0
     assert json.loads(text)["firing_probability"] == 1.0
 
@@ -472,7 +511,7 @@ def cli_calls(draw, files):
     params = {name: files.get(value, value) if name.endswith("_file")
               else value for name, value in base.items()}
     read = [name for name, (_, readers) in cli.PARAMS.items()
-            if command in readers]
+            if cli.reader_of(command, base) in readers]
     names = draw(st.lists(st.sampled_from(read), max_size=3))
     if draw(st.integers(0, 9)) == 0:
         names.append(draw(st.sampled_from(sorted(cli.PARAMS) + ["bogus"])))
