@@ -496,8 +496,7 @@ class StaircaseSpec:
             raise InvalidStaircaseError(f"delta must be in (0,1): {self.delta}")
 
 
-def staircase(spec: StaircaseSpec,
-              max_leaves: int = STAIRCASE_TREE_CAP) -> TreeDistribution:
+def staircase(spec: StaircaseSpec) -> TreeDistribution:
     """Mixture approximating the staircase within delta on step interiors.
 
     For each breakpoint a_i: a single tree with fixed point within
@@ -507,10 +506,9 @@ def staircase(spec: StaircaseSpec,
     """
     sharp_trees = []
     for a_i in spec.breakpoints:
-        base = dense_fixed_point(a_i, spec.epsilon / 2.0,
-                                 max_leaves=min(DEFAULT_TREE_CAP, max_leaves))
+        base = dense_fixed_point(a_i, spec.epsilon / 2.0)
         amp = amplifier(base, spec.delta, spec.epsilon / 2.0,
-                        max_leaves=max_leaves)
+                        max_leaves=STAIRCASE_TREE_CAP)
         sharp_trees.append(amp.tree)
     full_p = list(spec.heights) + [1.0]
     weights = [full_p[0]] + [full_p[i] - full_p[i - 1]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -230,9 +230,9 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
         raise RangeError(f"the slope fit needs two distinct predictors "
                          f"ln(1/gamma)/epsilon^2: {gammas}, {epsilons}")
 
-    def solve_cell(cell) -> WidthScalingRow:
-        ig, ie = cell
-        gamma, epsilon = gammas[ig], epsilons[ie]
+    rows = []
+    for (ig, gamma), (ie, epsilon) in product(enumerate(gammas),
+                                              enumerate(epsilons)):
         levels = int(math.ceil(math.log2(1 / gamma) +
                                math.log2(1 / epsilon))) + 12
         target = 1.0 - gamma
@@ -258,12 +258,8 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
             else:
                 lo = mid
         predictor = math.log(1 / gamma) / epsilon ** 2
-        return WidthScalingRow(gamma=gamma, epsilon=epsilon, min_width=hi,
-                               predictor=predictor)
-
-    cells = [(ig, ie) for ig in range(len(gammas))
-             for ie in range(len(epsilons))]
-    rows = [solve_cell(c) for c in cells]
+        rows.append(WidthScalingRow(gamma=gamma, epsilon=epsilon,
+                                    min_width=hi, predictor=predictor))
 
     xs = np.log([r.predictor for r in rows])
     ys = np.log([r.min_width for r in rows])

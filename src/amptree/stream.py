@@ -105,15 +105,20 @@ def recorded_steps(n: int, k: int, alpha: float) -> np.ndarray:
     """Creation counts at which X is recorded: pool doublings, every
     ceil(1/alpha) steps when alpha > 0, plus 0 and k.  Keeps trace memory
     logarithmic in k for the wild construction."""
-    marks = {0, k}
-    i = 1
-    while n * (2 ** i) - n <= k:
-        marks.add(n * (2 ** i) - n)
-        i += 1
-    if alpha > 0:
-        stride = _stride(alpha, k)
-        marks.update(range(stride, k + 1, stride))
+    marks = {k, *_phase_marks(n, k, 0.0), *_phase_marks(n, k, alpha)}
     return np.array(sorted(marks), dtype=np.int64)
+
+
+def _phase_marks(n: int, k: int, alpha: float) -> list[int]:
+    """Phase boundaries: 0 and the pool doublings n (2^i - 1) <= k for the
+    wild construction, every ceil(1/alpha) steps up to k for alpha > 0."""
+    if alpha > 0:
+        return list(range(0, k + 1, _stride(alpha, k)))
+    marks, pool = [0], 2 * n
+    while pool - n <= k:
+        marks.append(pool - n)
+        pool *= 2
+    return marks
 
 
 def _stride(alpha: float, k: int) -> int:
@@ -362,22 +367,13 @@ def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:
     Meaningful for below-threshold inputs (X converging to 0).
     """
     cfg = trace.config
-    steps = [int(s) for s in trace.steps]
-    if cfg.alpha == 0:
-        marks = [s for s in steps
-                 if s > 0 and (cfg.n + s) % cfg.n == 0
-                 and _is_pow2((cfg.n + s) // cfg.n)]
-        marks = [0] + marks
-    else:
-        stride = _stride(cfg.alpha, cfg.k)
-        marks = [s for s in steps if s % stride == 0]
-    marks = [s for s in marks if s in steps]
+    marks = _phase_marks(cfg.n, cfg.k, cfg.alpha)
+    cols = np.searchsorted(trace.steps, marks)
     trials = trace.x.shape[0]
     rows = []
     for i in range(len(marks) - 1):
-        i0, i1 = steps.index(marks[i]), steps.index(marks[i + 1])
-        xs = trace.x[:, i0]
-        xe = trace.x[:, i1]
+        xs = trace.x[:, cols[i]]
+        xe = trace.x[:, cols[i + 1]]
         ms, me = float(xs.mean()), float(xe.mean())
         eps = t - ms
         bound = ms * (1.0 - eps * (1.0 - t) / 8.0)
@@ -388,7 +384,3 @@ def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:
             factor=me / ms if ms > 0 else 0.0,
             expected_bound=bound, passed=bool(me <= bound + 3.0 * se)))
     return PhaseReport(rows=tuple(rows))
-
-
-def _is_pow2(v: int) -> bool:
-    return v >= 1 and (v & (v - 1)) == 0
