@@ -145,7 +145,7 @@ KERNEL_QS = (0.0, 1.0, 5e-324, 1e-300, 1e-8, 0.5, 1 - 2 ** -53, 1 - 1e-9,
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 60, 200])
-def test_binomial_rows_match_exact_fractions(m):
+def test_binomial_rows_match_exact_rational_rows(m):
     rows = leveled._binomial_rows(m, KERNEL_QS)
     exact = []
     for q in KERNEL_QS:
