@@ -44,6 +44,15 @@ def eval_blocks(trees, which, leafbits):
     return out
 
 
+def check_bits(bits) -> tuple:
+    """``bits`` as a tuple of ints; RangeError unless every one is 0 or 1."""
+    bits = tuple(bits)
+    for b in bits:
+        if b not in (0, 1):
+            raise RangeError(f"input bits must be 0 or 1, got {b}")
+    return tuple(int(b) for b in bits)
+
+
 def check_inputs(config) -> None:
     """Check a config's n, trials and inputs: exactly one of ``input_p``
     (Bernoulli, drawn per trial) and ``input_bits`` (explicit 0/1 bits,
@@ -55,9 +64,7 @@ def check_inputs(config) -> None:
     if (config.input_p is None) == (config.input_bits is None):
         raise InputShapeError("give exactly one of input_p and input_bits")
     if config.input_bits is not None:
-        if any(b not in (0, 1) for b in config.input_bits):
-            raise RangeError(f"input bits must be 0 or 1: {config.input_bits}")
-        bits = tuple(int(b) for b in config.input_bits)
+        bits = check_bits(config.input_bits)
         if len(bits) != config.n:
             raise InputShapeError(f"{len(bits)} input bits for n={config.n}")
         object.__setattr__(config, "input_bits", bits)

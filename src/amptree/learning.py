@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import eval_blocks
+from .blocks import check_bits, eval_blocks
 from .catalog import linear_threshold
 from .errors import InputShapeError, RangeError
 from .rng import generator
@@ -85,6 +85,8 @@ class LearnedTree:
             raise InputShapeError(
                 f"not a learned structure ({type(exc).__name__}: {exc})"
             ) from exc
+        if n < 1:
+            raise InputShapeError(f"n must be >= 1, got {n}")
         prev_size = n
         for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
             if not (b.ndim == 1 and b.size and w.shape == (b.size, 3)
@@ -106,7 +108,7 @@ def learn_threshold(levels: int, width: int, example: Sequence[int],
     runs and produces a monotone-trivial function (pure AND or pure OR
     amplification).
     """
-    x = np.asarray(list(example), dtype=np.uint8)
+    x = np.asarray(check_bits(example), dtype=np.uint8)
     if x.size == 0:
         raise InputShapeError("the example string is empty")
     if levels < 1 or width < 1:
@@ -137,7 +139,7 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     """
     if sample is not None and sample < 1:
         raise RangeError(f"sample must be >= 1, got {sample}")
-    bits = np.asarray(list(input_bits), dtype=np.uint8)
+    bits = np.asarray(check_bits(input_bits), dtype=np.uint8)
     if bits.size != tree.n:
         raise InputShapeError(
             f"input has {bits.size} bits, learned structure expects {tree.n}")

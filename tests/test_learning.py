@@ -1,11 +1,12 @@
 """One-shot threshold learning."""
+import json
 import math
 
 import numpy as np
 import pytest
 
 from amptree.catalog import linear_threshold
-from amptree.errors import InputShapeError
+from amptree.errors import InputShapeError, RangeError
 from amptree.learning import LearnedTree, evaluate_learned, learn_threshold
 from amptree.leveled import LevelConfig, simulate_leveled
 from amptree.rng import generator
@@ -78,6 +79,16 @@ def test_eval_arity_mismatch():
         evaluate_learned(tree, np.zeros(9, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("bits", [[2, 3, 1, 0], [-1, 0, 1, 1],
+                                  [256, 0, 1, 1], [0.5, 0, 1, 1]])
+def test_learning_takes_only_0_1_bits(bits):
+    with pytest.raises(RangeError, match="0 or 1"):
+        learn_threshold(2, 4, bits, 0)
+    tree = learn_threshold(2, 4, [1, 0, 1, 1], 0)
+    with pytest.raises(RangeError, match="0 or 1"):
+        evaluate_learned(tree, bits)
+
+
 def test_sample_parameter_prefix():
     x = make_example(30, 15)
     tree = learn_threshold(3, 64, x, seed=6)
@@ -126,6 +137,13 @@ def test_json_roundtrip():
         assert np.array_equal(a, b)
     probe = make_example(16, 9, seed=3)
     assert evaluate_learned(back, probe) == evaluate_learned(tree, probe)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_from_json_needs_an_input(n):
+    text = json.dumps({"n": n, "seed": 0, "example_ones": 0, "levels": []})
+    with pytest.raises(InputShapeError, match="n must be >= 1"):
+        LearnedTree.from_json(text)
 
 
 def test_learned_traces_match_linear_threshold_simulation():
