@@ -55,19 +55,13 @@ class ExperimentConfig:
         return cfg
 
 
+#: Each construction's catalog builder; PARAMS names the keys it takes.
 CONSTRUCTIONS = {
-    "valiant": lambda p: catalog.valiant(),
-    "linear": lambda p: catalog.linear_threshold(p["t"]),
-    "quad4": lambda p: catalog.quad4(p["t"]),
-    "quad5": lambda p: catalog.quad5(p["t"]),
-    "quad6": lambda p: catalog.quad6(p["t"]),
-    "quad7": lambda p: catalog.quad7(p["t"]),
-    "quad_k": lambda p: catalog.quad_k(p["t"]),
-    "one_step": lambda p: catalog.one_step(p["alpha"]),
-    "soft_threshold": lambda p: catalog.soft_threshold(p["k"]),
-    "staircase": lambda p: catalog.staircase(catalog.StaircaseSpec(
-        breakpoints=p["breakpoints"], heights=p["heights"],
-        epsilon=p["epsilon"], delta=p["delta"])),
+    "valiant": catalog.valiant, "linear": catalog.linear_threshold,
+    "quad4": catalog.quad4, "quad5": catalog.quad5, "quad6": catalog.quad6,
+    "quad7": catalog.quad7, "quad_k": catalog.quad_k,
+    "one_step": catalog.one_step, "soft_threshold": catalog.soft_threshold,
+    "staircase": lambda **kw: catalog.staircase(catalog.StaircaseSpec(**kw)),
 }
 
 #: What ``simulate`` runs; each mode reads its own parameters.
@@ -75,15 +69,15 @@ MODES = ("leveled", "stream", "exact", "width_scaling")
 
 _BUILDS = ("analyze", "iterate") + MODES
 
-#: Every parameter: its JSON type and what reads it, a command or a
-#: simulate mode.  ``[T]`` is a JSON array of T; an int is a float, a bool
-#: is not an int.
+#: Every parameter: its JSON type and what reads it, a command, a simulate
+#: mode or a construction.  ``[T]`` is a JSON array of T; an int is a
+#: float, a bool is not an int.
 PARAMS = {
     "max_degree": (int, ("enumerate",)),
     "construction": (str, _BUILDS),
-    "t": (float, _BUILDS),
-    "alpha": (float, _BUILDS),
-    "k": (int, _BUILDS),
+    "t": (float, ("linear", "quad4", "quad5", "quad6", "quad7", "quad_k")),
+    "alpha": (float, ("one_step", "stream")),
+    "k": (int, ("soft_threshold", "stream")),
     "p": (float, ("iterate", "leveled", "stream", "exact")),
     "levels": (int, ("iterate", "leveled", "exact", "learn")),
     "m": (int, ("leveled", "exact")),
@@ -95,16 +89,14 @@ PARAMS = {
     "sample": (int, ("eval",)),
     "x_file": (str, ("learn",)),
     "learned_file": (str, ("eval",)), "input_file": (str, ("eval",)),
-    "breakpoints": ([float], _BUILDS), "heights": ([float], _BUILDS),
-    "epsilon": (float, _BUILDS), "delta": (float, _BUILDS),
+    "breakpoints": ([float], ("staircase",)),
+    "heights": ([float], ("staircase",)),
+    "epsilon": (float, ("staircase",)), "delta": (float, ("staircase",)),
     "widths": ([int], ("leveled",)),
     "bits": ([int], ("leveled", "stream")),
     "gammas": ([float], ("width_scaling",)),
     "epsilons": ([float], ("width_scaling",)),
 }
-
-#: Construction parameters that stream mode reads too (decay rate, items).
-_SHARED = {"one_step": "alpha", "soft_threshold": "k"}
 
 #: The commands and simulate modes that can write CSV; the rest write JSON.
 _CSV = ("enumerate", "iterate", "leveled", "stream")
@@ -122,19 +114,24 @@ def _has_type(value, typ) -> bool:
         value, (int, float) if typ is float else typ)
 
 
-def reader_of(command: str, params: dict) -> str:
-    """What reads ``params`` in PARAMS: the command, or simulate's mode."""
-    if command != "simulate":
-        return command
-    mode = params.get("mode", "leveled")
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {', '.join(MODES)}: {mode!r}")
-    return mode
+def readers_of(command: str, params: dict) -> tuple:
+    """What reads ``params`` in PARAMS: the command or simulate's mode, then
+    the construction if the command builds one."""
+    what = params.get("mode", "leveled") if command == "simulate" else command
+    if command == "simulate" and what not in MODES:
+        raise UsageError(f"mode must be one of {', '.join(MODES)}: {what!r}")
+    if what not in PARAMS["construction"][1]:
+        return (what,)
+    name = params.get("construction")
+    if name not in CONSTRUCTIONS:
+        raise UsageError(f"construction must be one of "
+                         f"{', '.join(CONSTRUCTIONS)}: {name!r}")
+    return what, name
 
 
 def check_params(cfg: ExperimentConfig) -> None:
-    """Raise UsageError for a value not of its PARAMS type, a key that is
-    not read, a key that would set two things at once, or csv output
+    """Raise UsageError for a value not of its PARAMS type, a key that
+    nothing reads, a key that would set two things at once, or csv output
     where there is only JSON."""
     command, params = cfg.command, cfg.params
     for name, value in params.items():
@@ -143,29 +140,30 @@ def check_params(cfg: ExperimentConfig) -> None:
             want = (f"a list of {typ[0].__name__}" if isinstance(typ, list)
                     else typ.__name__)
             raise UsageError(f"{name} must be {want}: {value!r}")
-    what = reader_of(command, params)
-    label = command if what == command else f"simulate --mode {what}"
+    who = readers_of(command, params)
+    label = command if who[0] == command else f"simulate --mode {who[0]}"
     for name in params:
-        if what not in PARAMS.get(name, (None, ()))[1]:
-            raise UsageError(f"{label} does not read parameter {name!r}")
-    shared = _SHARED.get(params.get("construction"))
-    if shared and what == "stream":
-        raise UsageError(f"{params['construction']} cannot run in stream "
-                         f"mode: {shared} would set both it and the stream")
+        readers = PARAMS.get(name, (None, ()))[1]
+        read = [r for r in who if r in readers]
+        if not read:
+            by = who[-1] if set(readers) & set(CONSTRUCTIONS) else label
+            raise UsageError(f"{by} does not read parameter {name!r}")
+        if len(read) > 1:
+            raise UsageError(f"{who[1]} cannot run in {label}: {name} would "
+                             f"set both it and the {who[0]}")
     if "widths" in params and ("m" in params or "levels" in params):
         raise UsageError("widths sets every level's width; give it without "
                          "m and levels")
-    if cfg.format == "csv" and what not in _CSV:
+    if ("u" in params) != ("v" in params):
+        raise UsageError("u and v bound one corridor; give both or neither")
+    if cfg.format == "csv" and who[0] not in _CSV:
         raise UsageError(f"{label} writes JSON only, not csv")
 
 
 def build_construction(params: dict) -> catalog.TreeDistribution:
-    name = params.get("construction")
-    if name not in CONSTRUCTIONS:
-        raise AmptreeError(
-            f"unknown construction {name!r}; choose from "
-            f"{sorted(CONSTRUCTIONS)}")
-    return CONSTRUCTIONS[name](params)
+    name = params["construction"]
+    return CONSTRUCTIONS[name](**{key: params[key] for key, (_, readers)
+                                  in PARAMS.items() if name in readers})
 
 
 def _emit(cfg: ExperimentConfig, text: str) -> None:
@@ -216,7 +214,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             failures.append({"check": "threshold-fixed-point",
                              "expected": dist.threshold,
                              "found": interior})
-    if "u" in cfg.params and "v" in cfg.params:
+    if "u" in cfg.params:
         t = dist.threshold
         if t is None:
             raise UsageError(f"{dist.label} has no threshold to check --u/--v "
@@ -258,7 +256,7 @@ def cmd_iterate(cfg: ExperimentConfig) -> int:
 def cmd_simulate(cfg: ExperimentConfig) -> int:
     dist = build_construction(cfg.params)
     params = cfg.params
-    mode = reader_of("simulate", params)
+    mode = readers_of("simulate", params)[0]
     inputs = dict(seed=cfg.seed, trials=params.get("trials", 1),
                   input_p=params.get("p"), input_bits=params.get("bits"))
     if mode == "leveled":

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amptree import cli, learning
+from amptree import catalog, cli, learning
 from amptree.cli import ExperimentConfig, main
 
 
@@ -210,11 +210,14 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
     for name, value in (("list", [1, 0, 1]), ("levels", {"levels": 4}),
                         ("wiring", out_of_range), ("object", {"a": 1}),
                         ("number", 5), ("strings", [1, "x"]),
-                        ("twos", [1, 2, 0])):
+                        ("twos", [1, 2, 0]),
+                        ("no_inputs", {"n": 0, "seed": 0, "example_ones": 0,
+                                       "levels": []})):
         bad[name] = tmp_path / f"{name}.json"
         bad[name].write_text(json.dumps(value))
     cases = [["eval", "--learned-file", str(bad[name]), "--input-file",
-              str(bits)] for name in ("list", "levels", "wiring")]
+              str(bits)] for name in ("list", "levels", "wiring",
+                                      "no_inputs")]
     cases += [["eval", "--learned-file", str(learned), "--input-file",
                str(bad[name])] for name in ("object", "number", "strings")]
     cases += [["learn", "--x-file", str(bad[name]), "--levels", "2",
@@ -264,7 +267,46 @@ def test_threads_flag_is_gone():
 
 def test_unknown_construction_fails_cleanly():
     code, _ = run_cli(["analyze", "--construction", "nonsense"])
-    assert code == 1
+    assert code == 2
+
+
+#: One value for every construction key, and what each construction is
+#: with them.
+KEYS = {"t": 0.5, "alpha": 0.5, "k": 5, "breakpoints": [0.5], "heights": [],
+        "epsilon": 0.2, "delta": 0.2}
+BUILT = {
+    "valiant": catalog.valiant,
+    "linear": lambda: catalog.linear_threshold(0.5),
+    "quad4": lambda: catalog.quad4(0.5), "quad5": lambda: catalog.quad5(0.5),
+    "quad6": lambda: catalog.quad6(0.5), "quad7": lambda: catalog.quad7(0.5),
+    "quad_k": lambda: catalog.quad_k(0.5),
+    "one_step": lambda: catalog.one_step(0.5),
+    "soft_threshold": lambda: catalog.soft_threshold(5),
+    "staircase": lambda: catalog.staircase(
+        catalog.StaircaseSpec((0.5,), (), 0.2, 0.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli.CONSTRUCTIONS))
+def test_each_construction_reads_the_keys_params_names(name):
+    keys = {key: value for key, value in KEYS.items()
+            if name in cli.PARAMS[key][1]}
+    params = dict(keys, construction=name)
+    built = cli.build_construction(params)
+    assert built.to_json() == BUILT[name]().to_json()
+    code, out, err = run_cli_err(["analyze", "--params", json.dumps(params)])
+    assert code == 0, err
+    assert json.loads(out)["label"] == built.label
+    for key in keys:
+        code, out, err = run_cli_err(["analyze", "--params", json.dumps(
+            {k: v for k, v in params.items() if k != key})])
+        assert (code, out) == (2, ""), key
+        assert err == f"missing required config field: {key!r}\n"
+    for key in sorted(set(KEYS) - set(keys)):
+        code, out, err = run_cli_err(["analyze", "--params", json.dumps(
+            dict(params, **{key: KEYS[key]}))])
+        assert (code, out) == (2, ""), key
+        assert err == f"error: {name} does not read parameter {key!r}\n"
 
 
 def test_console_entry_point_runs():
@@ -386,6 +428,23 @@ STREAM = ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
     (["simulate", "--construction", "linear", "--t", "0.5", "--mode",
       "width_scaling", "--format", "csv"],
      "simulate --mode width_scaling writes JSON only"),
+    (["analyze", "--construction", "valiant", "--t", "0.3", "--alpha", "0.2",
+      "--k", "4"], "valiant does not read parameter 't'"),
+    (["simulate", "--construction", "quad4", "--t", "0.5", "--mode", "exact",
+      "--m", "5", "--levels", "2", "--p", "0.5", "--params",
+      '{"breakpoints": [0.5]}'],
+     "quad4 does not read parameter 'breakpoints'"),
+    (["simulate", "--construction", "linear", "--t", "0.5", "--m", "5",
+      "--levels", "2", "--n", "4", "--p", "0.5", "--alpha", "0.1"],
+     "linear does not read parameter 'alpha'"),
+    (["analyze", "--construction", "nonsense"],
+     "construction must be one of valiant, linear, "),
+    (["simulate", "--mode", "exact", "--m", "5", "--levels", "2", "--p",
+      "0.5"], "construction must be one of valiant, linear, "),
+    (["analyze", "--construction", "quad4", "--t", "0.5", "--u", "0.2"],
+     "u and v bound one corridor; give both or neither"),
+    (["analyze", "--construction", "quad4", "--t", "0.5", "--v", "0.8"],
+     "u and v bound one corridor; give both or neither"),
 ])
 def test_params_a_mode_does_not_read_exit_2(args, message):
     code, out, err = run_cli_err(args)
@@ -510,8 +569,9 @@ def cli_calls(draw, files):
     command, base = draw(st.sampled_from(VALID))
     params = {name: files.get(value, value) if name.endswith("_file")
               else value for name, value in base.items()}
+    who = set(cli.readers_of(command, base))
     read = [name for name, (_, readers) in cli.PARAMS.items()
-            if cli.reader_of(command, base) in readers]
+            if who & set(readers)]
     names = draw(st.lists(st.sampled_from(read), max_size=3))
     if draw(st.integers(0, 9)) == 0:
         names.append(draw(st.sampled_from(sorted(cli.PARAMS) + ["bogus"])))
