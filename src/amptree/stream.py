@@ -12,12 +12,19 @@ exponent passes 600 it rescales and moves ``base`` up, so the ledger
 stays finite for any alpha*k.  The ``prefix_tree`` engine keeps an
 explicit prefix-sum tree with O(log N) draws; it is a reference only.
 
+The default engine takes 128 steps at a time, cut where the ledger
+rescales.  Wiring reads uniforms and the ledger, never a bit, so a chunk
+is wired at once, then evaluated with its own items set to each trial's
+last earlier item; the items wired into the chunk are re-evaluated until
+a round changes nothing.  Each item reads only earlier items, so the
+chunk has one fixed point, and a round that changes nothing has found it.
+
 Determinism: each trial owns generator PCG64(derive_seed(seed, trial));
 it first draws the Bernoulli inputs (if any), then k rows of 1 + max_leaves
 uniforms: column 0 picks the tree, the rest pick its leaves.  The default
-engine draws them in step chunks, the reference in one block; the numbers
-are the same, so a run is bit-reproducible per (seed, trial) however it
-is chunked or batched.
+engine draws them 128 rows at a time, the reference in one block; the
+numbers are the same, so a run is bit-reproducible per (seed, trial)
+however it is chunked or batched.
 """
 from __future__ import annotations
 
@@ -40,10 +47,10 @@ _MAX_TOTAL_EXPONENT = 600.0
 #: e^alpha is a finite float up to this decay rate.
 _MAX_ALPHA = math.log(sys.float_info.max)
 
-#: Uniform rows drawn from each trial's generator at a time.
-_STEP_CHUNK = 1024
+#: Steps drawn, wired and evaluated together.
+_STEP_CHUNK = 128
 
-#: Memory budget (bytes) per batch: its items and one chunk of uniforms.
+#: Memory budget (bytes) per batch: its items and one chunk's buffers.
 _BATCH_BUDGET = 320_000_000
 
 
@@ -191,74 +198,92 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
     return _simulate_vectorized(dist, config, keep_bits)
 
 
+def _per_trial(n: int, k: int, cols: int) -> int:
+    """Batch bytes per trial: its bits row and, per chunk step and column,
+    uniforms (8 raw, 8 leaf-major), leaf indices (8 + 8) and a bit (1)."""
+    return n + k + _STEP_CHUNK * cols * 33
+
+
 def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
                          keep_bits: bool = False) -> StreamTrace:
     trees, cumw, max_leaves = entry_table(dist)
     n, k, alpha = config.n, config.k, config.alpha
-    cols = 1 + max_leaves
+    cols, size = 1 + max_leaves, n + k
     steps = recorded_steps(n, k, alpha)
     x = np.empty((config.trials, len(steps)), dtype=np.float64)
     final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
 
-    per_trial = n + k + _STEP_CHUNK * cols * 8
-    batch_size = max(1, min(config.trials, _BATCH_BUDGET // per_trial))
+    batch_size = max(1, min(config.trials,
+                            _BATCH_BUDGET // _per_trial(n, k, cols)))
     draw = input_draw(config)
-    kept = np.empty((config.trials, n + k), dtype=np.uint8) if keep_bits \
-        else None
+    kept = np.empty((config.trials, size), np.uint8) if keep_bits else None
 
     for start in range(0, config.trials, batch_size):
         batch = range(start, min(start + batch_size, config.trials))
         b = len(batch)
-        bits = np.zeros((b, n + k), dtype=np.uint8)
+        bits = np.zeros((b, size), dtype=np.uint8)
+        flat = bits.ravel()
         rngs = [generator(config.seed, trial) for trial in batch]
         for row, rng in enumerate(rngs):
             bits[row, :n] = draw(rng.random)
-        numer = bits[:, :n].sum(axis=1).astype(np.float64)
+        u = np.empty((b, _STEP_CHUNK, cols))
+        rows = np.arange(b)[:, None] * size
         # denom takes numer's steps with every item firing: numer <= denom.
-        denom = float(n)
-        rows_arange = np.arange(b)
+        numer, denom = bits[:, :n].sum(axis=1).astype(np.float64), float(n)
         x[start:start + b, 0] = numer / n          # steps[0] == 0
-        rec, base, end = 1, 0, 0
-        for j in range(k):
-            if j % _STEP_CHUNK == 0:
-                rows = min(_STEP_CHUNK, k - j)
-                u3 = np.stack([rng.random((rows, cols)) for rng in rngs])
-            u = u3[:, j % _STEP_CHUNK, :]
-            which = np.searchsorted(cumw, u[:, 0], side="right")
+        base, end, a = 0, 0, 0
+        while a < k:
+            c0 = a - a % _STEP_CHUNK
+            if a == c0:
+                for row, rng in enumerate(rngs):
+                    rng.random(out=u[row, :min(_STEP_CHUNK, k - a)])
+            if alpha > 0 and a + 1 > end:
+                # Renormalize: weights relative to e^(alpha*a) up to end.
+                numer *= math.exp(alpha * (base - a))
+                denom *= math.exp(alpha * (base - a))
+                base = a
+                expo = alpha * (np.arange(k + 1, dtype=np.float64) - base)
+                end = max(a + 1, int(np.searchsorted(
+                    expo, _MAX_TOTAL_EXPONENT, side="right")) - 1)
+                cumweight = ((np.expm1(expo[:end + 1])
+                              - np.expm1(-alpha * base)) / np.expm1(alpha))
+                item_w = np.exp(expo[base:end])
+                w_in = math.exp(-alpha * base)        # one input's weight
+                n_w = n * w_in
+            z = min(c0 + _STEP_CHUNK, k, end if alpha > 0 else k)
+            js, uz = np.arange(a, z), u[:, a - c0:z - c0]
+            which = np.searchsorted(cumw, uz[..., 0], side="right")
+            lv = np.moveaxis(uz[..., 1:], 2, 0).copy()    # (leaves, b, z - a)
             if alpha == 0:
-                total = float(n + j)
-                idx = np.minimum((u[:, 1:] * total).astype(np.int64), n + j - 1)
+                idx = np.minimum((lv * (n + js)).astype(np.int64), n + js - 1)
             else:
-                if j + 1 > end:
-                    # Renormalize: weights relative to e^(alpha*j) up to end.
-                    numer *= math.exp(alpha * (base - j))
-                    denom *= math.exp(alpha * (base - j))
-                    base = j
-                    expo = alpha * (np.arange(k + 1, dtype=np.float64) - base)
-                    end = max(j + 1, int(np.searchsorted(
-                        expo, _MAX_TOTAL_EXPONENT, side="right")) - 1)
-                    cumweight = ((np.expm1(expo[:end + 1])
-                                  - np.expm1(-alpha * base)) / np.expm1(alpha))
-                    item_w = np.exp(expo[base:end])
-                    w_in = math.exp(-alpha * base)        # one input's weight
-                    n_w = n * w_in
-                total = n_w + cumweight[j]
-                r = u[:, 1:] * total
+                r = lv * (n_w + cumweight[js])
                 # r < n_w is false once w_in underflows; any divisor serves
                 idx_inputs = np.minimum(np.minimum(r, n_w) / (w_in or 1.0),
                                         n - 1).astype(np.int64)
-                z = np.maximum(r - n_w, 0.0)
-                pos = np.searchsorted(cumweight, z.ravel(),
-                                      side="right").reshape(z.shape) - 1
-                idx = np.where(r < n_w, idx_inputs,
-                               n + np.clip(pos, 0, max(j - 1, 0)))
-            new = eval_blocks(trees, which, bits[rows_arange[:, None], idx])
-            bits[:, n + j] = new
-            numer += (new if alpha == 0 else new * item_w[j - base])
-            denom += 1.0 if alpha == 0 else item_w[j - base]
-            if rec < len(steps) and steps[rec] == j + 1:
-                x[start:start + b, rec] = numer / denom
-                rec += 1
+                pos = np.searchsorted(cumweight, np.maximum(r - n_w, 0.0),
+                                      side="right") - 1
+                idx = np.where(r < n_w, idx_inputs, n + np.minimum(
+                    np.maximum(pos, 0), np.maximum(js - 1, 0)))
+            at = (idx + rows).reshape(max_leaves, -1)
+            which, out = which.ravel(), (rows + n + js).ravel()
+            flat[out] = bits[:, n + a - 1].repeat(z - a)         # the guess
+            flat[out] = eval_blocks(trees, which, flat[at].T)
+            inner = np.flatnonzero((idx >= n + a).any(axis=0))
+            at, which, out = at[:, inner], which[inner], out[inner]
+            new = eval_blocks(trees, which, flat[at].T)
+            while not np.array_equal(new, flat[out]):             # settle
+                flat[out] = new
+                new = eval_blocks(trees, which, flat[at].T)
+            # Ledger: the same sequential adds as one step at a time.
+            w = np.ones(z - a) if alpha == 0 else item_w[a - base:z - base]
+            numers = np.add.accumulate(np.concatenate(
+                (numer[:, None], bits[:, n + a:n + z] * w), axis=1), axis=1)
+            denoms = np.add.accumulate(np.concatenate(((denom,), w)))
+            lo, hi = np.searchsorted(steps, (a + 1, z + 1))
+            hit = steps[lo:hi] - a
+            x[start:start + b, lo:hi] = numers[:, hit] / denoms[hit]
+            numer, denom, a = numers[:, -1], denoms[-1], z
         if k:
             final[start:start + b] = bits[:, n + k - 1]
         if keep_bits:

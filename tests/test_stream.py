@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from amptree import stream
-from amptree.catalog import linear_threshold, quad4
+from amptree.catalog import linear_threshold, quad4, soft_threshold, valiant
 from amptree.errors import InputShapeError, RangeError
 from amptree.stream import (PrefixSumTree, StreamConfig,
                             phase_progress_report, recorded_steps,
@@ -181,23 +181,55 @@ def test_x_is_one_when_every_item_fires(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0 renormalizes
 @pytest.mark.parametrize("inputs", ["p", "bits"])
-def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
-    n, k, trials = 12, 200, 5
+@pytest.mark.parametrize("n", [12, 2])    # n = 2: long chains in a chunk
+def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs,
+                                                n):
+    k, trials = 200, 5
     given = ({"input_p": 0.45} if inputs == "p"
              else {"input_bits": tuple(int(i % 3 == 0) for i in range(n))})
     cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=31, trials=trials,
                        **given)
     ref = simulate_stream(LT, cfg, keep_bits=True)
     cols = 1 + LT.max_leaf_count
-    for chunk in (1, 7):
+    for chunk in (1, 7, 64):
         for per_batch in (trials, 2, 1):
             monkeypatch.setattr(stream, "_STEP_CHUNK", chunk)
             monkeypatch.setattr(stream, "_BATCH_BUDGET",
-                                per_batch * (n + k + chunk * cols * 8))
+                                per_batch * stream._per_trial(n, k, cols))
             trace = simulate_stream(LT, cfg, keep_bits=True)
             assert np.array_equal(trace.x, ref.x), (chunk, per_batch)
             assert np.array_equal(trace.final_bits, ref.final_bits)
             assert np.array_equal(trace.bits, ref.bits)
+
+
+STREAM_DISTS = {"linear": LT, "quad4": quad4(0.5), "valiant": valiant(),
+                "soft6": soft_threshold(6)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(STREAM_DISTS)), n=st.integers(1, 6),
+       k=st.integers(0, 3 * stream._STEP_CHUNK + 5),
+       alpha=st.sampled_from([0.0, 1e-3, 0.3, 5.0]),    # 5.0 renormalizes
+       trials=st.integers(1, 4), p=st.sampled_from([0.2, 0.5, 0.8]),
+       seed=st.integers(0, 2**32 - 1))
+def test_settled_chunks_match_the_reference_engine(name, n, k, alpha, trials,
+                                                   p, seed):
+    # Every item the default engine settles inside a chunk must fire as the
+    # reference engine's one-item-at-a-time run says; with n <= 6, most
+    # leaves land inside their own chunk.
+    dist = STREAM_DISTS[name]
+    cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=seed, trials=trials,
+                       input_p=p)
+    trace = simulate_stream(dist, cfg, keep_bits=True)
+    ref = simulate_stream(dist, cfg, engine="prefix_tree", keep_bits=True)
+    assert np.array_equal(trace.bits, ref.bits)
+    assert np.array_equal(trace.final_bits, ref.final_bits)
+    assert np.allclose(trace.x, ref.x, rtol=0.0, atol=1e-9)
+    assert trace.x.max() <= 1.0
+    for trial in range(trials):
+        for col, step in enumerate(trace.steps):
+            assert abs(trace.recompute_x(trial, int(step))
+                       - trace.x[trial, col]) <= 1e-9
 
 
 def test_csv_format():
