@@ -181,25 +181,25 @@ def test_x_is_one_when_every_item_fires(alpha):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0 renormalizes
 @pytest.mark.parametrize("inputs", ["p", "bits"])
-@pytest.mark.parametrize("n", [12, 2])    # n = 2: long chains in a chunk
-def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs,
-                                                n):
+def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
     k, trials = 200, 5
-    given = ({"input_p": 0.45} if inputs == "p"
-             else {"input_bits": tuple(int(i % 3 == 0) for i in range(n))})
-    cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=31, trials=trials,
-                       **given)
-    ref = simulate_stream(LT, cfg, keep_bits=True)
-    cols = 1 + LT.max_leaf_count
-    for chunk in (1, 7, 64):
-        for per_batch in (trials, 2, 1):
-            monkeypatch.setattr(stream, "_STEP_CHUNK", chunk)
-            monkeypatch.setattr(stream, "_BATCH_BUDGET",
-                                per_batch * stream._per_trial(n, k, cols))
-            trace = simulate_stream(LT, cfg, keep_bits=True)
-            assert np.array_equal(trace.x, ref.x), (chunk, per_batch)
-            assert np.array_equal(trace.final_bits, ref.final_bits)
-            assert np.array_equal(trace.bits, ref.bits)
+    for n in (12, 2):                   # n = 2: long chains in a chunk
+        given = ({"input_p": 0.45} if inputs == "p" else
+                 {"input_bits": tuple(int(i % 3 == 0) for i in range(n))})
+        cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=31, trials=trials,
+                           **given)
+        monkeypatch.undo()
+        ref = simulate_stream(LT, cfg, keep_bits=True)
+        cols = 1 + LT.max_leaf_count
+        for chunk in (1, 7, 64):
+            for per_batch in (trials, 2, 1):
+                monkeypatch.setattr(stream, "_STEP_CHUNK", chunk)
+                monkeypatch.setattr(stream, "_BATCH_BUDGET",
+                                    per_batch * stream._per_trial(n, k, cols))
+                trace = simulate_stream(LT, cfg, keep_bits=True)
+                assert np.array_equal(trace.x, ref.x), (n, chunk, per_batch)
+                assert np.array_equal(trace.final_bits, ref.final_bits)
+                assert np.array_equal(trace.bits, ref.bits)
 
 
 STREAM_DISTS = {"linear": LT, "quad4": quad4(0.5), "valiant": valiant(),
