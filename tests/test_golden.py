@@ -84,6 +84,13 @@ def _learned_json() -> bytes:
     return _learned().to_json().encode()
 
 
+def _learned_json_wide() -> bytes:
+    # 12,000 inputs: level-1 wiring indices have 1 to 5 digits.
+    example = (generator(5, 2).random(12_000) < 0.4).astype(int).tolist()
+    return learn_threshold(levels=3, width=1500, example=example,
+                           seed=13).to_json().encode()
+
+
 def _learned_trace() -> bytes:
     rng = generator(5, 1)
     bits = (rng.random(60) < 0.45).astype(int).tolist()
@@ -166,6 +173,7 @@ CASES = {
        for name in LEVELED_DISTS for inputs in ("p", "bits")},
     **{f"stream-{name}": (lambda n=name: _stream(n)) for name in STREAMS},
     "learned-json": _learned_json,
+    "learned-json-wide": _learned_json_wide,
     "learned-trace": _learned_trace,
     **{f"cli-{name}": (lambda n=name: _cli(n)) for name in CLI},
     "sweep-quad_k": lambda: _sweep(quad_k),
@@ -195,6 +203,7 @@ GOLDEN = {
     'fixed-points-soft6': '0e9a98e6da50496361cf14cefb4203ae069925b14df500cd44e27ae0f2bf62ba',
     'fixed-points-valiant': '2f7c75a16528845bfa462a7a078abc1684aa9e1d7bc7e7e87f6a1e196bc0db2b',
     'learned-json': '00c80155538d4b0fd9d097d2a92c72fddf68ae04c207506d5758622a8ee1bb23',
+    'learned-json-wide': '11b32715d04e0ad79338589e7fe488c9cf8bd552ce1ef3b5d87af29362d27549',
     'learned-trace': 'eca4fe156f3e26a2efbb45186b5d38e8be2c2b02319a362a208b2449454014dc',
     'leveled-linear-bits': '654012d0c9bb3147c9b3ca04c3878eab11a412de73a368de803ee2bcdba4e500',
     'leveled-linear-p': '1f9dec92fd69e762ad457dcc4782ccaee376f3b00a0e95ba491df8bf7f4140ce',
