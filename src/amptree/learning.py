@@ -57,14 +57,32 @@ class LearnedTree:
         return total / count
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "seed": self.seed,
-            "example_ones": self.example_ones,
-            "levels": [
-                {"blocks": lvl.tolist(), "wiring": w.tolist()}
-                for lvl, w in zip(self.blocks, self.wiring)],
-        }, separators=(",", ":"))
+        """``json.dumps`` of the arrays as lists, compact, byte for byte.
+
+        Raises ValueError for a negative index or a block outside {0, 1}.
+        """
+        head = json.dumps({key: getattr(self, key) for key in (
+            "n", "seed", "example_ones")}, separators=(",", ":"))
+        top = max((int(w.max()) + 1 for w in self.wiring if w.size), default=1)
+        table = np.array([str(i).encode() for i in range(top)])
+        parts = [head[:-1].encode(), b',"levels":[']
+        for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
+            if ((b != 0) & (b != 1)).any() or (w.size and w.min() < 0):
+                raise ValueError(f"level {level} has a negative index or "
+                                 "a block outside {0, 1}")
+            flags = np.full((b.size, 2), ord(","), np.uint8)
+            flags[:, 1] = b + ord("0")
+            # Row i is ",[" then "a," "b," "c]", each cell NUL-padded.
+            rows = np.zeros((len(w), 1 + w.shape[1], table.itemsize + 1),
+                            np.uint8)
+            rows[:, 0, 0] = ord(",")
+            rows[:, :, -1] = np.frombuffer(
+                b"[" + b"," * (w.shape[1] - 1) + b"]", np.uint8)
+            rows[:, 1:, :-1] = table[w][..., None].view(np.uint8)
+            parts += [b"," * (level > 1), b'{"blocks":[', flags.tobytes()[1:],
+                      b'],"wiring":[', rows.tobytes()[1:], b"]}"]
+        text = np.frombuffer(b"".join(parts) + b"]}", np.uint8)
+        return text[text != 0].tobytes().decode()
 
     @classmethod
     def from_json(cls, text: str) -> "LearnedTree":

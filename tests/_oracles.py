@@ -5,11 +5,14 @@ activation probabilities come from exhaustive assignment enumeration, and
 fixed-point claims on exact-integer polynomials are verified in rational
 arithmetic.  The scalar grid loops at the end are the one-point-per-call
 forms of the library's array-evaluated analysis grids, kept as the
-reference those must match exactly.
+reference those must match exactly.  ``learned_json`` is the
+``json.dumps`` writer of learned structures that ``LearnedTree.to_json``
+must match byte for byte.
 """
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -133,3 +136,15 @@ def scalar_certified_corridor(f, t: float):
     if best_u is None or best_v is None:
         return None
     return best_u, best_v
+
+
+def learned_json(tree) -> str:
+    """``LearnedTree.to_json`` through Python lists and ``json.dumps``."""
+    return json.dumps({
+        "n": tree.n,
+        "seed": tree.seed,
+        "example_ones": tree.example_ones,
+        "levels": [
+            {"blocks": lvl.tolist(), "wiring": w.tolist()}
+            for lvl, w in zip(tree.blocks, tree.wiring)],
+    }, separators=(",", ":"))

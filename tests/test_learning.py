@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from _oracles import learned_json
 from amptree.catalog import linear_threshold
 from amptree.errors import InputShapeError, RangeError
 from amptree.learning import LearnedTree, evaluate_learned, learn_threshold
@@ -137,6 +140,59 @@ def test_json_roundtrip():
         assert np.array_equal(a, b)
     probe = make_example(16, 9, seed=3)
     assert evaluate_learned(back, probe) == evaluate_learned(tree, probe)
+
+
+#: Indices where the number of decimal digits changes.
+DIGIT_EDGES = (0, 9, 10, 99, 100, 9999, 10000)
+
+
+@st.composite
+def learned_trees(draw):
+    """A LearnedTree of 0-4 levels, widths 1-40 and 1 to 20,000 inputs,
+    built directly; indices favour the digit-count edges."""
+    n = draw(st.one_of(st.integers(1, 20_000),
+                       st.sampled_from([1, 10, 11, 101, 10_000, 10_001])))
+    blocks, wiring, below = [], [], n
+    for width in draw(st.lists(st.integers(1, 40), max_size=4)):
+        index = st.one_of(st.integers(0, below - 1), st.sampled_from(
+            [i for i in DIGIT_EDGES if i < below]))
+        blocks.append(draw(arrays(np.uint8, width, fill=st.nothing(),
+                                  elements=st.integers(0, 1))))
+        wiring.append(draw(arrays(np.int64, (width, 3), fill=st.nothing(),
+                                  elements=index)))
+        below = width
+    return LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
+                       seed=draw(st.integers(0, 2**64 - 1)),
+                       example_ones=draw(st.integers(0, n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=learned_trees())
+def test_to_json_writes_the_json_dumps_bytes(tree):
+    text = tree.to_json()
+    assert text == learned_json(tree)
+    back = LearnedTree.from_json(text)
+    assert (back.n, back.seed, back.example_ones) == (
+        tree.n, tree.seed, tree.example_ones)
+    for a, b in zip(tree.blocks + tree.wiring, back.blocks + back.wiring):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert back.to_json() == text
+
+
+@pytest.mark.parametrize("level, bad", [(0, "wiring"), (1, "wiring"),
+                                        (0, "blocks"), (1, "blocks")])
+def test_to_json_refuses_what_from_json_refuses(level, bad):
+    tree = learn_threshold(2, 4, [1, 0, 1, 1], 0)
+    parts = {"blocks": list(tree.blocks), "wiring": list(tree.wiring)}
+    parts[bad][level] = parts[bad][level].copy()
+    parts[bad][level][-1] = -1 if bad == "wiring" else 2
+    broken = LearnedTree(n=4, blocks=tuple(parts["blocks"]),
+                         wiring=tuple(parts["wiring"]), seed=0,
+                         example_ones=3)
+    with pytest.raises(ValueError, match=f"level {level + 1}"):
+        broken.to_json()
+    with pytest.raises(InputShapeError):
+        LearnedTree.from_json(learned_json(broken))
 
 
 @pytest.mark.parametrize("n", [0, -3])
