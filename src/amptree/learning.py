@@ -12,6 +12,7 @@ draws the block picks, then the wiring, as two blocks.
 """
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,29 +92,36 @@ class LearnedTree:
         Raises InputShapeError when the JSON does not describe a structure
         :func:`evaluate_learned` can run.
         """
-        data = json.loads(text)
+        enabled = gc.isenabled()
+        gc.disable()    # one list per wiring row and no cycles to collect
         try:
-            n = int(data["n"])
-            blocks = tuple(np.asarray(lvl["blocks"], dtype=np.uint8)
-                           for lvl in data["levels"])
-            wiring = tuple(np.asarray(lvl["wiring"], dtype=np.int64)
-                           for lvl in data["levels"])
-            seed, ones = int(data["seed"]), int(data["example_ones"])
+            data = json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
+        try:
+            n, seed, ones = data["n"], data["seed"], data["example_ones"]
+            blocks = tuple(np.asarray(lvl["blocks"]) for lvl in data["levels"])
+            wiring = tuple(np.asarray(lvl["wiring"]) for lvl in data["levels"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputShapeError(
                 f"not a learned structure ({type(exc).__name__}: {exc})"
             ) from exc
+        if not all(type(v) is int for v in (n, seed, ones)):
+            raise InputShapeError("n, seed and example_ones must be integers")
         if n < 1:
             raise InputShapeError(f"n must be >= 1, got {n}")
         prev_size = n
         for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
-            if not (b.ndim == 1 and b.size and w.shape == (b.size, 3)
-                    and (b <= 1).all() and (w >= 0).all()
-                    and (w < prev_size).all()):
+            if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
+                    and b.size and w.shape == (b.size, 3)
+                    and 0 <= b.min() <= b.max() <= 1
+                    and 0 <= w.min() <= w.max() < prev_size):
                 raise InputShapeError(
-                    f"level {level} of the learned structure does not fit "
-                    f"the {prev_size} items below it")
+                    f"level {level} of the learned structure is not 0/1 "
+                    f"blocks wired into the {prev_size} items below it")
             prev_size = b.size
+        blocks = tuple(b.astype(np.uint8) for b in blocks)
         return cls(n=n, blocks=blocks, wiring=wiring, seed=seed,
                    example_ones=ones)
 

@@ -206,9 +206,18 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
     good = json.loads(learned.read_text())
     out_of_range = dict(good, levels=[dict(good["levels"][0],
                                            wiring=[[0, 0, 3]] * 5)])
+    float_block = dict(good, levels=[dict(good["levels"][0],
+                                          blocks=[0.7, 1, 1, 0, 1])])
+    float_index = dict(good, levels=[dict(good["levels"][0],
+                                          wiring=[[1.9, 0, 2]] * 5)])
     bad = {}
     for name, value in (("list", [1, 0, 1]), ("levels", {"levels": 4}),
                         ("wiring", out_of_range), ("object", {"a": 1}),
+                        ("float_block", float_block),
+                        ("float_index", float_index),
+                        ("float_n", dict(good, n=3.9)),
+                        ("string_n", dict(good, n="3")),
+                        ("string_seed", dict(good, seed="7")),
                         ("number", 5), ("strings", [1, "x"]),
                         ("twos", [1, 2, 0]),
                         ("no_inputs", {"n": 0, "seed": 0, "example_ones": 0,
@@ -217,7 +226,9 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
         bad[name].write_text(json.dumps(value))
     cases = [["eval", "--learned-file", str(bad[name]), "--input-file",
               str(bits)] for name in ("list", "levels", "wiring",
-                                      "no_inputs")]
+                                      "no_inputs", "float_block",
+                                      "float_index", "float_n", "string_n",
+                                      "string_seed")]
     cases += [["eval", "--learned-file", str(learned), "--input-file",
                str(bad[name])] for name in ("object", "number", "strings")]
     cases += [["learn", "--x-file", str(bad[name]), "--levels", "2",

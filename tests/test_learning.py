@@ -195,6 +195,40 @@ def test_to_json_refuses_what_from_json_refuses(level, bad):
         LearnedTree.from_json(learned_json(broken))
 
 
+def _learned_text(**changes):
+    """A valid learned file's JSON with top-level keys or level 1 changed."""
+    data = json.loads(learn_threshold(2, 2, [1, 0, 1], 0).to_json())
+    for key, value in changes.items():
+        if key in ("blocks", "wiring"):
+            data["levels"][0][key] = value
+        else:
+            data[key] = value
+    return json.dumps(data)
+
+
+#: Learned files with a number that is not an integer, each of which
+#: int() or a cast to an integer array would read as a different value.
+NON_INTEGER = {
+    "float n": _learned_text(n=3.9),
+    "whole float n": _learned_text(n=3.0),
+    "float block": _learned_text(blocks=[0.7, 1]),
+    "float index": _learned_text(wiring=[[1.9, 0, 2], [0, 1, 2]]),
+    "string n": _learned_text(n="3"),
+    "string seed": _learned_text(seed="7"),
+    "bool example_ones": _learned_text(example_ones=True),
+    "string index": _learned_text(wiring=[["1", 0, 2], [0, 1, 2]]),
+    "bool blocks": _learned_text(blocks=[True, False]),
+    "NaN block": _learned_text(blocks=[math.nan, 1]),
+    "huge index": _learned_text(wiring=[[2**64, 0, 2], [0, 1, 2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER))
+def test_from_json_refuses_non_integers(name):
+    with pytest.raises(InputShapeError):
+        LearnedTree.from_json(NON_INTEGER[name])
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_from_json_needs_an_input(n):
     text = json.dumps({"n": n, "seed": 0, "example_ones": 0, "levels": []})
