@@ -66,7 +66,7 @@ class LearnedTree:
             "n", "seed", "example_ones")}, separators=(",", ":"))
         top = max((int(w.max()) + 1 for w in self.wiring if w.size), default=1)
         table = np.array([str(i).encode() for i in range(top)])
-        parts = [head[:-1].encode(), b',"levels":[']
+        parts = [head[:-1], ',"levels":[']
         for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
             if ((b != 0) & (b != 1)).any() or (w.size and w.min() < 0):
                 raise ValueError(f"level {level} has a negative index or "
@@ -80,10 +80,11 @@ class LearnedTree:
             rows[:, :, -1] = np.frombuffer(
                 b"[" + b"," * (w.shape[1] - 1) + b"]", np.uint8)
             rows[:, 1:, :-1] = table[w][..., None].view(np.uint8)
-            parts += [b"," * (level > 1), b'{"blocks":[', flags.tobytes()[1:],
-                      b'],"wiring":[', rows.tobytes()[1:], b"]}"]
-        text = np.frombuffer(b"".join(parts) + b"]}", np.uint8)
-        return text[text != 0].tobytes().decode()
+            cells = rows.ravel()[1:]
+            parts += ["," * (level > 1), '{"blocks":[',
+                      flags.tobytes()[1:].decode(), '],"wiring":[',
+                      cells[cells != 0].tobytes().decode(), "]}"]
+        return "".join(parts + ["]}"])
 
     @classmethod
     def from_json(cls, text: str) -> "LearnedTree":
