@@ -206,8 +206,8 @@ def _learned_text(**changes):
     return json.dumps(data)
 
 
-#: Learned files with a number that is not an integer, each of which
-#: int() or a cast to an integer array would read as a different value.
+#: Learned files that hold something other than an integer where an
+#: integer belongs.
 NON_INTEGER = {
     "float n": _learned_text(n=3.9),
     "whole float n": _learned_text(n=3.0),
