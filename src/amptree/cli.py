@@ -83,7 +83,7 @@ PARAMS = {
     "m": (int, ("leveled", "exact")),
     "n": (int, ("leveled", "stream")),
     "width": (int, ("learn",)),
-    "trials": (int, ("leveled", "stream", "width_scaling")),
+    "trials": (int, ("leveled", "stream")),
     "mode": (str, MODES),
     "u": (float, ("analyze",)), "v": (float, ("analyze",)),
     "sample": (int, ("eval",)),
@@ -300,8 +300,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     res = leveled.width_scaling_experiment(               # width_scaling
         dist, dist.threshold,
         gammas=params.get("gammas", (0.2, 0.1, 0.05)),
-        epsilons=params.get("epsilons", (0.1, 0.05, 0.025)),
-        seed=cfg.seed, trials=params.get("trials", 200))
+        epsilons=params.get("epsilons", (0.1, 0.05, 0.025)))
     _emit(cfg, res.to_json() + "\n")
     return 0 if res.verdict == "OK" else 1
 
@@ -309,7 +308,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 def _read_bits(path: str) -> list:
     with open(path) as fh:
         bits = json.load(fh)
-    if not isinstance(bits, list) or any(b not in (0, 1) for b in bits):
+    if not isinstance(bits, list) or any(type(b) is not int or b not in (0, 1)
+                                         for b in bits):
         raise UsageError(f"{path} must hold a JSON list of 0/1 bits")
     return bits
 

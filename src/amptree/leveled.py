@@ -25,7 +25,7 @@ import numpy as np
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw
 from .catalog import TreeDistribution
 from .errors import CapacityError, InputShapeError, RangeError
-from .rng import derive_seed, stacked_streams
+from .rng import stacked_streams
 
 #: Dense (m+1)^2 transition matrices are capped here.
 EXACT_WIDTH_CAP = 2000
@@ -194,28 +194,17 @@ class WidthScalingResult:
         }, sort_keys=True)
 
 
-def _accuracy(dist: TreeDistribution, t: float, epsilon: float, m: int,
-              levels: int, n: int, trials: int, seed: int) -> float:
-    ones = int(round((t - epsilon) * n))
-    bits = (1,) * ones + (0,) * (n - ones)
-    config = LevelConfig(widths=(m,) * levels, n=n, seed=seed, trials=trials,
-                         input_bits=bits)
-    trace = simulate_leveled(dist, config)
-    return float(1.0 - trace.fractions[:, -1].mean())
-
-
 def width_scaling_experiment(dist: TreeDistribution, t: float,
                              gammas: Sequence[float],
-                             epsilons: Sequence[float], seed: int,
-                             trials: int = 200, n: int = 2000
-                             ) -> WidthScalingResult:
+                             epsilons: Sequence[float]) -> WidthScalingResult:
     """Minimal widths for 1-gamma accuracy, fit against ln(1/gamma)/eps^2.
 
-    For each (gamma, epsilon) cell a doubling search (plus three bisection
-    refinements) finds the smallest width whose empirical accuracy at input
-    margin epsilon reaches 1-gamma; the log-log regression slope of width
-    against the predictor is the scaling-law verdict.  The constants inside
-    the width bound are not reproducible; the slope is what is asserted.
+    Accuracy at width m is 1 minus the exact chain's firing from
+    p = t - epsilon: with fixed inputs each level-1 leaf is a uniform draw
+    from them.  Per cell the width doubles from 1 up to ``EXACT_WIDTH_CAP``,
+    then bisects to the least accurate width.  That takes accuracy to be
+    nondecreasing in m, as it is for m = 1..999 on criterion 8's grid.  The
+    log-log slope of width against the predictor is the verdict.
     """
     if t is None or not 0.0 < t < 1.0:
         raise RangeError(f"width scaling needs a threshold in (0,1), got {t}")
@@ -226,38 +215,34 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
             and all(0.0 < e <= t for e in epsilons)):
         raise RangeError(f"gammas must be in (0,1) and epsilons in (0, t]: "
                          f"{gammas}, {epsilons}")
-    if len({math.log(1 / g) / e ** 2 for g in gammas for e in epsilons}) < 2:
+    cells = list(product(gammas, epsilons))
+    predictors = [math.log(1 / g) / e ** 2 if e ** 2 else math.inf
+                  for g, e in cells]
+    if not all(map(math.isfinite, predictors)):
+        raise RangeError(f"ln(1/gamma)/epsilon^2 overflows a float: "
+                         f"{gammas}, {epsilons}")
+    if len(set(predictors)) < 2:
         raise RangeError(f"the slope fit needs two distinct predictors "
                          f"ln(1/gamma)/epsilon^2: {gammas}, {epsilons}")
 
     rows = []
-    for (ig, gamma), (ie, epsilon) in product(enumerate(gammas),
-                                              enumerate(epsilons)):
-        levels = int(math.ceil(math.log2(1 / gamma) +
-                               math.log2(1 / epsilon))) + 12
-        target = 1.0 - gamma
+    for (gamma, epsilon), predictor in zip(cells, predictors):
+        levels = math.ceil(math.log2(1 / gamma) + math.log2(1 / epsilon)) + 12
 
-        def acc(m: int) -> float:
-            return _accuracy(dist, t, epsilon, m, levels, n, trials,
-                             derive_seed(seed, ig, ie, m))
+        def accurate(m: int) -> bool:
+            return 1.0 - exact_level_distribution(
+                dist, m, t - epsilon, levels)[0] >= 1.0 - gamma
 
-        m = 8
-        while acc(m) < target:
-            m *= 2
-            if m > 2 ** 21:
-                raise CapacityError(
-                    f"width search exceeded 2^21 at gamma={gamma}, "
-                    f"epsilon={epsilon}")
-        lo, hi = m // 2, m
-        for _ in range(3):
-            if hi - lo <= 1:
-                break
+        lo, hi = 0, 1
+        while not accurate(hi):
+            if hi == EXACT_WIDTH_CAP:
+                raise CapacityError(f"no width up to the cap {EXACT_WIDTH_CAP} "
+                                    f"is accurate at gamma={gamma}, "
+                                    f"epsilon={epsilon}")
+            lo, hi = hi, min(2 * hi, EXACT_WIDTH_CAP)
+        while hi - lo > 1:
             mid = (lo + hi) // 2
-            if acc(mid) >= target:
-                hi = mid
-            else:
-                lo = mid
-        predictor = math.log(1 / gamma) / epsilon ** 2
+            lo, hi = (lo, mid) if accurate(mid) else (mid, hi)
         rows.append(WidthScalingRow(gamma=gamma, epsilon=epsilon,
                                     min_width=hi, predictor=predictor))
 

@@ -157,8 +157,7 @@ def test_criterion_08_width_scaling():
     start = time.perf_counter()
     res = width_scaling_experiment(quad4(0.5), 0.5,
                                    gammas=(0.2, 0.1, 0.05),
-                                   epsilons=(0.1, 0.05, 0.025),
-                                   seed=2024, trials=200, n=2000)
+                                   epsilons=(0.1, 0.05, 0.025))
     assert 0.8 <= res.slope <= 1.2
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0

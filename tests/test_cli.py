@@ -220,6 +220,8 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
                         ("string_seed", dict(good, seed="7")),
                         ("number", 5), ("strings", [1, "x"]),
                         ("twos", [1, 2, 0]),
+                        ("float_bits", [1.0, 0.0, 1]),
+                        ("bool_bits", [True, 0, 1]),
                         ("no_inputs", {"n": 0, "seed": 0, "example_ones": 0,
                                        "levels": []})):
         bad[name] = tmp_path / f"{name}.json"
@@ -230,9 +232,11 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
                                       "float_index", "float_n", "string_n",
                                       "string_seed")]
     cases += [["eval", "--learned-file", str(learned), "--input-file",
-               str(bad[name])] for name in ("object", "number", "strings")]
+               str(bad[name])] for name in ("object", "number", "strings",
+                                            "float_bits", "bool_bits")]
     cases += [["learn", "--x-file", str(bad[name]), "--levels", "2",
-               "--width", "5"] for name in ("object", "number", "twos")]
+               "--width", "5"] for name in ("object", "number", "twos",
+                                            "float_bits", "bool_bits")]
     for args in cases:
         code, out, err = run_cli_err(args)
         assert code == 2, args
@@ -373,11 +377,16 @@ def test_mistyped_or_unread_params_exit_2(tmp_path, command, params,
     ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
      "width_scaling", "--params", '{"gammas": []}'],
     ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
-     "width_scaling", "--params",
-     '{"gammas": [0.3], "epsilons": [0.2], "trials": 10}'],
+     "width_scaling", "--params", '{"gammas": [0.3], "epsilons": [0.2]}'],
     ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
      "width_scaling", "--params",
-     '{"gammas": [0.3, 0.3], "epsilons": [0.2], "trials": 10}'],
+     '{"gammas": [0.3, 0.3], "epsilons": [0.2]}'],
+    ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+     "width_scaling", "--params",
+     '{"gammas": [0.1, 0.2], "epsilons": [1e-200]}'],
+    ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
+     "width_scaling", "--params",
+     '{"gammas": [5e-324, 0.2], "epsilons": [0.1]}'],
 ])
 def test_out_of_range_values_are_one_error_line(args):
     code, out, err = run_cli_err(args)
@@ -456,6 +465,9 @@ STREAM = ["simulate", "--construction", "linear", "--t", "0.5", "--mode",
      "u and v bound one corridor; give both or neither"),
     (["analyze", "--construction", "quad4", "--t", "0.5", "--v", "0.8"],
      "u and v bound one corridor; give both or neither"),
+    (["simulate", "--construction", "quad4", "--t", "0.5", "--mode",
+      "width_scaling", "--trials", "10"],
+     "simulate --mode width_scaling does not read parameter 'trials'"),
 ])
 def test_params_a_mode_does_not_read_exit_2(args, message):
     code, out, err = run_cli_err(args)
@@ -506,9 +518,7 @@ WRONG = st.one_of(
     st.none(), st.booleans(),
     st.sampled_from([math.nan, math.inf, -math.inf, 1e400]))
 
-#: Never width_scaling: it runs a width search.
-MODES = st.one_of(st.sampled_from(["leveled", "stream", "exact"]),
-                  st.text(max_size=5))
+MODES = st.one_of(st.sampled_from(list(cli.MODES)), st.text(max_size=5))
 
 #: One call per command and simulate mode that exits 0; each fuzzed call
 #: starts from one.  "bits" and "learned" name files of fuzz_files.
@@ -526,6 +536,9 @@ VALID = (
                   "n": 4, "k": 8, "alpha": 0.5, "p": 0.5, "trials": 2}),
     ("simulate", {"construction": "quad4", "t": 0.5, "mode": "exact",
                   "m": 6, "levels": 3, "p": 0.4}),
+    ("simulate", {"construction": "quad4", "t": 0.5,
+                  "mode": "width_scaling", "gammas": [0.2, 0.1],
+                  "epsilons": [0.1, 0.05]}),
     ("learn", {"x_file": "bits", "levels": 2, "width": 4}),
     ("eval", {"learned_file": "learned", "input_file": "bits",
               "sample": 3}),

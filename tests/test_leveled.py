@@ -37,10 +37,11 @@ def test_config_validation():
                                 (0.5, (2.0,), (0.1,)), (0.5, (0.1,), (0,)),
                                 (0.5, (0.1,), (0.6,)),
                                 (0.5, (0.3,), (0.2,)),
-                                (0.5, (0.3, 0.3), (0.2,))):
+                                (0.5, (0.3, 0.3), (0.2,)),
+                                (0.5, (0.1, 0.2), (1e-200,)),
+                                (0.5, (5e-324, 0.2), (0.1,))):
         with pytest.raises(RangeError):     # before any width is searched
-            width_scaling_experiment(quad4(0.5), t, gammas, epsilons, seed=1,
-                                     trials=10, n=100)
+            width_scaling_experiment(quad4(0.5), t, gammas, epsilons)
 
 
 def test_trace_determinism():
@@ -191,6 +192,11 @@ def test_exact_distribution_sums_to_one():
 def test_exact_width_cap():
     with pytest.raises(CapacityError):
         exact_level_distribution(valiant(), 2001, 0.5, 2)
+    # width scaling probes the cap itself, then names the cell and the cap
+    with pytest.raises(CapacityError, match="cap 2000") as err:
+        width_scaling_experiment(quad4(0.5), 0.5, (0.2, 0.1), (0.001,))
+    assert "gamma=0.2, epsilon=0.001" in str(err.value)
+    assert "simulate_leveled" not in str(err.value)
 
 
 def test_exact_vs_monte_carlo_small():
@@ -236,8 +242,7 @@ def test_half_progress_falsification_rate():
 
 def test_width_scaling_smoke():
     res = width_scaling_experiment(quad4(0.5), 0.5, gammas=(0.2, 0.1),
-                                   epsilons=(0.1, 0.05), seed=31, trials=60,
-                                   n=400)
+                                   epsilons=(0.1, 0.05))
     assert len(res.rows) == 4
     assert all(r.min_width >= 1 for r in res.rows)
     # halving epsilon at fixed gamma multiplies the required width ~4x
@@ -247,3 +252,25 @@ def test_width_scaling_smoke():
     # gamma = 0.2 needs no more width than gamma = 0.1
     assert by_cell[(0.2, 0.1)] <= by_cell[(0.1, 0.1)]
     assert by_cell[(0.2, 0.05)] <= by_cell[(0.1, 0.05)]
+
+
+@pytest.mark.parametrize("gammas, epsilons", [
+    ((0.2, 0.1), (0.1, 0.05)),
+    ((0.2, 0.1), (0.5,)),                   # inputs at 0: width 1 suffices
+    ((0.2, 0.1, 0.05), (0.1, 0.05, 0.025)),
+])
+def test_width_scaling_finds_the_exact_minimum(gammas, epsilons):
+    dist = quad4(0.5)
+    res = width_scaling_experiment(dist, 0.5, gammas, epsilons)
+    assert len(res.rows) == len(gammas) * len(epsilons)
+    for row in res.rows:
+        levels = math.ceil(math.log2(1 / row.gamma) +
+                           math.log2(1 / row.epsilon)) + 12
+
+        def accuracy(m):
+            return 1.0 - exact_level_distribution(
+                dist, m, 0.5 - row.epsilon, levels)[0]
+
+        assert accuracy(row.min_width) >= 1.0 - row.gamma, row
+        if row.min_width > 1:
+            assert accuracy(row.min_width - 1) < 1.0 - row.gamma, row
