@@ -4,7 +4,8 @@ Each case renders one seeded run to bytes (the ``write_csv`` trace, the
 learned structure's JSON, the evaluation trace, or the CLI's csv output),
 or one infinite-width analysis result (fixed points, condition reports,
 the certified corridor, the exact chain, the ``analyze`` output, the quad
-constructions' mixing weights), and
+constructions' mixing weights, each construction's JSON with its mixture,
+the ``enumerate`` output, the exact A_k/B_k coefficients), and
 compares its sha256 with a value pinned in ``GOLDEN``.  A change that
 alters any seeded output fails here even if run-against-run determinism
 still holds.  The values were taken with numpy 2.4.6; a numpy release
@@ -21,8 +22,8 @@ import numpy as np
 import pytest
 
 from amptree.catalog import (GOLDEN as PHI, VALIANT_THRESHOLD,
-                             linear_threshold, quad4, quad5, quad6, quad7,
-                             quad_k, soft_threshold, valiant)
+                             linear_threshold, one_step, quad4, quad5, quad6,
+                             quad7, quad_k, soft_threshold, valiant)
 from amptree.cli import main
 from amptree.dynamics import certified_corridor, profile, verify_conditions
 from amptree.learning import evaluate_learned, learn_threshold
@@ -31,6 +32,7 @@ from amptree.leveled import (LevelConfig, exact_level_distribution,
 from amptree.polyalg import fixed_points
 from amptree.rng import generator
 from amptree.stream import StreamConfig, simulate_stream
+from amptree.trees import build_ak, build_bk, tree_polynomial
 
 BITS_N = 40
 BITS = tuple(int(i % 5 < 2) for i in range(BITS_N))      # 16 of 40 ones
@@ -110,6 +112,21 @@ CLI = {
                "--seed", "9", "--format", "csv"],
     "analyze": ["analyze", "--construction", "quad4", "--t", "0.5",
                 "--u", "0.2", "--v", "0.8"],
+    # The JSON summary, with the phase report.
+    "stream-json": ["simulate", "--construction", "linear", "--t", "0.5",
+                    "--mode", "stream", "--n", "16", "--k", "300",
+                    "--alpha", "0.02", "--p", "0.4", "--trials", "4",
+                    "--seed", "9"],
+    "enumerate-json": ["enumerate", "--max-degree", "6"],
+    "enumerate-csv": ["enumerate", "--max-degree", "5", "--format", "csv"],
+    # Fixed points from the dense mixture.
+    "analyze-soft6": ["analyze", "--construction", "soft_threshold",
+                      "--k", "6"],
+    # No dense mixture (its trees pass the cap): the scan of evaluate().
+    "analyze-staircase": ["analyze", "--construction", "staircase",
+                          "--params", json.dumps({
+                              "breakpoints": [0.3, 0.7], "heights": [0.5],
+                              "epsilon": 0.1, "delta": 0.1})],
 }
 
 
@@ -158,6 +175,27 @@ CONDITIONS = {
 }
 
 
+DISTRIBUTIONS = {
+    "valiant": valiant,
+    "linear": lambda: linear_threshold(0.3),
+    "quad4": lambda: quad4(0.5),
+    "quad5": lambda: quad5(0.4),
+    "quad6": lambda: quad6(0.3),
+    "quad7": lambda: quad7(0.2),
+    "quad_k-low": lambda: quad_k(0.05),
+    "quad_k-high": lambda: quad_k(0.97),
+    "soft6": lambda: soft_threshold(6),
+    "one_step": lambda: one_step(0.5),
+}
+
+
+def _tree_polynomials() -> bytes:
+    # A_29 has coefficients past 2**53: exact only as integers.
+    return repr([(tree_polynomial(build_ak(k)).coeffs,
+                  tree_polynomial(build_bk(k)).coeffs)
+                 for k in range(2, 30)]).encode()
+
+
 def _conditions(name: str) -> bytes:
     build, u, v = CONDITIONS[name]
     return repr(verify_conditions(build(0.5), 0.5, u, v)).encode()
@@ -188,12 +226,20 @@ CASES = {
     "corridor-quad_k": lambda: repr(
         certified_corridor(quad_k(0.9).evaluate, 0.9)).encode(),
     "exact-quad4": _exact,
+    **{f"json-{name}": (lambda n=name: DISTRIBUTIONS[n]().to_json().encode())
+       for name in DISTRIBUTIONS},
+    "polynomials-ak-bk": _tree_polynomials,
 }
 
 GOLDEN = {
     'cli-analyze': 'd3587f5a440429354442725e7c4741173a32cf150a578e09b730a73604c18d49',
+    'cli-analyze-soft6': 'c0a28f57559db7ac1606350b85ed2c658f98f6080b86f6c4cf752946f738cef6',
+    'cli-analyze-staircase': '7a9d9da2bdef9acbc2279b814feb66bc3d361464fd756e6a397f027eea82021c',
+    'cli-enumerate-csv': '45016d91ed34349da1964d792f73131c4e9963c5197a8b2e7f23345c82cbd509',
+    'cli-enumerate-json': 'b1177e5fc1fefe0a573263efa9526d5fb1eb6e144481d8066f4d432653bafd62',
     'cli-leveled': '56e6be50307b7aed1f85a5adf5755ceed82cca89f74cb1eaeb8120658de3fbde',
     'cli-stream': 'c2d506eb9f0b07a4770c27870973004227e51be55c849964e95ee247cf0ef89d',
+    'cli-stream-json': 'b782d9447b769d06b8be2e8ae639071967bae3184fb5925f6e7e87a294c5276e',
     'conditions-linear': '8bcb6f5f457d7321ce4163397293b63d4e516241385eee0d2924ff42547cb901',
     'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
     'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
@@ -202,6 +248,16 @@ GOLDEN = {
     'fixed-points-quad4': 'b11e2f86b228d875cdcbabb5e269bf7bbae5b5e219c3784fede3ab4071a3c26e',
     'fixed-points-soft6': '0e9a98e6da50496361cf14cefb4203ae069925b14df500cd44e27ae0f2bf62ba',
     'fixed-points-valiant': '2f7c75a16528845bfa462a7a078abc1684aa9e1d7bc7e7e87f6a1e196bc0db2b',
+    'json-linear': '6f1bbcec829a93bd41c9665720c72122fa7b0b0212859dafb7b5c409f547339d',
+    'json-one_step': 'd144c037cc10bad9d29aa88b235adabd2240d10a6ad4f2403c2e5d7a9f0c35f1',
+    'json-quad4': '72acc96089d3cad8d415cdbbf1402b38dd6661dde65844653c7d3008c6326150',
+    'json-quad5': '6d1e94365e77ab447adca6cbbe2e5742223b8622117910a798f9c027a58fec1e',
+    'json-quad6': 'a324399a95ef5e2142c1d5c9ec091e0af2a96fc3d49374c35c9b906a4244cb4a',
+    'json-quad7': '351a0b9d47a5d711fb7d9c11fca1ae6f3e17f0b68a117da6e5b985f7841fffd5',
+    'json-quad_k-high': 'ed1641acdcdd9be2e3ca8da7706c57d39ca40b91d04e23911f020f8e0679c546',
+    'json-quad_k-low': '5e557107e9918c50a286ab8a1e5fd2f0281b125091928fc64a75ce3a0e9952a3',
+    'json-soft6': '6ef4db9f9ac01cb099db43dcc20a51fee1bca065ac20351af2540f645bf033a2',
+    'json-valiant': '1fde1ec348096c534ffaca387f947b603d85ed9c79b1652d9a19da4a7f49d176',
     'learned-json': '00c80155538d4b0fd9d097d2a92c72fddf68ae04c207506d5758622a8ee1bb23',
     'learned-json-wide': '11b32715d04e0ad79338589e7fe488c9cf8bd552ce1ef3b5d87af29362d27549',
     'learned-trace': 'eca4fe156f3e26a2efbb45186b5d38e8be2c2b02319a362a208b2449454014dc',
@@ -211,6 +267,7 @@ GOLDEN = {
     'leveled-quad4-p': '6af860d03a2c5c4329c9aac73f819e9c9aed1a6f0596d347f7773b734c85e5fd',
     'leveled-valiant-bits': '702fc51b839b931d0daf5ded4ec160aef6bd4b241babab98c04a3de8ff2de110',
     'leveled-valiant-p': '7eb91a078d3b57bfffc0d9bece56ba3ec595fe86f603ab5aa2caf43b8182bdc3',
+    'polynomials-ak-bk': 'a026e6ca0a331dba9e96f477e0afd341f283e8508615955f8c1243b03aca79fa',
     'stream-decay': '3c0642d9b46ef9c8a2e9a3c2a32538567f178c2ff107986b7f312813eed67b37',
     'stream-fallback': 'bfccabe63e792d93c490de2d39e9182a6db0c633683e696905eba40dbb47cf94',
     'stream-quad4': '985ace8d6b7531601915a0c8a254366402ced2823a82fd92071eab84c482b9c5',
