@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import (CapacityError, DegenerateInputError,
                      InvalidStaircaseError, RangeError, WeightError)
 from .polyalg import (Polynomial, bisect_root, check_weights, iterate_point,
-                      mix, poly_from_ints, scan_fixed_points)
+                      mix, scan_fixed_points)
 from .trees import (AndOrTree, activation, and_, and_chain, build_ak, build_bk,
                     complement_tree, format_tree, leaf, or_, or_chain,
                     parse_tree, self_compose, substitute_leaves,
@@ -70,9 +70,7 @@ class TreeDistribution:
                 f"entry with {self.max_leaf_count} leaves exceeds the dense "
                 f"mixture cap ({MIXTURE_DEGREE_CAP}); use evaluate()")
         weights = [w for _, w in self.entries]
-        polys = [poly_from_ints(tree_polynomial(t).coeffs)
-                 for t, _ in self.entries]
-        return mix(weights, polys)
+        return mix(weights, [tree_polynomial(t) for t, _ in self.entries])
 
     def evaluate(self, p: float) -> float:
         """Mixture activation at ``p``, computed pointwise per tree.

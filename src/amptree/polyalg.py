@@ -1,7 +1,9 @@
-"""Floating-point polynomial algebra on [0, 1].
+"""Polynomial algebra on [0, 1].
 
 Evaluation, mixtures, derivatives, composition, pointwise iteration, and
-fixed-point finding/classification.  Iterates are always computed pointwise
+fixed-point finding/classification.  Integer coefficients (the activation
+polynomials of trees) stay exact; mixtures and every other coefficient are
+floats.  Iterates are always computed pointwise
 (repeated evaluation), never by symbolic self-composition, whose degree
 growth d^k is infeasible; symbolic ``compose`` exists for small synthesis
 jobs and documents its degree growth.
@@ -11,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,14 +39,19 @@ REMAINDER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense float polynomial, lowest degree first; evaluated by Horner."""
+    """Dense polynomial, lowest degree first; evaluated by Horner.
 
-    coeffs: tuple[float, ...]
+    Python ``int`` coefficients are kept exact and every other coefficient
+    becomes a float.  An integer polynomial evaluates exactly at an int or
+    a ``Fraction``; at a float it gives the same bits as its float copy.
+    """
+
+    coeffs: tuple[int | float, ...]
 
     def __post_init__(self):
-        c = tuple(float(x) for x in self.coeffs)
+        c = tuple(x if type(x) is int else float(x) for x in self.coeffs)
         n = len(c)
-        while n > 1 and c[n - 1] == 0.0:
+        while n > 1 and c[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", c[:n])
 
@@ -52,8 +59,8 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, p: float) -> float:
-        acc = 0.0
+    def __call__(self, p):
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * p + c
         return acc
@@ -73,10 +80,6 @@ class Polynomial:
     @classmethod
     def identity(cls) -> "Polynomial":
         return cls((0.0, 1.0))
-
-
-def poly_from_ints(coeffs: Iterable[int]) -> Polynomial:
-    return Polynomial(tuple(float(c) for c in coeffs))
 
 
 def check_weights(weights: Sequence[float]) -> None:
@@ -103,22 +106,21 @@ def mix(weights: Sequence[float], polys: Sequence[Polynomial]) -> Polynomial:
 
 def compose(f: Polynomial, g: Polynomial) -> Polynomial:
     """Symbolic f(g(p)).  Degree multiplies: deg(f)*deg(g)."""
-    acc = Polynomial((0.0,))
+    acc: tuple = (0,)
     for c in reversed(f.coeffs):
-        acc = _poly_mul(acc, g)
-        coeffs = list(acc.coeffs)
-        coeffs[0] += c
-        acc = Polynomial(tuple(coeffs))
-    return acc
+        acc = _mul(acc, g.coeffs)
+        acc = (acc[0] + c,) + acc[1:]
+    return Polynomial(acc)
 
 
-def _poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    out = [0.0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ai in enumerate(a.coeffs):
+def _mul(a: Sequence, b: Sequence) -> tuple:
+    """Coefficient product of two dense polynomials, lowest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b.coeffs):
+            for j, bj in enumerate(b):
                 out[i + j] += ai * bj
-    return Polynomial(tuple(out))
+    return tuple(out)
 
 
 def iterate_point(f: Polynomial | Callable[[float], float], p: float,

@@ -13,11 +13,10 @@ a handful of distinct nodes exist in memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import CapacityError, InputShapeError
+from .polyalg import Polynomial, _mul
 
 LEAF = "LEAF"
 AND = "AND"
@@ -243,15 +242,6 @@ def self_compose(tree: AndOrTree, k: int) -> AndOrTree:
 # Exact activation polynomials
 # ---------------------------------------------------------------------------
 
-def _mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
@@ -269,53 +259,19 @@ def _or(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _sub(_add(a, b), _mul(a, b))
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense exact-integer polynomial, lowest degree first.
-
-    Activation polynomials of AND/OR trees always satisfy a_0 = 0,
-    leading coefficient +-1, sum of coefficients 1, and |a_l| <= d^l.
-    """
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(self.coeffs)
-        n = len(c)
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", c[:n])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, p: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
-
-    def evaluate_exact(self, p: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * p + c
-        return acc
-
-
-def tree_polynomial(tree: AndOrTree) -> IntPolynomial:
+def tree_polynomial(tree: AndOrTree) -> Polynomial:
     """Exact activation polynomial of a tree; degree equals its leaf count.
 
-    Dense integer coefficients are only meaningful for moderate trees; for
-    composed giants use :func:`activation` pointwise.
+    Its coefficients are ints with a_0 = 0, leading coefficient +-1, sum 1,
+    and |a_l| <= d^l.  Dense coefficients are only meaningful for moderate
+    trees; for composed giants use :func:`activation` pointwise.
     """
     if tree.leaf_count > POLYNOMIAL_LEAF_CAP:
         raise CapacityError(
             f"tree has {tree.leaf_count} leaves; dense coefficients are "
             f"capped at degree {POLYNOMIAL_LEAF_CAP} - evaluate with "
             f"activation() instead")
-    coeffs = fold(tree, (0, 1), _mul, _or)
-    return IntPolynomial(tuple(coeffs))
+    return Polynomial(fold(tree, (0, 1), _mul, _or))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +305,7 @@ def _achievable_table(max_degree: int) -> list[dict[tuple[int, ...], AndOrTree]]
     return _ACHIEVABLE
 
 
-def enumerate_achievable(max_degree: int) -> set[IntPolynomial]:
+def enumerate_achievable(max_degree: int) -> set[Polynomial]:
     """All distinct activation polynomials of trees with <= max_degree leaves.
 
     Built bottom-up: the achievable sets of every smaller degree are
@@ -358,30 +314,30 @@ def enumerate_achievable(max_degree: int) -> set[IntPolynomial]:
     the polynomial set is what is enumerated.
     """
     table = _achievable_table(max_degree)
-    out: set[IntPolynomial] = set()
+    out: set[Polynomial] = set()
     for d in range(1, max_degree + 1):
-        out.update(IntPolynomial(c) for c in table[d])
+        out.update(Polynomial(c) for c in table[d])
     return out
 
 
-def achievable_by_degree(max_degree: int) -> dict[int, set[IntPolynomial]]:
+def achievable_by_degree(max_degree: int) -> dict[int, set[Polynomial]]:
     """Achievable polynomials grouped by exact degree."""
     table = _achievable_table(max_degree)
-    return {d: {IntPolynomial(c) for c in table[d]}
+    return {d: {Polynomial(c) for c in table[d]}
             for d in range(1, max_degree + 1)}
 
 
-def achievable_witnesses(max_degree: int) -> dict[IntPolynomial, AndOrTree]:
+def achievable_witnesses(max_degree: int) -> dict[Polynomial, AndOrTree]:
     """One witness tree per achievable polynomial.
 
     The witness is an arbitrary representative (first found in the
     bottom-up combination order); no canonical tree per polynomial exists.
     """
     table = _achievable_table(max_degree)
-    out: dict[IntPolynomial, AndOrTree] = {}
+    out: dict[Polynomial, AndOrTree] = {}
     for d in range(1, max_degree + 1):
         for coeffs, tree in table[d].items():
-            out.setdefault(IntPolynomial(coeffs), tree)
+            out.setdefault(Polynomial(coeffs), tree)
     return out
 
 

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 
 from amptree.dynamics import CORRIDOR_FACTOR, CORRIDOR_GRID
-from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, bisect_root
-from amptree.trees import AndOrTree, IntPolynomial, eval_tree
+from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, Polynomial, bisect_root
+from amptree.trees import AndOrTree, eval_tree
 
 
 def brute_force_activation(tree: AndOrTree, p: float) -> float:
@@ -42,16 +42,23 @@ def brute_force_activation_exact(tree: AndOrTree, p: Fraction) -> Fraction:
     return total
 
 
-def exact_sign_change(poly: IntPolynomial, lo: Fraction, hi: Fraction) -> bool:
-    """Whether f(p) - p changes sign between two rationals, exactly."""
+def exact_sign_change(poly: Polynomial, lo: Fraction, hi: Fraction) -> bool:
+    """Whether f(p) - p changes sign between two rationals, exactly.
+
+    Horner in rational arithmetic over the integer coefficients, not the
+    polynomial's own evaluation.
+    """
     def h(q: Fraction) -> Fraction:
-        return poly.evaluate_exact(q) - q
+        acc = Fraction(0)
+        for c in reversed(poly.coeffs):
+            acc = acc * q + c
+        return acc - q
 
     a, b = h(lo), h(hi)
     return (a < 0 < b) or (b < 0 < a)
 
 
-def verified_interior_roots(poly: IntPolynomial,
+def verified_interior_roots(poly: Polynomial,
                             candidates: list[float],
                             pad: float = 1e-6) -> list[float]:
     """Filter float root candidates of f(p) - p by an exact sign change.

@@ -16,8 +16,7 @@ from amptree.catalog import (StaircaseSpec, linear_threshold, quad4, quad5,
 from amptree.dynamics import (LINEAR, QUADRATIC, profile, verify_conditions)
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled, width_scaling_experiment)
-from amptree.polyalg import (fixed_points, iterate_point, poly_from_ints,
-                             scan_fixed_points)
+from amptree.polyalg import fixed_points, iterate_point, scan_fixed_points
 from amptree.stream import StreamConfig, simulate_stream
 from amptree.learning import learn_threshold, evaluate_learned
 from amptree.rng import generator
@@ -123,8 +122,7 @@ def test_criterion_06_degree_lower_bound():
         for q in polys:
             if len(q.coeffs) < 2 or q.coeffs[1] != 0 or d < 2:
                 continue
-            f = poly_from_ints(q.coeffs)
-            for t in verified_interior_roots(q, scan_fixed_points(f)):
+            for t in verified_interior_roots(q, scan_fixed_points(q)):
                 bound = 1.0 / (2 * d * d)
                 assert t > bound and 1.0 - t > bound, (q.coeffs, t)
                 checked += 1

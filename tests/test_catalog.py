@@ -13,7 +13,7 @@ from amptree.catalog import (GOLDEN, VALIANT_THRESHOLD, StaircaseSpec,
                              quad7, quad_k, soft_threshold, staircase, valiant)
 from amptree.errors import (CapacityError, InvalidStaircaseError, RangeError,
                             WeightError)
-from amptree.polyalg import fixed_points, iterate_point, mix, poly_from_ints, \
+from amptree.polyalg import Polynomial, fixed_points, iterate_point, mix, \
     scan_fixed_points
 from amptree.trees import (activation, build_ak, build_bk, leaf, or_, and_,
                            tree_polynomial)
@@ -49,8 +49,7 @@ def test_weights_must_be_finite():
 def test_mixture_equals_weighted_sum():
     d = linear_threshold(0.25)
     expected = mix([w for _, w in d.entries],
-                   [poly_from_ints(tree_polynomial(t).coeffs)
-                    for t, _ in d.entries])
+                   [tree_polynomial(t) for t, _ in d.entries])
     assert d.mixture.coeffs == expected.coeffs
 
 
@@ -167,10 +166,8 @@ def test_quad5_trees_have_stated_polynomials():
 
 def test_quad5_range_endpoints_from_weight_bisection():
     # alpha(t) hits 0 / 1 exactly at the pure-tree fixed points
-    lo_expect = scan_fixed_points(
-        poly_from_ints((0, 0, 6, -9, 5, -1)))[0]
-    hi_expect = scan_fixed_points(
-        poly_from_ints((0, 0, 1, 1, 0, -1)))[0]
+    lo_expect = scan_fixed_points(Polynomial((0, 0, 6, -9, 5, -1)))[0]
+    hi_expect = scan_fixed_points(Polynomial((0, 0, 1, 1, 0, -1)))[0]
 
     def alpha(t):
         d = quad5(t)

@@ -14,7 +14,7 @@ from amptree import dynamics
 from amptree.catalog import quad_k
 from amptree.dynamics import _square, _sweep, certified_corridor, \
     verify_conditions
-from amptree.polyalg import Polynomial, poly_from_ints, scan_fixed_points
+from amptree.polyalg import Polynomial, scan_fixed_points
 from amptree.trees import activation, all_trees, tree_polynomial
 
 from _oracles import (scalar_certified_corridor, scalar_scan_fixed_points,
@@ -25,7 +25,7 @@ TREES = [tree for n in range(1, 6) for tree in all_trees(n)]
 
 def _scanned(tree, kind: str):
     if kind == "polynomial":
-        return poly_from_ints(tree_polynomial(tree).coeffs)
+        return tree_polynomial(tree)
     return lambda p: activation(tree, p)
 
 

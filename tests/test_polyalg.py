@@ -1,4 +1,4 @@
-"""Float polynomial algebra: evaluation, mixtures, fixed points, ratios."""
+"""Polynomial algebra: evaluation, mixtures, fixed points, ratios."""
 import math
 from fractions import Fraction
 
@@ -9,8 +9,7 @@ from amptree.errors import (DegenerateInputError, InconsistentFixedPointError,
                             WeightError)
 from amptree.polyalg import (ATTRACTIVE, MARGINAL, NON_ATTRACTIVE, Polynomial,
                              compose, divergence_ratio, fixed_points,
-                             iterate_point, mix, poly_from_ints,
-                             scan_fixed_points)
+                             iterate_point, mix, scan_fixed_points)
 from amptree.trees import (achievable_by_degree, achievable_witnesses, and_,
                            build_ak, build_bk, complement_tree,
                            enumerate_achievable, leaf, or_, tree_polynomial)
@@ -46,8 +45,8 @@ def test_mix_single():
 
 def test_mix_linear_threshold_formula():
     x = leaf()
-    t1 = poly_from_ints(tree_polynomial(and_(or_(x, x), x)).coeffs)
-    t2 = poly_from_ints(tree_polynomial(or_(and_(x, x), x)).coeffs)
+    t1 = tree_polynomial(and_(or_(x, x), x))
+    t2 = tree_polynomial(or_(and_(x, x), x))
     mixed = mix((0.3, 0.7), (t1, t2))
     assert mixed.coeffs == pytest.approx((0.0, 0.7, 1.3, -1.0), abs=1e-15)
 
@@ -160,8 +159,8 @@ def test_divergence_ratio_bk_mixture_lower_bound():
         fb_k = None
         # mix B_k, B_{k+1} with the weight solving the fixed point at t
         for k in range(2, 12):
-            f1 = poly_from_ints(tree_polynomial(build_bk(k)).coeffs)
-            f2 = poly_from_ints(tree_polynomial(build_bk(k + 1)).coeffs)
+            f1 = tree_polynomial(build_bk(k))
+            f2 = tree_polynomial(build_bk(k + 1))
             denom = f1(t) - f2(t)
             alpha = (t - f2(t)) / denom
             if 0.0 <= alpha <= 1.0:
@@ -190,10 +189,9 @@ def test_complement_duality_for_mixtures(degree, rnd):
     weights = [rnd.random() + 1e-3 for _ in polys]
     total = sum(weights)
     weights = [w / total for w in weights]
-    fa = mix(weights, [poly_from_ints(q.coeffs) for q in polys])
-    fb = mix(weights, [
-        poly_from_ints(tree_polynomial(
-            complement_tree(witnesses[q])).coeffs) for q in polys])
+    fa = mix(weights, polys)
+    fb = mix(weights, [tree_polynomial(complement_tree(witnesses[q]))
+                       for q in polys])
     for i in range(1, 10):
         p = i / 10
         assert abs(fb(1 - p) - (1 - fa(p))) <= 1e-12
@@ -207,8 +205,7 @@ def test_complement_duality_for_mixtures(degree, rnd):
 
 def test_no_linear_term_iff_zero_derivative_at_zero():
     for poly in enumerate_achievable(5):
-        f = poly_from_ints(poly.coeffs)
-        assert (f.derivative()(0.0) == 0.0) == (poly.coeffs[1] == 0)
+        assert (poly.derivative()(0.0) == 0.0) == (poly.coeffs[1] == 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -217,8 +214,7 @@ def test_mixtures_of_achievable_stay_probabilities(degree, rnd):
     polys = list(enumerate_achievable(degree))
     weights = [rnd.random() + 1e-3 for _ in polys]
     total = sum(weights)
-    f = mix([w / total for w in weights],
-            [poly_from_ints(q.coeffs) for q in polys])
+    f = mix([w / total for w in weights], polys)
     for i in range(101):
         v = f(i / 100)
         assert -1e-9 <= v <= 1.0 + 1e-9
@@ -232,8 +228,7 @@ def test_degree_lower_bound_for_quadratic_candidates():
         for q in polys:
             if len(q.coeffs) < 2 or q.coeffs[1] != 0:
                 continue
-            f = poly_from_ints(q.coeffs)
-            roots = verified_interior_roots(q, scan_fixed_points(f))
+            roots = verified_interior_roots(q, scan_fixed_points(q))
             for t in roots:
                 assert t > 1.0 / (2 * d * d)
                 assert 1.0 - t > 1.0 / (2 * d * d)
@@ -241,7 +236,7 @@ def test_degree_lower_bound_for_quadratic_candidates():
 
 def test_ak_fixed_point_intervals():
     for k in range(2, 11):
-        f = poly_from_ints(tree_polynomial(build_ak(k)).coeffs)
+        f = tree_polynomial(build_ak(k))
         roots = scan_fixed_points(f, grid=200_000)
         assert len(roots) == 1
         assert 1.0 / k ** 2 < roots[0] < 1.0 / (k * (k - 1))
@@ -255,9 +250,8 @@ def test_path_classification_of_small_trees():
     samples = [i / 20 for i in range(1, 20)]
     for n in range(2, 6):
         for tree in all_trees(n):
-            q = tree_polynomial(tree)
-            f = poly_from_ints(q.coeffs)
-            interior = verified_interior_roots(q, scan_fixed_points(f))
+            f = tree_polynomial(tree)
+            interior = verified_interior_roots(f, scan_fixed_points(f))
             rep = fixed_points(f)
             at0 = [fp for fp in rep.points if fp.location == 0.0]
             at1 = [fp for fp in rep.points if fp.location == 1.0]
@@ -291,8 +285,7 @@ def test_interior_fixed_points_not_low_denominator_rationals():
             if has_and_path(tree) or has_or_path(tree):
                 continue
             q = tree_polynomial(tree)
-            f = poly_from_ints(q.coeffs)
-            roots = verified_interior_roots(q, scan_fixed_points(f))
+            roots = verified_interior_roots(q, scan_fixed_points(q))
             for r in roots:
                 cand = Fraction(r).limit_denominator(10 ** 6)
-                assert q.evaluate_exact(cand) != cand
+                assert q(cand) != cand
