@@ -112,24 +112,22 @@ def certified_corridor(f: Callable[[float], float], t: float
         return None
     steps = np.arange(1, CORRIDOR_GRID)
     lo_ps = t * steps / CORRIDOR_GRID
-    ratios = f(lo_ps) / (lo_ps * lo_ps)
-    best_u = None
-    running = 0.0
-    for p, r in zip(lo_ps.tolist(), ratios.tolist()):
-        running = max(running, r)
-        if running * p < CORRIDOR_FACTOR:
-            best_u = p
+    best_u = _last_certified(lo_ps, f(lo_ps) / (lo_ps * lo_ps), lo_ps)
     hi_ps = t + (1.0 - t) * steps / CORRIDOR_GRID
     hi_ratios = (1.0 - f(hi_ps)) / _square(1.0 - hi_ps)
-    best_v = None
-    running = 0.0
-    for p, r in zip(reversed(hi_ps.tolist()), reversed(hi_ratios.tolist())):
-        running = max(running, r)
-        if running * (1.0 - p) < CORRIDOR_FACTOR:
-            best_v = p
+    best_v = _last_certified(hi_ps[::-1], hi_ratios[::-1], (1.0 - hi_ps)[::-1])
     if best_u is None or best_v is None:
         return None
     return best_u, best_v
+
+
+def _last_certified(ps: np.ndarray, ratios: np.ndarray, dist: np.ndarray
+                    ) -> float | None:
+    """The last of ``ps`` where the running sup of ``ratios`` from the
+    first point on, floored at 0, times ``dist`` is below CORRIDOR_FACTOR."""
+    running = np.maximum.accumulate(np.maximum(ratios, 0.0))
+    ok = np.flatnonzero(running * dist < CORRIDOR_FACTOR)
+    return float(ps[ok[-1]]) if ok.size else None
 
 
 def _square(x: np.ndarray) -> np.ndarray:
@@ -275,9 +273,6 @@ def _sweep(lo: float, hi: float, fn: Callable[[np.ndarray], np.ndarray],
     attains it, both as Python floats.
     """
     ps = lo + (hi - lo) * np.arange(grid + 1) / grid
-    best_val = math.inf if minimize else -math.inf
-    best_p = lo
-    for p, val in zip(ps.tolist(), fn(ps).tolist()):
-        if (val < best_val) if minimize else (val > best_val):
-            best_val, best_p = val, p
-    return best_val, best_p
+    vals = fn(ps)
+    i = np.argmin(vals) if minimize else np.argmax(vals)
+    return float(vals[i]), float(ps[i])
