@@ -289,7 +289,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 summary["final_item_rate"] = float(trace.final_bits.mean())
             if dist.threshold is not None:
                 phases = stream.phase_progress_report(trace, dist.threshold)
-                summary["phases"] = json.loads(phases.to_json())["phases"]
+                summary["phases"] = stream._phase_dicts(phases.rows)
             _emit(cfg, json.dumps(summary, sort_keys=True) + "\n")
         return 0
     if mode == "exact":

@@ -371,15 +371,18 @@ class PhaseReport:
 
     def to_json(self) -> str:
         import json
-        return json.dumps({
-            "all_ok": self.all_ok,
-            "phases": [{
-                "step_start": r.step_start, "step_end": r.step_end,
-                "mean_start": r.mean_start, "mean_end": r.mean_end,
-                "epsilon": r.epsilon, "factor": r.factor,
-                "expected_bound": r.expected_bound, "passed": r.passed,
-            } for r in self.rows],
-        }, sort_keys=True)
+        return json.dumps({"all_ok": self.all_ok,
+                           "phases": _phase_dicts(self.rows)},
+                          sort_keys=True)
+
+
+def _phase_dicts(rows: tuple[PhaseRow, ...]) -> list[dict]:
+    """The rows as ``to_json`` and the CLI's stream summary write them."""
+    return [{"step_start": r.step_start, "step_end": r.step_end,
+             "mean_start": r.mean_start, "mean_end": r.mean_end,
+             "epsilon": r.epsilon, "factor": r.factor,
+             "expected_bound": r.expected_bound, "passed": r.passed}
+            for r in rows]
 
 
 def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:
