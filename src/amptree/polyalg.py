@@ -1,12 +1,12 @@
 """Polynomial algebra on [0, 1].
 
 Evaluation, mixtures, derivatives, composition, pointwise iteration, and
-fixed-point finding/classification.  Integer coefficients (the activation
-polynomials of trees) stay exact; mixtures and every other coefficient are
-floats.  Iterates are always computed pointwise
-(repeated evaluation), never by symbolic self-composition, whose degree
-growth d^k is infeasible; symbolic ``compose`` exists for small synthesis
-jobs and documents its degree growth.
+fixed-point finding/classification.  Integer polynomials (the activation
+polynomials of trees) stay exact; mixtures and every other polynomial
+are floats.  Iterates are always computed pointwise (repeated
+evaluation), never by symbolic self-composition, whose degree growth d^k
+is infeasible; symbolic ``compose`` exists for small synthesis jobs and
+documents its degree growth.
 """
 from __future__ import annotations
 
@@ -41,15 +41,18 @@ REMAINDER_TOL = 1e-8
 class Polynomial:
     """Dense polynomial, lowest degree first; evaluated by Horner.
 
-    Python ``int`` coefficients are kept exact and every other coefficient
-    becomes a float.  An integer polynomial evaluates exactly at an int or
-    a ``Fraction``; at a float it gives the same bits as its float copy.
+    Coefficients that are all Python ``int`` stay exact; otherwise every
+    coefficient becomes a float.  An integer polynomial evaluates exactly
+    at an int or a ``Fraction``, and at a float it gives the same bits as
+    its float copy.
     """
 
-    coeffs: tuple[int | float, ...]
+    coeffs: tuple[int, ...] | tuple[float, ...]
 
     def __post_init__(self):
-        c = tuple(x if type(x) is int else float(x) for x in self.coeffs)
+        c = tuple(self.coeffs)
+        if not all(type(x) is int for x in c):
+            c = tuple(float(x) for x in c)
         n = len(c)
         while n > 1 and c[n - 1] == 0:
             n -= 1

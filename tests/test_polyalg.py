@@ -12,7 +12,8 @@ from amptree.polyalg import (ATTRACTIVE, MARGINAL, NON_ATTRACTIVE, Polynomial,
                              iterate_point, mix, scan_fixed_points)
 from amptree.trees import (achievable_by_degree, achievable_witnesses, and_,
                            build_ak, build_bk, complement_tree,
-                           enumerate_achievable, leaf, or_, tree_polynomial)
+                           enumerate_achievable, leaf, or_,
+                           substitute_leaves, tree_polynomial)
 
 from _oracles import brute_force_activation, verified_interior_roots
 
@@ -71,6 +72,27 @@ def test_derivative():
 def test_compose_squares():
     sq = Polynomial((0.0, 0.0, 1.0))
     assert compose(sq, sq).coeffs == (0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def test_integer_polynomials_stay_exact():
+    f = tree_polynomial(build_ak(29))         # coefficients past 2**53
+    assert all(type(c) is int for c in f.coeffs)
+    q = Fraction(1, 3)
+    assert f(q) == (1 - (1 - q) ** 29) ** 2
+    assert f(2) == 4
+    as_floats = Polynomial(tuple(float(c) for c in f.coeffs))
+    for i in range(1, 1000):
+        assert f(i / 1000) == as_floats(i / 1000)
+    a2 = build_ak(2)
+    assert compose(tree_polynomial(a2), tree_polynomial(a2)) == \
+        tree_polynomial(substitute_leaves(a2, a2))
+
+
+def test_mixed_coefficients_become_floats():
+    sq = Polynomial((0.0, 0.0, 1.0))
+    assert all(type(c) is float for c in compose(sq, sq).coeffs)
+    assert Polynomial((0, 1.5, 2)).coeffs == (0.0, 1.5, 2.0)
+    assert all(type(c) is float for c in Polynomial((0, 1.5, 2)).coeffs)
 
 
 def test_iterate_point_identity():
