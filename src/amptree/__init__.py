@@ -10,12 +10,13 @@ learning from a single example string.
 from .errors import (AmptreeError, CapacityError, DegenerateInputError,
                      InconsistentFixedPointError, InputShapeError,
                      InvalidStaircaseError, RangeError, WeightError)
-from .trees import (AndOrTree, activation, all_trees, achievable_by_degree,
-                    achievable_witnesses, and_, and_chain, build_ak,
-                    build_bk, complement_tree, enumerate_achievable,
-                    eval_tree, fold, format_tree, has_and_path, has_or_path,
-                    leaf, or_, or_chain, parse_tree, self_compose,
-                    substitute_leaves, tree_polynomial)
+from .trees import (AndOrTree, activation, all_trees,
+                    achievable_by_degree, achievable_witnesses, and_,
+                    and_chain, build_ak, build_bk, complement_tree,
+                    enumerate_achievable, eval_tree, fold, format_tree,
+                    has_and_path, has_or_path, leaf, or_, or_chain,
+                    parse_tree, self_compose, substitute_leaves,
+                    tree_polynomial)
 from .polyalg import (ATTRACTIVE, MARGINAL, NON_ATTRACTIVE, FixedPoint,
                       FixedPointReport, Polynomial, bisect_root, compose,
                       divergence_ratio, fixed_points, iterate_point, mix,
