@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -102,14 +103,21 @@ class LearnedTree:
                 gc.enable()
         try:
             n, seed, ones = data["n"], data["seed"], data["example_ones"]
-            blocks = tuple(np.asarray(lvl["blocks"]) for lvl in data["levels"])
-            wiring = tuple(np.asarray(lvl["wiring"]) for lvl in data["levels"])
+            levels = data["levels"]
+            blocks = tuple(np.asarray(lvl["blocks"]) for lvl in levels)
+            wiring = tuple(np.asarray(lvl["wiring"]) for lvl in levels)
+            # numpy reads true mixed with integers as 1.  No valid file
+            # holds true or false, so only a file that does is searched.
+            has_bool = ("true" in text or "false" in text) and any(
+                type(v) is bool for lvl in levels
+                for v in chain(lvl["blocks"], *lvl["wiring"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputShapeError(
                 f"not a learned structure ({type(exc).__name__}: {exc})"
             ) from exc
-        if not all(type(v) is int for v in (n, seed, ones)):
-            raise InputShapeError("n, seed and example_ones must be integers")
+        if has_bool or not all(type(v) is int for v in (n, seed, ones)):
+            raise InputShapeError("n, seed, example_ones, blocks and wiring "
+                                  "must be integers")
         if n < 1:
             raise InputShapeError(f"n must be >= 1, got {n}")
         prev_size = n

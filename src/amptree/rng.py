@@ -30,7 +30,9 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(root: int, *indices: int) -> int:
-    """Mix ``indices`` into ``root`` one at a time through splitmix64."""
+    """Mix ``indices`` into ``root`` one at a time through splitmix64.
+    Uint64 array indices give the seeds of every index tuple they
+    broadcast to."""
     state = splitmix64(root & _MASK)
     for ix in indices:
         state = splitmix64(state ^ (ix & _MASK))
@@ -86,10 +88,9 @@ def stacked_streams(root: int, trials: range, streams: int):
     i is ``generator(root, trials[i], j).random(shape)``, for j < streams.
     Seeds every (trial, stream) at once; draws through one PCG64 of its own.
     """
-    first = splitmix64(splitmix64(root & _MASK)
-                       ^ np.asarray(trials, dtype=np.uint64))
-    states = pcg64_states(splitmix64(
-        first ^ np.arange(streams, dtype=np.uint64)[:, None]))
+    states = pcg64_states(derive_seed(
+        root, np.asarray(trials, dtype=np.uint64)[None, :],
+        np.arange(streams, dtype=np.uint64)[:, None]))
     gen, rows = np.random.Generator(np.random.PCG64(0)), len(trials)
 
     def random(j: int, shape: tuple[int, ...]) -> np.ndarray:

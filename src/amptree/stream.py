@@ -9,8 +9,10 @@ matter.  The default engine holds them relative to the item created at
 step ``base`` (item j weighs e^(alpha*(j - base))) and samples by
 inverting the cumulative ledger, vectorized across trials.  Before an
 exponent passes 600 it rescales and moves ``base`` up, so the ledger
-stays finite for any alpha*k.  The ``prefix_tree`` engine keeps an
-explicit prefix-sum tree with O(log N) draws; it is a reference only.
+stays finite for any alpha*k.  The ``prefix_tree`` engine is a reference
+only: at step j it writes every weight out from one table e^(-alpha*m),
+relative to e^(alpha*j), and draws each leaf by ``searchsorted`` on
+their cumulative sum.
 
 The default engine takes 128 steps at a time, cut where the ledger
 rescales.  Wiring reads uniforms and the ledger, never a bit, so a chunk
@@ -93,19 +95,14 @@ class StreamTrace:
                 out.write(f"{trial},{step},{x!r}\n")
 
     def recompute_x(self, trial: int, step: int) -> float:
-        """X after ``step`` creations from the raw bits and the closed-form
-        weight schedule; an independent check on the incremental ledger."""
+        """X after ``step`` creations, from the raw bits and the weight
+        definition; an independent check on the engine's ledger."""
         if self.bits is None:
             raise ValueError("run simulate_stream with keep_bits=True")
-        n, alpha = self.config.n, self.config.alpha
-        row = self.bits[trial]
-        if alpha == 0:
-            return float(row[:n + step].sum()) / (n + step)
-        # Weights relative to e^(alpha*step), as the ledger holds them.
-        w_in = math.exp(-alpha * step)
-        weights = np.exp(alpha * (np.arange(step) - step))
-        numer = float(row[:n].sum()) * w_in + float(weights @ row[n:n + step])
-        return numer / (n * w_in + float(weights.sum()))
+        if not 0 <= step <= self.config.k:
+            raise RangeError(f"step must be in [0, {self.config.k}]: {step}")
+        decay = np.exp(-self.config.alpha * np.arange(step + 1))
+        return _weighted_x(self.bits[trial], self.config.n, step, decay)
 
 
 def recorded_steps(n: int, k: int, alpha: float) -> np.ndarray:
@@ -132,55 +129,6 @@ def _stride(alpha: float, k: int) -> int:
     """ceil(1/alpha) for alpha > 0, capped at k + 1 (a stride past k marks
     nothing), so that a subnormal alpha cannot overflow it."""
     return max(1, math.ceil(min(1.0 / alpha, k + 1)))
-
-
-class PrefixSumTree:
-    """Power-of-two segment tree over nonnegative weights.
-
-    O(log N) point update and prefix-inversion (sample an index with
-    probability proportional to its weight); O(N) global rescale used for
-    renormalizing the shared exponent.
-    """
-
-    def __init__(self, capacity: int):
-        size = 1
-        while size < capacity:
-            size *= 2
-        self.size = size
-        self.tree = np.zeros(2 * size, dtype=np.float64)
-
-    def __setitem__(self, idx: int, value: float) -> None:
-        i = idx + self.size
-        self.tree[i] = value
-        i >>= 1
-        while i >= 1:
-            self.tree[i] = self.tree[2 * i] + self.tree[2 * i + 1]
-            i >>= 1
-
-    @property
-    def total(self) -> float:
-        return float(self.tree[1])
-
-    def find_prefix(self, r: float) -> int:
-        """The idx with sum(weights[:idx]) <= r < sum(weights[:idx + 1]),
-        a weighted draw; r at or past the total gives the last positive
-        weight.
-
-        The descent never enters a zero-weight subtree, so rounding in the
-        node sums (notably after ``scale``) cannot reach an unwritten slot.
-        """
-        i = 1
-        while i < self.size:
-            left = self.tree[2 * i]
-            if r < left or self.tree[2 * i + 1] <= 0.0:
-                i = 2 * i
-            else:
-                r -= left
-                i = 2 * i + 1
-        return i - self.size
-
-    def scale(self, factor: float) -> None:
-        self.tree *= factor
 
 
 def simulate_stream(dist: TreeDistribution, config: StreamConfig,
@@ -294,54 +242,51 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
 
 def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
                      keep_bits: bool = False) -> StreamTrace:
+    """The reference engine: one item at a time, straight from the weights
+    (relative to the newest step, an item m steps old weighs decay[m])."""
     trees, cumw, max_leaves = entry_table(dist)
-    n, k, alpha = config.n, config.k, config.alpha
-    cols = 1 + max_leaves
-    steps = recorded_steps(n, k, alpha)
-    step_index = {int(s): i for i, s in enumerate(steps)}
-    x = np.empty((config.trials, len(steps)), dtype=np.float64)
-    final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
-    growth = math.exp(alpha)
+    n, k = config.n, config.k
+    steps = recorded_steps(n, k, config.alpha)
+    decay = np.exp(-config.alpha * np.arange(k + 1))
     draw = input_draw(config)
-    kept = np.empty((config.trials, n + k), dtype=np.uint8) if keep_bits \
-        else None
-
-    for trial in range(config.trials):
+    bits = np.empty((config.trials, n + k), dtype=np.uint8)
+    for trial, row in enumerate(bits):
         rng = generator(config.seed, trial)
-        bits0 = draw(rng.random)
-        u = rng.random((k, cols)) if k else None
-        ledger = PrefixSumTree(n + k)
-        for i in range(n):
-            ledger[i] = 1.0
-        bits = np.empty(n + k, dtype=np.uint8)
-        bits[:n] = bits0
-        numer = float(bits0.sum())
-        weight_next = 1.0
-        if 0 in step_index:
-            x[trial, step_index[0]] = numer / n
+        row[:n] = draw(rng.random)
+        u = rng.random((k, 1 + max_leaves))
         for j in range(k):
-            e = int(np.searchsorted(cumw, u[j, 0], side="right"))
-            leafbits = tuple(
-                int(bits[ledger.find_prefix(u[j, 1 + l] * ledger.total)])
-                for l in range(trees[e].leaf_count))
-            bit = eval_tree(trees[e], leafbits)
-            ledger[n + j] = weight_next
-            bits[n + j] = bit
-            numer += weight_next * bit
-            if weight_next > 1e250:
-                factor = 1.0 / weight_next
-                ledger.scale(factor)
-                numer *= factor
-                weight_next = 1.0
-            weight_next *= growth
-            if (j + 1) in step_index:
-                x[trial, step_index[j + 1]] = numer / ledger.total
-        if k:
-            final[trial] = bits[n + k - 1]
-        if keep_bits:
-            kept[trial] = bits
-    return StreamTrace(steps=steps, x=x, final_bits=final, config=config,
-                       bits=kept)
+            tree = trees[np.searchsorted(cumw, u[j, 0], side="right")]
+            idx = _draw_leaves(_weights(decay, n, j),
+                               u[j, 1:1 + tree.leaf_count])
+            row[n + j] = eval_tree(tree, row[idx])
+    x = np.array([[_weighted_x(row, n, s, decay) for s in steps]
+                  for row in bits])
+    return StreamTrace(steps=steps, x=x,
+                       final_bits=bits[:, -1].copy() if k else None,
+                       config=config, bits=bits if keep_bits else None)
+
+
+def _weights(decay: np.ndarray, n: int, step: int) -> np.ndarray:
+    """The weights after ``step`` creations, relative to e^(alpha*step):
+    decay[step] for each input, then decay[step - i] for item i."""
+    return np.concatenate((np.full(n, decay[step]), decay[step:0:-1]))
+
+
+def _draw_leaves(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One index per uniform, drawn in proportion to ``weights``; a draw
+    that rounds to the total takes the last slot.  A slot of weight 0 adds
+    nothing to the cumulative sum, so no draw lands on it."""
+    cum = np.cumsum(weights)
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"),
+                      len(weights) - 1)
+
+
+def _weighted_x(bits: np.ndarray, n: int, step: int,
+                decay: np.ndarray) -> float:
+    """X after ``step`` creations.  The firing and total weights are summed
+    alike over terms no larger, so X <= 1; with alpha = 0 both are exact."""
+    w = _weights(decay, n, step)
+    return float((w * bits[:n + step]).sum() / w.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,14 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
                                           blocks=[0.7, 1, 1, 0, 1])])
     float_index = dict(good, levels=[dict(good["levels"][0],
                                           wiring=[[1.9, 0, 2]] * 5)])
+    bool_index = dict(good, levels=[dict(good["levels"][0],
+                                         wiring=[[True, 0, 2]] * 5)])
     bad = {}
     for name, value in (("list", [1, 0, 1]), ("levels", {"levels": 4}),
                         ("wiring", out_of_range), ("object", {"a": 1}),
                         ("float_block", float_block),
                         ("float_index", float_index),
+                        ("bool_index", bool_index),
                         ("float_n", dict(good, n=3.9)),
                         ("string_n", dict(good, n="3")),
                         ("string_seed", dict(good, seed="7")),
@@ -229,8 +232,8 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
     cases = [["eval", "--learned-file", str(bad[name]), "--input-file",
               str(bits)] for name in ("list", "levels", "wiring",
                                       "no_inputs", "float_block",
-                                      "float_index", "float_n", "string_n",
-                                      "string_seed")]
+                                      "float_index", "bool_index",
+                                      "float_n", "string_n", "string_seed")]
     cases += [["eval", "--learned-file", str(learned), "--input-file",
                str(bad[name])] for name in ("object", "number", "strings",
                                             "float_bits", "bool_bits")]

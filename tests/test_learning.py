@@ -218,6 +218,8 @@ NON_INTEGER = {
     "bool example_ones": _learned_text(example_ones=True),
     "string index": _learned_text(wiring=[["1", 0, 2], [0, 1, 2]]),
     "bool blocks": _learned_text(blocks=[True, False]),
+    "bool and int blocks": _learned_text(blocks=[True, 0]),
+    "bool and int index": _learned_text(wiring=[[True, 0, 2], [0, 1, 2]]),
     "NaN block": _learned_text(blocks=[math.nan, 1]),
     "huge index": _learned_text(wiring=[[2**64, 0, 2], [0, 1, 2]]),
 }

@@ -26,6 +26,9 @@ def test_states_of_derived_seeds():
     seeds = [derive_seed(3, t, j) for t in range(50) for j in range(21)]
     assert pcg64_states(np.array(seeds, dtype=np.uint64)) == [
         np.random.PCG64(s).state for s in seeds]
+    grid = derive_seed(3, np.arange(50, dtype=np.uint64)[:, None],
+                       np.arange(21, dtype=np.uint64))
+    assert grid.ravel().tolist() == seeds
 
 
 @settings(max_examples=25, deadline=None)

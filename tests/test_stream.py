@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from amptree import stream
 from amptree.catalog import linear_threshold, quad4, soft_threshold, valiant
 from amptree.errors import InputShapeError, RangeError
-from amptree.stream import (PrefixSumTree, StreamConfig,
-                            phase_progress_report, recorded_steps,
-                            simulate_stream)
+from amptree.stream import (StreamConfig, phase_progress_report,
+                            recorded_steps, simulate_stream)
 
 LT = linear_threshold(0.5)
 
@@ -28,41 +27,19 @@ def test_config_validation():
         StreamConfig(n=5, k=5, alpha=0.0, seed=1)
 
 
-def test_prefix_sum_tree():
-    tree = PrefixSumTree(10)
-    weights = [0.5, 1.5, 0.0, 3.0, 1.0]
-    for i, w in enumerate(weights):
-        tree[i] = w
-    assert tree.total == pytest.approx(6.0)
-    assert tree.find_prefix(0.49) == 0
-    assert tree.find_prefix(0.51) == 1
-    assert tree.find_prefix(2.1) == 3       # index 2 has zero weight
-    assert tree.find_prefix(5.5) == 4
-    tree.scale(2.0)
-    assert tree.total == pytest.approx(12.0)
-    assert tree.find_prefix(1.1) == 1
-
-
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 40), created=st.integers(0, 80),
-       spare=st.integers(0, 40), alpha=st.floats(0.0, 3.0),
-       rescale=st.booleans(), ulps=st.integers(1, 4))
-def test_find_prefix_never_picks_a_zero_weight_slot(n, created, spare, alpha,
-                                                    rescale, ulps):
-    # A ledger laid out as the prefix-tree engine lays it out: n inputs of
-    # weight 1, then creations growing by e^alpha, then unwritten slots.
-    # Draws r = u * total with u within a few ulps of 1 sit at the right
-    # edge, where rounding in the node sums matters most.
-    tree = PrefixSumTree(n + created + spare)
-    weights = [1.0] * n + [math.exp(alpha * j) for j in range(created)]
-    for i, w in enumerate(weights):
-        tree[i] = w
-    if rescale:
-        tree.scale(1.0 / weights[-1])
-    u = 1.0 - ulps * 2.0 ** -53
-    idx = tree.find_prefix(u * tree.total)
-    assert idx < len(weights)
-    assert tree.tree[tree.size + idx] > 0.0
+       alpha=st.floats(0.0, 709.78), ulps=st.integers(1, 4))
+def test_leaf_draw_never_picks_a_zero_weight_slot(n, created, alpha, ulps):
+    # The reference engine's weights after `created` steps; a weight whose
+    # alpha * age passes about 745 underflows to 0.  Draws u * total with
+    # u within a few ulps of 1 sit at the right edge, where rounding in
+    # the cumulative sum matters most.
+    decay = np.exp(-alpha * np.arange(created + 1))
+    weights = stream._weights(decay, n, created)
+    u = np.array([1.0 - ulps * 2.0 ** -53])
+    idx = stream._draw_leaves(weights, u)
+    assert weights[idx[0]] > 0.0
 
 
 def test_recorded_steps_contains_doublings_and_strides():
@@ -124,6 +101,15 @@ def test_recompute_x_agrees_past_renormalization(n, k, alpha):
         for idx, step in enumerate(trace.steps):
             scratch = trace.recompute_x(trial, int(step))
             assert abs(scratch - trace.x[trial, idx]) <= 1e-9
+
+
+def test_recompute_x_refuses_a_step_outside_the_run():
+    cfg = StreamConfig(n=8, k=20, alpha=0.0, seed=4, trials=2, input_p=0.5)
+    trace = simulate_stream(LT, cfg, keep_bits=True)
+    for step in (-1, 21, 25):
+        with pytest.raises(RangeError):
+            trace.recompute_x(0, step)
+    assert trace.recompute_x(1, 20) == trace.x[1, -1]
 
 
 def test_subnormal_alpha_strides_past_k():
@@ -230,6 +216,21 @@ def test_settled_chunks_match_the_reference_engine(name, n, k, alpha, trials,
         for col, step in enumerate(trace.steps):
             assert abs(trace.recompute_x(trial, int(step))
                        - trace.x[trial, col]) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["linear", "quad4"])
+@pytest.mark.parametrize("alpha", [300.0, 650.0, 709.78])
+def test_engines_agree_at_high_alpha(name, alpha):
+    # The default engine renormalizes its ledger every step or two here,
+    # and every weight but the newest few underflows in the reference.
+    for n, k in ((1, 60), (16, 300)):
+        cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=5, trials=3,
+                           input_p=0.45)
+        trace = simulate_stream(STREAM_DISTS[name], cfg, keep_bits=True)
+        ref = simulate_stream(STREAM_DISTS[name], cfg, engine="prefix_tree",
+                              keep_bits=True)
+        assert np.array_equal(trace.bits, ref.bits)
+        assert np.allclose(trace.x, ref.x, rtol=0.0, atol=1e-9)
 
 
 def test_csv_format():
