@@ -89,50 +89,127 @@ class LearnedTree:
 
     @classmethod
     def from_json(cls, text: str) -> "LearnedTree":
-        """Parse :meth:`to_json` output.
+        """Parse a learned structure from JSON.
+
+        Text in exactly :meth:`to_json`'s layout, with at most one trailing
+        newline, is read straight into arrays; any other JSON goes through
+        ``json.loads``, with the same result and the same refusals.
 
         Raises InputShapeError when the JSON does not describe a structure
         :func:`evaluate_learned` can run.
         """
-        enabled = gc.isenabled()
-        gc.disable()    # one list per wiring row and no cycles to collect
-        try:
-            data = json.loads(text)
-        finally:
-            if enabled:
-                gc.enable()
-        try:
-            n, seed, ones = data["n"], data["seed"], data["example_ones"]
-            levels = data["levels"]
-            blocks = tuple(np.asarray(lvl["blocks"]) for lvl in levels)
-            wiring = tuple(np.asarray(lvl["wiring"]) for lvl in levels)
-            # numpy reads true mixed with integers as 1.  No valid file
-            # holds true or false, so only a file that does is searched.
-            has_bool = ("true" in text or "false" in text) and any(
-                type(v) is bool for lvl in levels
-                for v in chain(lvl["blocks"], *lvl["wiring"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        tree = _read_layout(text)
+        return tree if tree is not None else _read_json(text)
+
+
+def _read_layout(text: str) -> LearnedTree | None:
+    """The structure ``text`` holds if it is :meth:`LearnedTree.to_json`'s
+    bytes plus at most one newline, else None.
+
+    The levels are cut at the layout's fixed punctuation with
+    ``bytes.find``, and the indices are read from their digit runs with
+    array operations.  The arrays are range-checked before anything uses
+    them, and the result stands only if writing it back gives ``text``.
+    """
+    try:
+        raw = text.encode()
+        cut = raw.find(b',"levels":[')
+        head = json.loads(raw[:cut] + b"}") if cut > 0 else None
+        n, seed, ones = (head[key] for key in ("n", "seed", "example_ones"))
+    except (TypeError, ValueError, KeyError):
+        return None
+    if not all(type(v) is int for v in (n, seed, ones)) or n < 1:
+        return None
+    blocks, wiring, below = [], [], n
+    pos = cut + len(b',"levels":[')
+    while not raw.startswith(b"]}", pos):
+        start = pos + len(b',{"blocks":[' if blocks else b'{"blocks":[')
+        mid = raw.find(b'],"wiring":[', start)
+        end = raw.find(b"]}", mid)
+        if mid < 0 or end < 0:
+            return None
+        b = np.frombuffer(raw, np.uint8, mid - start, start)[::2] - ord("0")
+        w = _read_indices(raw, mid + len(b'],"wiring":['), end)
+        if not (b.size and w is not None and w.size == 3 * b.size
+                and b.max() <= 1 and w.max() < below):
+            return None
+        blocks.append(b)
+        wiring.append(w.reshape(-1, 3))
+        below = b.size
+        pos = end + len(b"]}")
+    del raw     # free the text's copy before the text is written again
+    # to_json builds a table of max(index) + 1 digit strings; keep it no
+    # larger than the file.
+    count = sum(w.size for w in wiring)
+    if any(w.max() >= count for w in wiring):
+        return None
+    tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
+                       seed=seed, example_ones=ones)
+    written = tree.to_json()
+    same = text.startswith(written) and text[len(written):] in ("", "\n")
+    return tree if same else None
+
+
+def _read_indices(raw: bytes, start: int, end: int) -> np.ndarray | None:
+    """The decimal digit runs of ``raw[start:end]`` as int64, or None when
+    a run is too long for int64."""
+    digit = np.frombuffer(raw, np.uint8, end - start, start) - ord("0")
+    edges = np.flatnonzero(np.diff(digit < 10, prepend=False, append=False))
+    starts, stops = edges[0::2], edges[1::2]
+    longest = int((stops - starts).max(initial=0))
+    if longest > 18:
+        return None
+    # Horner's rule over the runs right-aligned: the columns left of a
+    # shorter run add 0 to a value that is still 0.  An index left of the
+    # text wraps to its end and is masked.
+    value = np.zeros(starts.size, np.int64)
+    for shift in range(longest, 0, -1):
+        at = stops - shift
+        value = value * 10 + np.where(at >= starts, digit[at], 0)
+    return value
+
+
+def _read_json(text: str) -> LearnedTree:
+    """Parse any JSON text of a learned structure with ``json.loads``."""
+    enabled = gc.isenabled()
+    gc.disable()    # one list per wiring row and no cycles to collect
+    try:
+        data = json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
+    try:
+        n, seed, ones = data["n"], data["seed"], data["example_ones"]
+        levels = data["levels"]
+        blocks = tuple(np.asarray(lvl["blocks"]) for lvl in levels)
+        wiring = tuple(np.asarray(lvl["wiring"]) for lvl in levels)
+        # numpy reads true mixed with integers as 1.  No valid file
+        # holds true or false, so only a file that does is searched.
+        has_bool = ("true" in text or "false" in text) and any(
+            type(v) is bool for lvl in levels
+            for v in chain(lvl["blocks"], *lvl["wiring"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputShapeError(
+            f"not a learned structure ({type(exc).__name__}: {exc})"
+        ) from exc
+    if has_bool or not all(type(v) is int for v in (n, seed, ones)):
+        raise InputShapeError("n, seed, example_ones, blocks and wiring "
+                              "must be integers")
+    if n < 1:
+        raise InputShapeError(f"n must be >= 1, got {n}")
+    prev_size = n
+    for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
+        if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
+                and b.size and w.shape == (b.size, 3)
+                and 0 <= b.min() <= b.max() <= 1
+                and 0 <= w.min() <= w.max() < prev_size):
             raise InputShapeError(
-                f"not a learned structure ({type(exc).__name__}: {exc})"
-            ) from exc
-        if has_bool or not all(type(v) is int for v in (n, seed, ones)):
-            raise InputShapeError("n, seed, example_ones, blocks and wiring "
-                                  "must be integers")
-        if n < 1:
-            raise InputShapeError(f"n must be >= 1, got {n}")
-        prev_size = n
-        for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
-            if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
-                    and b.size and w.shape == (b.size, 3)
-                    and 0 <= b.min() <= b.max() <= 1
-                    and 0 <= w.min() <= w.max() < prev_size):
-                raise InputShapeError(
-                    f"level {level} of the learned structure is not 0/1 "
-                    f"blocks wired into the {prev_size} items below it")
-            prev_size = b.size
-        blocks = tuple(b.astype(np.uint8) for b in blocks)
-        return cls(n=n, blocks=blocks, wiring=wiring, seed=seed,
-                   example_ones=ones)
+                f"level {level} of the learned structure is not 0/1 "
+                f"blocks wired into the {prev_size} items below it")
+        prev_size = b.size
+    blocks = tuple(b.astype(np.uint8) for b in blocks)
+    return LearnedTree(n=n, blocks=blocks, wiring=wiring, seed=seed,
+                       example_ones=ones)
 
 
 def learn_threshold(levels: int, width: int, example: Sequence[int],
@@ -171,9 +248,15 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     ``sample`` items; items are exchangeable by construction, so a prefix
     is a uniform sample and keeps evaluation deterministic).  With
     ``return_trace`` also returns the per-level firing fractions.
+
+    Raises RangeError unless ``sample`` is None or an integer (not a bool)
+    in 1..the top level's size.
     """
-    if sample is not None and sample < 1:
-        raise RangeError(f"sample must be >= 1, got {sample}")
+    size = tree.blocks[-1].size if tree.blocks else tree.n
+    if sample is not None and (isinstance(sample, bool) or not isinstance(
+            sample, (int, np.integer)) or not 1 <= sample <= size):
+        raise RangeError(f"sample must be an integer in [1, {size}], "
+                         f"got {sample!r}")
     bits = np.asarray(check_bits(input_bits), dtype=np.uint8)
     if bits.size != tree.n:
         raise InputShapeError(

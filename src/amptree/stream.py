@@ -99,8 +99,12 @@ class StreamTrace:
         definition; an independent check on the engine's ledger."""
         if self.bits is None:
             raise ValueError("run simulate_stream with keep_bits=True")
-        if not 0 <= step <= self.config.k:
-            raise RangeError(f"step must be in [0, {self.config.k}]: {step}")
+        for name, value, top in (("trial", trial, self.config.trials - 1),
+                                 ("step", step, self.config.k)):
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)) or not 0 <= value <= top:
+                raise RangeError(f"{name} must be an integer in [0, {top}]: "
+                                 f"{value!r}")
         decay = np.exp(-self.config.alpha * np.arange(step + 1))
         return _weighted_x(self.bits[trial], self.config.n, step, decay)
 

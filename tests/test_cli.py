@@ -126,6 +126,46 @@ def test_learn_eval_roundtrip(tmp_path):
     assert 0.0 <= json.loads(text)["firing_fraction"] <= 1.0
 
 
+def _refuse_long_json(loads):
+    """json.loads that fails on any text over 1 KB."""
+    def short_only(text, *args, **kwargs):
+        assert len(text) <= 1024, "json.loads was handed a long text"
+        return loads(text, *args, **kwargs)
+    return short_only
+
+
+def test_eval_reads_learn_out_files_without_json_loads(tmp_path, monkeypatch):
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps([int(i % 5 < 2) for i in range(200)]))
+    learned, spaced = tmp_path / "learned.json", tmp_path / "spaced.json"
+    assert run_cli(["learn", "--x-file", str(x_file), "--levels", "3",
+                    "--width", "2000", "--seed", "5",
+                    "--out", str(learned)])[0] == 0
+    spaced.write_text(json.dumps(json.loads(learned.read_text())))
+    argv = ["eval", "--input-file", str(x_file), "--learned-file"]
+    code, general = run_cli(argv + [str(spaced)])
+    assert code == 0
+    monkeypatch.setattr(json, "loads", _refuse_long_json(json.loads))
+    with pytest.raises(AssertionError, match="long text"):
+        run_cli(argv + [str(spaced)])
+    assert run_cli(argv + [str(learned)]) == (0, general)
+
+
+def test_eval_refuses_a_sample_past_the_top_level(tmp_path):
+    x_file = tmp_path / "x.json"
+    x_file.write_text(json.dumps([1, 0, 1, 1, 0]))
+    learned = tmp_path / "learned.json"
+    assert run_cli(["learn", "--x-file", str(x_file), "--levels", "2",
+                    "--width", "200", "--out", str(learned)])[0] == 0
+    argv = ["eval", "--learned-file", str(learned), "--input-file",
+            str(x_file), "--sample"]
+    assert run_cli_err(argv + ["200"])[0] == 0
+    for sample in ("201", "0"):
+        code, out, err = run_cli_err(argv + [sample])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: sample")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg = ExperimentConfig(command="iterate",

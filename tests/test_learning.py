@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from _oracles import learned_json
 from amptree.catalog import linear_threshold
 from amptree.errors import InputShapeError, RangeError
+from amptree import learning
 from amptree.learning import LearnedTree, evaluate_learned, learn_threshold
 from amptree.leveled import LevelConfig, simulate_leveled
 from amptree.rng import generator
@@ -101,6 +102,17 @@ def test_sample_parameter_prefix():
     assert 0.0 <= head <= 1.0 and 0.0 <= full <= 1.0
 
 
+@pytest.mark.parametrize("sample", [0, 65, 5000, -1, True, 2.0, "3"])
+def test_sample_outside_the_top_level_is_refused(sample):
+    tree = learn_threshold(3, 64, make_example(30, 15), seed=6)
+    probe = make_example(30, 20, seed=77)
+    assert evaluate_learned(tree, probe, sample=64) == evaluate_learned(
+        tree, probe)
+    assert evaluate_learned(tree, probe, sample=np.int64(1)) in (0.0, 1.0)
+    with pytest.raises(RangeError, match=r"sample must be .* \[1, 64\]"):
+        evaluate_learned(tree, probe, sample=sample)
+
+
 def test_monotonicity_exhaustive_small():
     # flipping any input 0 -> 1 never decreases any item's value
     n, m, levels = 8, 30, 4
@@ -177,6 +189,97 @@ def test_to_json_writes_the_json_dumps_bytes(tree):
     for a, b in zip(tree.blocks + tree.wiring, back.blocks + back.wiring):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert back.to_json() == text
+
+
+def _same_structure(a, b):
+    assert (a.n, a.seed, a.example_ones) == (b.n, b.seed, b.example_ones)
+    assert len(a.blocks) == len(b.blocks) and len(a.wiring) == len(b.wiring)
+    for x, y in zip(a.blocks + a.wiring, b.blocks + b.wiring):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=learned_trees())
+def test_layout_reader_matches_the_general_parser(tree):
+    text = tree.to_json()
+    general = learning._read_json(text)
+    # Only a file whose largest index reaches its index count is left to
+    # the general parser: writing it back would need a larger digit table.
+    count = sum(w.size for w in tree.wiring)
+    fits = all(w.max() < count for w in tree.wiring)
+    for written in (text, text + "\n"):
+        layout = learning._read_layout(written)
+        assert (layout is not None) == fits
+        if fits:
+            _same_structure(layout, general)
+        _same_structure(LearnedTree.from_json(written), general)
+
+
+def test_written_files_skip_json_loads(monkeypatch):
+    tree = learn_threshold(2, 2000, make_example(10_000, 4_000), seed=11)
+    loads = json.loads
+
+    def short_only(text, *args, **kwargs):
+        assert len(text) <= 1024, "json.loads was handed the body"
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(learning.json, "loads", short_only)
+    _same_structure(LearnedTree.from_json(tree.to_json() + "\n"), tree)
+
+
+#: A learned file in to_json's layout: 5 inputs, two levels of width 2.
+COMPACT = ('{"n":5,"seed":0,"example_ones":3,"levels":['
+           '{"blocks":[1,0],"wiring":[[4,0,2],[1,3,0]]},'
+           '{"blocks":[0,1],"wiring":[[1,0,1],[0,0,1]]}]}')
+
+#: Edits of COMPACT, each read by the general parser.
+MUTATIONS = {
+    "float block": COMPACT.replace("[1,0]", "[0.5,0]"),
+    "true block": COMPACT.replace("[1,0]", "[true,0]"),
+    "negative index": COMPACT.replace("[[4,", "[[-1,"),
+    "leading zero": COMPACT.replace("[[4,", "[[04,"),
+    "20 digits": COMPACT.replace("[[4,", "[[12345678901234567890,"),
+    "space": COMPACT.replace('"n":5', '"n": 5'),
+    "swapped keys": COMPACT.replace('"n":5,"seed":0', '"seed":0,"n":5'),
+    "CRLF": COMPACT + "\r\n",
+    "trailing bytes": COMPACT + "x",
+    "index past level below": COMPACT.replace("[[1,0,1]", "[[2,0,1]"),
+    "huge n and index": COMPACT.replace('"n":5', '"n":1000000000000')
+                               .replace("[[4,", "[[100000000000,"),
+}
+
+
+def _outcome(read, text):
+    """What ``read(text)`` returns or raises, in comparable form."""
+    try:
+        tree = read(text)
+    except Exception as exc:            # noqa: BLE001 -- compared below
+        return type(exc), str(exc)
+    return (tree.n, tree.seed, tree.example_ones,
+            [(a.dtype, a.tolist()) for a in tree.blocks + tree.wiring])
+
+
+def test_compact_text_takes_the_layout_reader():
+    for text in (COMPACT, COMPACT + "\n"):
+        tree = learning._read_layout(text)
+        assert tree is not None and tree.to_json() == COMPACT
+        assert _outcome(LearnedTree.from_json, text) == _outcome(
+            learning._read_json, text)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_mutated_files_read_as_before(name, monkeypatch):
+    text = MUTATIONS[name]
+    to_json = LearnedTree.to_json
+
+    def small_table_only(tree):
+        assert all(w.max() < 10**6 for w in tree.wiring), "large table"
+        return to_json(tree)
+
+    monkeypatch.setattr(LearnedTree, "to_json", small_table_only)
+    assert learning._read_layout(text) is None
+    assert _outcome(LearnedTree.from_json, text) == _outcome(
+        learning._read_json, text)
 
 
 @pytest.mark.parametrize("level, bad", [(0, "wiring"), (1, "wiring"),

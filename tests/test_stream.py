@@ -110,6 +110,9 @@ def test_recompute_x_refuses_a_step_outside_the_run():
         with pytest.raises(RangeError):
             trace.recompute_x(0, step)
     assert trace.recompute_x(1, 20) == trace.x[1, -1]
+    for trial, step in ((-1, 20), (2, 20), (0, 2.5), (True, 3)):
+        with pytest.raises(RangeError):
+            trace.recompute_x(trial, step)
 
 
 def test_subnormal_alpha_strides_past_k():
