@@ -99,7 +99,47 @@ class LearnedTree:
         :func:`evaluate_learned` can run.
         """
         tree = _read_layout(text)
-        return tree if tree is not None else _read_json(text)
+        if tree is not None:
+            return tree
+        enabled = gc.isenabled()
+        gc.disable()    # one list per wiring row and no cycles to collect
+        try:
+            data = json.loads(text)
+        finally:
+            if enabled:
+                gc.enable()
+        try:
+            n, seed, ones = data["n"], data["seed"], data["example_ones"]
+            levels = data["levels"]
+            blocks = tuple(np.asarray(lvl["blocks"]) for lvl in levels)
+            wiring = tuple(np.asarray(lvl["wiring"]) for lvl in levels)
+            # numpy reads true mixed with integers as 1.  No valid file
+            # holds true or false, so only a file that does is searched.
+            has_bool = ("true" in text or "false" in text) and any(
+                type(v) is bool for lvl in levels
+                for v in chain(lvl["blocks"], *lvl["wiring"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise InputShapeError(
+                f"not a learned structure ({type(exc).__name__}: {exc})"
+            ) from exc
+        if has_bool or not all(type(v) is int for v in (n, seed, ones)):
+            raise InputShapeError("n, seed, example_ones, blocks and wiring "
+                                  "must be integers")
+        if n < 1:
+            raise InputShapeError(f"n must be >= 1, got {n}")
+        prev_size = n
+        for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
+            if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
+                    and b.size and w.shape == (b.size, 3)
+                    and 0 <= b.min() <= b.max() <= 1
+                    and 0 <= w.min() <= w.max() < prev_size):
+                raise InputShapeError(
+                    f"level {level} of the learned structure is not 0/1 "
+                    f"blocks wired into the {prev_size} items below it")
+            prev_size = b.size
+        blocks = tuple(b.astype(np.uint8) for b in blocks)
+        return cls(n=n, blocks=blocks, wiring=wiring, seed=seed,
+                   example_ones=ones)
 
 
 def _read_layout(text: str) -> LearnedTree | None:
@@ -167,49 +207,6 @@ def _read_indices(raw: bytes, start: int, end: int) -> np.ndarray | None:
         at = stops - shift
         value = value * 10 + np.where(at >= starts, digit[at], 0)
     return value
-
-
-def _read_json(text: str) -> LearnedTree:
-    """Parse any JSON text of a learned structure with ``json.loads``."""
-    enabled = gc.isenabled()
-    gc.disable()    # one list per wiring row and no cycles to collect
-    try:
-        data = json.loads(text)
-    finally:
-        if enabled:
-            gc.enable()
-    try:
-        n, seed, ones = data["n"], data["seed"], data["example_ones"]
-        levels = data["levels"]
-        blocks = tuple(np.asarray(lvl["blocks"]) for lvl in levels)
-        wiring = tuple(np.asarray(lvl["wiring"]) for lvl in levels)
-        # numpy reads true mixed with integers as 1.  No valid file
-        # holds true or false, so only a file that does is searched.
-        has_bool = ("true" in text or "false" in text) and any(
-            type(v) is bool for lvl in levels
-            for v in chain(lvl["blocks"], *lvl["wiring"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InputShapeError(
-            f"not a learned structure ({type(exc).__name__}: {exc})"
-        ) from exc
-    if has_bool or not all(type(v) is int for v in (n, seed, ones)):
-        raise InputShapeError("n, seed, example_ones, blocks and wiring "
-                              "must be integers")
-    if n < 1:
-        raise InputShapeError(f"n must be >= 1, got {n}")
-    prev_size = n
-    for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
-        if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
-                and b.size and w.shape == (b.size, 3)
-                and 0 <= b.min() <= b.max() <= 1
-                and 0 <= w.min() <= w.max() < prev_size):
-            raise InputShapeError(
-                f"level {level} of the learned structure is not 0/1 "
-                f"blocks wired into the {prev_size} items below it")
-        prev_size = b.size
-    blocks = tuple(b.astype(np.uint8) for b in blocks)
-    return LearnedTree(n=n, blocks=blocks, wiring=wiring, seed=seed,
-                       example_ones=ones)
 
 
 def learn_threshold(levels: int, width: int, example: Sequence[int],
