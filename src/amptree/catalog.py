@@ -19,8 +19,7 @@ from .polyalg import (Polynomial, bisect_root, check_weights, iterate_point,
                       mix, scan_fixed_points)
 from .trees import (AndOrTree, activation, and_, and_chain, build_ak, build_bk,
                     complement_tree, format_tree, leaf, or_, or_chain,
-                    parse_tree, self_compose, substitute_leaves,
-                    tree_polynomial)
+                    self_compose, substitute_leaves, tree_polynomial)
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -105,13 +104,6 @@ class TreeDistribution:
                         for t, w in self.entries],
             "mixture": mixture,
         })
-
-    @classmethod
-    def from_json(cls, text: str) -> "TreeDistribution":
-        data = json.loads(text)
-        entries = tuple((parse_tree(e["tree"]), float(e["weight"]))
-                        for e in data["entries"])
-        return cls(label=data["label"], entries=entries)
 
 
 def _single(label: str, tree: AndOrTree, **kw) -> TreeDistribution:

@@ -5,21 +5,21 @@ to existing items with probability proportional to item weight.  Weights
 decay by e^-alpha per creation step; alpha = 0 is the wild construction.
 
 Since every weight decays by the same factor, only relative weights
-matter.  The default engine holds them relative to the item created at
-step ``base`` (item j weighs e^(alpha*(j - base))) and samples by
-inverting the cumulative ledger, vectorized across trials.  Before an
-exponent passes 600 it rescales and moves ``base`` up, so the ledger
-stays finite for any alpha*k.  The ``prefix_tree`` engine is a reference
-only: at step j it writes every weight out from one table e^(-alpha*m),
-relative to e^(alpha*j), and draws each leaf by ``searchsorted`` on
-their cumulative sum.
+matter.  Both engines weigh each item relative to the newest one, from
+one table per run (``_decay_table``): d[m] = e^(-alpha*m) for an item m
+steps old, and A[a] = d[1] + ... + d[a].  At step j the default engine
+draws r = u * (n*d[j] + A[j]) per leaf: input floor(r / d[j]) below
+n*d[j], else the item whose age a search of A finds.  The ``prefix_tree``
+engine is a reference only: at step j it writes every weight out from the
+table and draws each leaf by ``searchsorted`` on their cumulative sum.
 
-The default engine takes 128 steps at a time, cut where the ledger
-rescales.  Wiring reads uniforms and the ledger, never a bit, so a chunk
-is wired at once, then evaluated with its own items set to each trial's
-last earlier item; the items wired into the chunk are re-evaluated until
-a round changes nothing.  Each item reads only earlier items, so the
-chunk has one fixed point, and a round that changes nothing has found it.
+The default engine takes 128 steps at a time.  Wiring reads uniforms and
+the table, never a bit, so a chunk is wired at once, then evaluated with
+its own items set to each trial's last earlier item; the items wired into
+the chunk are re-evaluated until a round changes nothing.  Each item reads
+only earlier items, so the chunk has one fixed point, and a round that
+changes nothing has found it.  X is then carried over the batch's bits
+from recorded step to recorded step (``_carried``).
 
 Determinism: each trial owns generator PCG64(derive_seed(seed, trial));
 it first draws the Bernoulli inputs (if any), then k rows of 1 + max_leaves
@@ -43,9 +43,6 @@ from .errors import InputShapeError, RangeError
 from .rng import generator
 from .trees import eval_tree
 
-#: The ledger is renormalized before a weight's exponent passes this.
-_MAX_TOTAL_EXPONENT = 600.0
-
 #: e^alpha is a finite float up to this decay rate.
 _MAX_ALPHA = math.log(sys.float_info.max)
 
@@ -54,6 +51,9 @@ _STEP_CHUNK = 128
 
 #: Memory budget (bytes) per batch: its items and one chunk's buffers.
 _BATCH_BUDGET = 320_000_000
+
+#: Longest piece of X's carry; fixed, so no chunk size changes X's bits.
+_X_SPAN = 1024
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ class StreamTrace:
                 out.write(f"{trial},{step},{x!r}\n")
 
     def recompute_x(self, trial: int, step: int) -> float:
-        """X after ``step`` creations, from the raw bits and the weight
-        definition; an independent check on the engine's ledger."""
+        """X after ``step`` creations, summed afresh from the raw bits and
+        the weight table; an independent check on the engine's carried X."""
         if self.bits is None:
             raise ValueError("run simulate_stream with keep_bits=True")
         for name, value, top in (("trial", trial, self.config.trials - 1),
@@ -105,7 +105,7 @@ class StreamTrace:
                     value, (int, np.integer)) or not 0 <= value <= top:
                 raise RangeError(f"{name} must be an integer in [0, {top}]: "
                                  f"{value!r}")
-        decay = np.exp(-self.config.alpha * np.arange(step + 1))
+        decay = _decay_table(self.config.alpha, step)[0]
         return _weighted_x(self.bits[trial], self.config.n, step, decay)
 
 
@@ -140,8 +140,9 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
                     keep_bits: bool = False) -> StreamTrace:
     """Run the streaming construction for every trial.
 
-    X_j is computed exactly from the weight ledger (weighted fraction of
-    firing items among inputs plus the first j creations), not estimated.
+    X_j, the weighted fraction of firing items among the inputs and the
+    first j creations, is computed from the bits and the weight table, not
+    estimated.
     """
     if engine == "prefix_tree":
         return _simulate_prefix(dist, config, keep_bits)
@@ -162,6 +163,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
     n, k, alpha = config.n, config.k, config.alpha
     cols, size = 1 + max_leaves, n + k
     steps = recorded_steps(n, k, alpha)
+    decay, ages = _decay_table(alpha, k)
     x = np.empty((config.trials, len(steps)), dtype=np.float64)
     final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
 
@@ -180,43 +182,25 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
             bits[row, :n] = draw(rng.random)
         u = np.empty((b, _STEP_CHUNK, cols))
         rows = np.arange(b)[:, None] * size
-        # denom takes numer's steps with every item firing: numer <= denom.
-        numer, denom = bits[:, :n].sum(axis=1).astype(np.float64), float(n)
-        x[start:start + b, 0] = numer / n          # steps[0] == 0
-        base, end, a = 0, 0, 0
-        while a < k:
-            c0 = a - a % _STEP_CHUNK
-            if a == c0:
-                for row, rng in enumerate(rngs):
-                    rng.random(out=u[row, :min(_STEP_CHUNK, k - a)])
-            if alpha > 0 and a + 1 > end:
-                # Renormalize: weights relative to e^(alpha*a) up to end.
-                numer *= math.exp(alpha * (base - a))
-                denom *= math.exp(alpha * (base - a))
-                base = a
-                expo = alpha * (np.arange(k + 1, dtype=np.float64) - base)
-                end = max(a + 1, int(np.searchsorted(
-                    expo, _MAX_TOTAL_EXPONENT, side="right")) - 1)
-                cumweight = ((np.expm1(expo[:end + 1])
-                              - np.expm1(-alpha * base)) / np.expm1(alpha))
-                item_w = np.exp(expo[base:end])
-                w_in = math.exp(-alpha * base)        # one input's weight
-                n_w = n * w_in
-            z = min(c0 + _STEP_CHUNK, k, end if alpha > 0 else k)
-            js, uz = np.arange(a, z), u[:, a - c0:z - c0]
+        for a in range(0, k, _STEP_CHUNK):
+            z = min(a + _STEP_CHUNK, k)
+            for row, rng in enumerate(rngs):
+                rng.random(out=u[row, :z - a])
+            js, uz = np.arange(a, z), u[:, :z - a]
             which = np.searchsorted(cumw, uz[..., 0], side="right")
             lv = np.moveaxis(uz[..., 1:], 2, 0).copy()    # (leaves, b, z - a)
             if alpha == 0:
                 idx = np.minimum((lv * (n + js)).astype(np.int64), n + js - 1)
             else:
-                r = lv * (n_w + cumweight[js])
-                # r < n_w is false once w_in underflows; any divisor serves
-                idx_inputs = np.minimum(np.minimum(r, n_w) / (w_in or 1.0),
-                                        n - 1).astype(np.int64)
-                pos = np.searchsorted(cumweight, np.maximum(r - n_w, 0.0),
-                                      side="right") - 1
-                idx = np.where(r < n_w, idx_inputs, n + np.minimum(
-                    np.maximum(pos, 0), np.maximum(js - 1, 0)))
+                # An input weighs d[j]; item j - 1 - g weighs d[g + 1].
+                d_j = decay[js]
+                nd, a_j = n * d_j, ages[np.minimum(js, len(ages) - 1)]
+                r = lv * (nd + a_j)
+                idx_inputs = np.minimum(np.minimum(r, nd) / np.where(
+                    d_j > 0, d_j, 1.0), n - 1)     # d[j] = 0: no input drawn
+                age = np.searchsorted(ages, a_j - (r - nd)) - 1
+                idx = np.where(r < nd, idx_inputs.astype(np.int64),
+                               n + js - 1 - np.maximum(age, 0))
             at = (idx + rows).reshape(max_leaves, -1)
             which, out = which.ravel(), (rows + n + js).ravel()
             flat[out] = bits[:, n + a - 1].repeat(z - a)         # the guess
@@ -227,15 +211,8 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
             while not np.array_equal(new, flat[out]):             # settle
                 flat[out] = new
                 new = eval_blocks(trees, which, flat[at].T)
-            # Ledger: the same sequential adds as one step at a time.
-            w = np.ones(z - a) if alpha == 0 else item_w[a - base:z - base]
-            numers = np.add.accumulate(np.concatenate(
-                (numer[:, None], bits[:, n + a:n + z] * w), axis=1), axis=1)
-            denoms = np.add.accumulate(np.concatenate(((denom,), w)))
-            lo, hi = np.searchsorted(steps, (a + 1, z + 1))
-            hit = steps[lo:hi] - a
-            x[start:start + b, lo:hi] = numers[:, hit] / denoms[hit]
-            numer, denom, a = numers[:, -1], denoms[-1], z
+        carried = _carried(bits, n, steps, decay)
+        x[start:start + b] = carried[:-1] / carried[-1]
         if k:
             final[start:start + b] = bits[:, n + k - 1]
         if keep_bits:
@@ -251,7 +228,7 @@ def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
     trees, cumw, max_leaves = entry_table(dist)
     n, k = config.n, config.k
     steps = recorded_steps(n, k, config.alpha)
-    decay = np.exp(-config.alpha * np.arange(k + 1))
+    decay = _decay_table(config.alpha, k)[0]
     draw = input_draw(config)
     bits = np.empty((config.trials, n + k), dtype=np.uint8)
     for trial, row in enumerate(bits):
@@ -268,6 +245,37 @@ def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
     return StreamTrace(steps=steps, x=x,
                        final_bits=bits[:, -1].copy() if k else None,
                        config=config, bits=bits if keep_bits else None)
+
+
+def _decay_table(alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The run's weights relative to the newest item: d[m] = e^(-alpha*m),
+    m = 0..k, and A[a] = d[1] + ... + d[a] while d > 0.  ``math.exp``,
+    unlike ``np.exp``, gives the same bits at every numpy SIMD level."""
+    d = np.array([math.exp(-alpha * m) for m in range(k + 1)])
+    return d, np.cumsum(np.r_[0.0, d[1:np.count_nonzero(d)]])
+
+
+def _carried(bits: np.ndarray, n: int, steps: np.ndarray,
+             decay: np.ndarray) -> np.ndarray:
+    """Each row's firing weight at every recorded step, relative to the
+    newest item, and last the total weight, carried alike with every bit 1.
+    Over each piece [p, e), cut at the recorded steps and every ``_X_SPAN``
+    items, w <- d[e - p] * w + the piece's bits weighed d[e - p], ..., d[1]:
+    X <= 1 exactly, and no chunk or batch size changes X's bits."""
+    k = len(decay) - 1
+    bounds = np.array(sorted({*steps.tolist(), *range(0, k, _X_SPAN)}))
+    factor = decay[:_X_SPAN + 1].tolist()
+    weighed = np.empty((len(bits) + 1, _X_SPAN))
+    carried = [np.append(bits[:, :n].sum(axis=1, dtype=np.float64), n)]
+    for q in range(0, k, _X_SPAN):
+        cut = bounds[(bounds >= q) & (bounds <= q + _X_SPAN)]
+        w = decay[np.repeat(cut[1:], np.diff(cut)) - np.arange(q, cut[-1])]
+        np.multiply(bits[:, n + q:n + cut[-1]], w, out=weighed[:-1, :len(w)])
+        weighed[-1, :len(w)] = w
+        sums = np.add.reduceat(weighed[:, :len(w)], cut[:-1] - q, axis=1)
+        for m, piece in zip(np.diff(cut).tolist(), sums.T.copy()):
+            carried.append(factor[m] * carried[-1] + piece)
+    return np.array(carried)[np.searchsorted(bounds, steps)].T
 
 
 def _weights(decay: np.ndarray, n: int, step: int) -> np.ndarray:

@@ -15,8 +15,8 @@ from amptree.errors import (CapacityError, InvalidStaircaseError, RangeError,
                             WeightError)
 from amptree.polyalg import Polynomial, fixed_points, iterate_point, mix, \
     scan_fixed_points
-from amptree.trees import (activation, build_ak, build_bk, leaf, or_, and_,
-                           tree_polynomial)
+from amptree.trees import (activation, build_ak, build_bk, format_tree, leaf,
+                           or_, and_, parse_tree, tree_polynomial)
 
 PHI1 = GOLDEN - 1.0
 
@@ -40,10 +40,9 @@ def test_weights_must_sum_to_one():
 def test_weights_must_be_finite():
     # A NaN weight fails neither "w < 0" nor "|sum - 1| > 1e-12".
     for weights in ([float("nan")], [0.5, float("nan")]):
-        text = json.dumps({"label": "nan", "entries": [
-            {"tree": "(AND x x)", "weight": w} for w in weights]})
         with pytest.raises(WeightError):
-            TreeDistribution.from_json(text)
+            TreeDistribution("nan", tuple((parse_tree("(AND x x)"), w)
+                                          for w in weights))
 
 
 def test_mixture_equals_weighted_sum():
@@ -61,11 +60,17 @@ def test_evaluate_matches_mixture():
 
 def test_distribution_json_roundtrip():
     d = quad4(0.55)
-    back = TreeDistribution.from_json(d.to_json())
-    assert back.label == d.label
-    assert back.mixture.coeffs == pytest.approx(d.mixture.coeffs, abs=1e-15)
     payload = json.loads(d.to_json())
+    assert payload["label"] == d.label
     assert payload["entries"][0]["tree"] == "(AND (OR x x) (OR x x))"
+    assert [(e["tree"], e["weight"]) for e in payload["entries"]] == [
+        (format_tree(t), w) for t, w in d.entries]
+    assert payload["mixture"] == list(d.mixture.coeffs)
+    # The written trees and weights give back the written mixture.
+    back = mix([e["weight"] for e in payload["entries"]],
+               [tree_polynomial(parse_tree(e["tree"]))
+                for e in payload["entries"]])
+    assert back.coeffs == pytest.approx(payload["mixture"], abs=1e-15)
 
 
 def test_complement_distribution():

@@ -62,8 +62,8 @@ STREAMS = {
              dict(n=24, k=600, alpha=0.0, trials=5, input_p=0.4)),
     "decay": (linear_threshold(0.5),
               dict(n=24, k=600, alpha=0.01, trials=5, input_bits=BITS[:24])),
-    # alpha * k = 720 > 600: the default engine renormalizes its ledger
-    # once, at step 600.
+    # alpha * k = 720: X is recorded at every step, and the weights older
+    # than 708 steps are subnormal.
     "fallback": (linear_threshold(0.5),
                  dict(n=24, k=720, alpha=1.0, trials=3, input_p=0.45)),
     "quad4": (quad4(0.5), dict(n=24, k=500, alpha=0.0, trials=4,

@@ -1,6 +1,7 @@
 """Wild and exponential streaming constructions."""
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,23 @@ def test_x_never_exceeds_one():
     cfg = StreamConfig(n=600, k=8000, alpha=0.07, seed=77, trials=20,
                        input_p=0.9)
     assert simulate_stream(LT, cfg).x.max() <= 1.0
+
+
+def test_long_x_windows_keep_memory_bounded():
+    # At alpha = 1e-5 X is recorded at the pool doublings only, so its
+    # windows run up to 10,000 steps; at alpha = 0.01 every 100 steps.
+    # Weighing a whole window at once doubles the traced peak.
+    peaks = []
+    for alpha in (1e-5, 0.01):
+        cfg = StreamConfig(n=16, k=20_000, alpha=alpha, seed=3, trials=64,
+                           input_p=0.45)
+        tracemalloc.start()
+        try:
+            simulate_stream(LT, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.3 * peaks[1]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0, 5.0])
