@@ -238,8 +238,8 @@ GOLDEN = {
     'cli-enumerate-csv': '45016d91ed34349da1964d792f73131c4e9963c5197a8b2e7f23345c82cbd509',
     'cli-enumerate-json': 'b1177e5fc1fefe0a573263efa9526d5fb1eb6e144481d8066f4d432653bafd62',
     'cli-leveled': '56e6be50307b7aed1f85a5adf5755ceed82cca89f74cb1eaeb8120658de3fbde',
-    'cli-stream': 'c2d506eb9f0b07a4770c27870973004227e51be55c849964e95ee247cf0ef89d',
-    'cli-stream-json': 'b782d9447b769d06b8be2e8ae639071967bae3184fb5925f6e7e87a294c5276e',
+    'cli-stream': '56b54f52d6d06b739317ea30f121c4390df020e268f9224d79e5314f9225197b',
+    'cli-stream-json': '66c6d712bf5f41d60f6c8cb17f24cb689098db99584b108bd2995940da9037c0',
     'conditions-linear': '8bcb6f5f457d7321ce4163397293b63d4e516241385eee0d2924ff42547cb901',
     'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
     'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
@@ -268,8 +268,8 @@ GOLDEN = {
     'leveled-valiant-bits': '702fc51b839b931d0daf5ded4ec160aef6bd4b241babab98c04a3de8ff2de110',
     'leveled-valiant-p': '7eb91a078d3b57bfffc0d9bece56ba3ec595fe86f603ab5aa2caf43b8182bdc3',
     'polynomials-ak-bk': 'a026e6ca0a331dba9e96f477e0afd341f283e8508615955f8c1243b03aca79fa',
-    'stream-decay': '3c0642d9b46ef9c8a2e9a3c2a32538567f178c2ff107986b7f312813eed67b37',
-    'stream-fallback': 'bfccabe63e792d93c490de2d39e9182a6db0c633683e696905eba40dbb47cf94',
+    'stream-decay': '60af889078a9ca980c327532ea2c0c41fed01351edbbb4f9c2be0e25c5a8923a',
+    'stream-fallback': 'f2100a51ff1123fa4b094cc4247ee95d5b83d60ac3a2bbadb2942b1a3ba90c3f',
     'stream-quad4': '985ace8d6b7531601915a0c8a254366402ced2823a82fd92071eab84c482b9c5',
     'stream-wild': '585a583eee7f2cc0e9a9e1410924973d40553b6b60348bd4bbec948581721cee',
     'sweep-linear': '0db62e15febcd8453a54fcedb7705def320fc6546c84068192d4971d26e23996',
