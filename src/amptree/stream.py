@@ -152,9 +152,10 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
 
 
 def _per_trial(n: int, k: int, cols: int) -> int:
-    """Batch bytes per trial: its bits row and, per chunk step and column,
-    uniforms (8 raw, 8 leaf-major), leaf indices (8 + 8) and a bit (1)."""
-    return n + k + _STEP_CHUNK * cols * 33
+    """Batch bytes per trial: its bits row, X's carry buffer and, per chunk
+    step and column, uniforms (8 raw, 8 leaf-major), leaf indices (8 + 8)
+    and a bit (1)."""
+    return n + k + 8 * _X_SPAN + _STEP_CHUNK * cols * 33
 
 
 def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
@@ -264,7 +265,6 @@ def _carried(bits: np.ndarray, n: int, steps: np.ndarray,
     X <= 1 exactly, and no chunk or batch size changes X's bits."""
     k = len(decay) - 1
     bounds = np.array(sorted({*steps.tolist(), *range(0, k, _X_SPAN)}))
-    factor = decay[:_X_SPAN + 1].tolist()
     weighed = np.empty((len(bits) + 1, _X_SPAN))
     carried = [np.append(bits[:, :n].sum(axis=1, dtype=np.float64), n)]
     for q in range(0, k, _X_SPAN):
@@ -274,7 +274,7 @@ def _carried(bits: np.ndarray, n: int, steps: np.ndarray,
         weighed[-1, :len(w)] = w
         sums = np.add.reduceat(weighed[:, :len(w)], cut[:-1] - q, axis=1)
         for m, piece in zip(np.diff(cut).tolist(), sums.T.copy()):
-            carried.append(factor[m] * carried[-1] + piece)
+            carried.append(decay[m] * carried[-1] + piece)
     return np.array(carried)[np.searchsorted(bounds, steps)].T
 
 
