@@ -273,7 +273,7 @@ def _carried(bits: np.ndarray, n: int, steps: np.ndarray,
         np.multiply(bits[:, n + q:n + cut[-1]], w, out=weighed[:-1, :len(w)])
         weighed[-1, :len(w)] = w
         sums = np.add.reduceat(weighed[:, :len(w)], cut[:-1] - q, axis=1)
-        for m, piece in zip(np.diff(cut).tolist(), sums.T.copy()):
+        for m, piece in zip(np.diff(cut).tolist(), sums.T):
             carried.append(decay[m] * carried[-1] + piece)
     return np.array(carried)[np.searchsorted(bounds, steps)].T
 
