@@ -251,7 +251,7 @@ def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
 def _decay_table(alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The run's weights relative to the newest item: d[m] = e^(-alpha*m),
     m = 0..k, and A[a] = d[1] + ... + d[a] while d > 0.  ``math.exp``,
-    unlike ``np.exp``, gives the same bits at every numpy SIMD level."""
+    unlike numpy's exp ufunc, gives the same bits at every SIMD level."""
     d = np.fromiter(map(math.exp, -alpha * np.arange(k + 1)), float, k + 1)
     return d, np.cumsum(np.r_[0.0, d[1:np.count_nonzero(d)]])
 
