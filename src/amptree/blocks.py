@@ -2,8 +2,9 @@
 
 Every simulated item samples a building block from a distribution's
 entries, wires the block's leaves to earlier items, and fires as the block
-evaluates on them.  The entry table, the block evaluation, and the check
-and draw of a run's inputs are decided here, once for all three.
+evaluates on them.  The entry table and its pick, the block evaluation,
+and the check and draw of a run's inputs are decided here, once for all
+three.
 """
 from __future__ import annotations
 
@@ -19,9 +20,9 @@ SIM_LEAF_CAP = 64
 def entry_table(dist):
     """(trees, cumulative weights, max leaves) of a simulable distribution.
 
-    ``np.searchsorted(cumw, u, side="right")`` maps a uniform draw to its
-    entry.  Cumulative weights that reach the total are infinite, so a draw
-    past a sum that rounded below 1 picks the last positive-weight entry.
+    ``pick(cumw, u)`` maps a uniform draw to its entry.  Cumulative weights
+    that reach the total are infinite, so a draw past a sum that rounded
+    below 1 picks the last positive-weight entry.
     """
     if dist.max_leaf_count > SIM_LEAF_CAP:
         raise CapacityError(
@@ -30,6 +31,17 @@ def entry_table(dist):
     cumw = np.cumsum([w for _, w in dist.entries])
     cumw[cumw == cumw[-1]] = np.inf
     return tuple(t for t, _ in dist.entries), cumw, dist.max_leaf_count
+
+
+def pick(cumw, u):
+    """``np.searchsorted(cumw, u, side="right")`` for an ``entry_table``'s
+    weights: the count of finite cumulative weights <= u, one comparison
+    per entry (an infinite one is never <= a draw), in the smallest
+    unsigned type that holds the entry count."""
+    which = np.zeros(np.shape(u), np.min_scalar_type(len(cumw)))
+    for c in cumw[np.isfinite(cumw)]:
+        which += u >= c
+    return which
 
 
 def eval_blocks(trees, which, leafbits):

@@ -22,7 +22,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .blocks import check_inputs, entry_table, eval_blocks, input_draw
+from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
 from .catalog import TreeDistribution
 from .errors import CapacityError, InputShapeError, RangeError
 from .rng import stacked_streams
@@ -97,7 +97,7 @@ def simulate_leveled(dist: TreeDistribution,
         prev_size = config.n
         for level, m in enumerate(config.widths, start=1):
             u = random(level, (m, cols))
-            which = np.searchsorted(cumw, u[..., 0], side="right")
+            which = pick(cumw, u[..., 0])
             idx = np.minimum((u[..., 1:] * prev_size).astype(np.int64),
                              prev_size - 1)
             # One flat gather: 2-D fancy indexing is several times slower.

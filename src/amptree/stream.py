@@ -9,17 +9,19 @@ matter.  Both engines weigh each item relative to the newest one, from
 one table per run (``_decay_table``): d[m] = e^(-alpha*m) for an item m
 steps old, and A[a] = d[1] + ... + d[a].  At step j the default engine
 draws r = u * (n*d[j] + A[j]) per leaf: input floor(r / d[j]) below
-n*d[j], else the item whose age a search of A finds.  The ``prefix_tree``
-engine is a reference only: at step j it writes every weight out from the
-table and draws each leaf by ``searchsorted`` on their cumulative sum.
+n*d[j], else the item whose age a search of A finds; it picks each tree
+with ``blocks.pick``.  The ``prefix_tree`` engine is a reference only: at
+step j it writes every weight out from the table and draws each leaf, and
+the tree, by ``searchsorted`` on cumulative sums.
 
 The default engine takes 128 steps at a time.  Wiring reads uniforms and
-the table, never a bit, so a chunk is wired at once, then evaluated with
-its own items set to each trial's last earlier item; the items wired into
-the chunk are re-evaluated until a round changes nothing.  Each item reads
-only earlier items, so the chunk has one fixed point, and a round that
-changes nothing has found it.  X is then carried over the batch's bits
-from recorded step to recorded step (``_carried``).
+the table, never a bit, so a chunk is wired at once, leaf-major into one
+buffer per batch.  Each trial's new items are one slice of its bits row:
+they are set to the trial's last earlier item, then evaluated once; the
+items wired into the chunk are re-evaluated until a round changes nothing.
+Each item reads only earlier items, so the chunk has one fixed point, and
+a round that changes nothing has found it.  X is then carried over the
+batch's bits from recorded step to recorded step (``_carried``).
 
 Determinism: each trial owns generator PCG64(derive_seed(seed, trial));
 it first draws the Bernoulli inputs (if any), then k rows of 1 + max_leaves
@@ -37,7 +39,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .blocks import check_inputs, entry_table, eval_blocks, input_draw
+from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
 from .catalog import TreeDistribution
 from .errors import InputShapeError, RangeError
 from .rng import generator
@@ -49,7 +51,8 @@ _MAX_ALPHA = math.log(sys.float_info.max)
 #: Steps drawn, wired and evaluated together.
 _STEP_CHUNK = 128
 
-#: Memory budget (bytes) per batch: its items and one chunk's buffers.
+#: Memory budget (bytes) of a run: its weight table and one batch's items,
+#: X carry and chunk buffers (``_batch_bytes``).
 _BATCH_BUDGET = 320_000_000
 
 #: Longest piece of X's carry; fixed, so no chunk size changes X's bits.
@@ -151,11 +154,23 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
     return _simulate_vectorized(dist, config, keep_bits)
 
 
-def _per_trial(n: int, k: int, cols: int) -> int:
-    """Batch bytes per trial: its bits row, X's carry buffer and, per chunk
-    step and column, uniforms (8 raw, 8 leaf-major), leaf indices (8 + 8)
-    and a bit (1)."""
-    return n + k + 8 * _X_SPAN + _STEP_CHUNK * cols * 33
+def _batch_bytes(n: int, k: int, cols: int,
+                 steps: np.ndarray) -> tuple[int, int]:
+    """Bytes a run holds whatever its batches, and bytes per trial of a
+    batch.  X's carry keeps a row per recorded step and per ``_X_SPAN``
+    items.  The run holds the weight table and 48 bytes per carry row (the
+    total weight's column, in the carry and in its gather at the recorded
+    steps, and the rows' index arrays).  A trial holds its bits row, its
+    generator (about 0.9 KB), X's carry buffer, 24 bytes per carry row (its
+    column in the carry and in the gather, and its row of the trace) and,
+    per chunk step, 40 bytes for the settle set's positions and 48 per
+    column: uniforms, the leaf-major buffer and up to four index or draw
+    arrays (the settle set's leaves and, when alpha > 0, the last chunk's
+    indices, the age search's key and its result)."""
+    rows = len(steps) + -(-k // _X_SPAN)
+    return (16 * (k + 1) + 48 * rows,
+            n + k + 1024 + 8 * _X_SPAN + 24 * rows
+            + _STEP_CHUNK * (40 + 48 * cols))
 
 
 def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
@@ -168,8 +183,9 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
     x = np.empty((config.trials, len(steps)), dtype=np.float64)
     final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
 
+    run_bytes, per_trial = _batch_bytes(n, k, cols, steps)
     batch_size = max(1, min(config.trials,
-                            _BATCH_BUDGET // _per_trial(n, k, cols)))
+                            (_BATCH_BUDGET - run_bytes) // per_trial))
     draw = input_draw(config)
     kept = np.empty((config.trials, size), np.uint8) if keep_bits else None
 
@@ -182,38 +198,48 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         for row, rng in enumerate(rngs):
             bits[row, :n] = draw(rng.random)
         u = np.empty((b, _STEP_CHUNK, cols))
+        # Leaf-major (leaves, b, steps): leaf indices, or draws when alpha > 0.
+        wired = np.empty(max_leaves * b * _STEP_CHUNK,
+                         np.int64 if alpha == 0 else np.float64)
         rows = np.arange(b)[:, None] * size
         for a in range(0, k, _STEP_CHUNK):
             z = min(a + _STEP_CHUNK, k)
             for row, rng in enumerate(rngs):
                 rng.random(out=u[row, :z - a])
             js, uz = np.arange(a, z), u[:, :z - a]
-            which = np.searchsorted(cumw, uz[..., 0], side="right")
-            lv = np.moveaxis(uz[..., 1:], 2, 0).copy()    # (leaves, b, z - a)
+            which = pick(cumw, uz[..., 0]).ravel()
+            lv = np.moveaxis(uz[..., 1:], 2, 0)
+            leaf = wired[:lv.size].reshape(lv.shape)
             if alpha == 0:
-                idx = np.minimum((lv * (n + js)).astype(np.int64), n + js - 1)
+                idx = np.multiply(lv, n + js, out=leaf, casting="unsafe")
+                np.minimum(idx, n + js - 1, out=idx)
             else:
                 # An input weighs d[j]; item j - 1 - g weighs d[g + 1].
                 d_j = decay[js]
                 nd, a_j = n * d_j, ages[np.minimum(js, len(ages) - 1)]
-                r = lv * (nd + a_j)
-                idx_inputs = np.minimum(np.minimum(r, nd) / np.where(
-                    d_j > 0, d_j, 1.0), n - 1)     # d[j] = 0: no input drawn
-                age = np.searchsorted(ages, a_j - (r - nd)) - 1
-                idx = np.where(r < nd, idx_inputs.astype(np.int64),
-                               n + js - 1 - np.maximum(age, 0))
-            at = (idx + rows).reshape(max_leaves, -1)
-            which, out = which.ravel(), (rows + n + js).ravel()
-            flat[out] = bits[:, n + a - 1].repeat(z - a)         # the guess
-            flat[out] = eval_blocks(trees, which, flat[at].T)
+                r = np.multiply(lv, nd + a_j, out=leaf)
+                idx = np.searchsorted(ages, a_j - (r - nd))
+                idx -= 1                                # the age, then clamped
+                np.subtract(n + js - 1, np.maximum(idx, 0, out=idx), out=idx)
+                inputs = np.minimum(r, nd)     # d[j] = 0: no input drawn
+                inputs /= np.where(d_j > 0, d_j, 1.0)
+                np.minimum(inputs, n - 1, out=inputs)
+                np.copyto(idx, inputs, casting="unsafe", where=r < nd)
             inner = np.flatnonzero((idx >= n + a).any(axis=0))
-            at, which, out = at[:, inner], which[inner], out[inner]
+            idx += rows
+            at = idx.reshape(max_leaves, -1)
+            made = bits[:, n + a:n + z]
+            made[:] = bits[:, n + a - 1, None]                    # the guess
+            made[:] = eval_blocks(trees, which, flat[at].T).reshape(b, -1)
+            trial, step = np.divmod(inner, z - a)
+            out = trial * size + n + a + step
+            at, which = at[:, inner], which[inner]
             new = eval_blocks(trees, which, flat[at].T)
             while not np.array_equal(new, flat[out]):             # settle
                 flat[out] = new
                 new = eval_blocks(trees, which, flat[at].T)
         carried = _carried(bits, n, steps, decay)
-        x[start:start + b] = carried[:-1] / carried[-1]
+        np.divide(carried[:-1], carried[-1], out=x[start:start + b])
         if k:
             final[start:start + b] = bits[:, n + k - 1]
         if keep_bits:
@@ -264,9 +290,12 @@ def _carried(bits: np.ndarray, n: int, steps: np.ndarray,
     items, w <- d[e - p] * w + the piece's bits weighed d[e - p], ..., d[1]:
     X <= 1 exactly, and no chunk or batch size changes X's bits."""
     k = len(decay) - 1
-    bounds = np.array(sorted({*steps.tolist(), *range(0, k, _X_SPAN)}))
+    bounds = np.sort(np.concatenate((steps, np.arange(0, k, _X_SPAN))))
+    bounds = bounds[np.diff(bounds, prepend=-1) > 0]
     weighed = np.empty((len(bits) + 1, _X_SPAN))
-    carried = [np.append(bits[:, :n].sum(axis=1, dtype=np.float64), n)]
+    carried = np.empty((len(bounds), len(bits) + 1))
+    carried[0] = np.append(bits[:, :n].sum(axis=1, dtype=np.float64), n)
+    i = 0
     for q in range(0, k, _X_SPAN):
         cut = bounds[(bounds >= q) & (bounds <= q + _X_SPAN)]
         w = decay[np.repeat(cut[1:], np.diff(cut)) - np.arange(q, cut[-1])]
@@ -274,8 +303,9 @@ def _carried(bits: np.ndarray, n: int, steps: np.ndarray,
         weighed[-1, :len(w)] = w
         sums = np.add.reduceat(weighed[:, :len(w)], cut[:-1] - q, axis=1)
         for m, piece in zip(np.diff(cut).tolist(), sums.T):
-            carried.append(decay[m] * carried[-1] + piece)
-    return np.array(carried)[np.searchsorted(bounds, steps)].T
+            np.add(decay[m] * carried[i], piece, out=carried[i + 1])
+            i += 1
+    return carried[np.searchsorted(bounds, steps)].T
 
 
 def _weights(decay: np.ndarray, n: int, step: int) -> np.ndarray:

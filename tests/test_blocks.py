@@ -2,9 +2,11 @@
 input checks and draws."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from amptree.blocks import SIM_LEAF_CAP, entry_table, eval_blocks, input_draw
-from amptree.catalog import TreeDistribution, dense_fixed_point
+from amptree.blocks import (SIM_LEAF_CAP, entry_table, eval_blocks,
+                            input_draw, pick)
+from amptree.catalog import TreeDistribution, dense_fixed_point, valiant
 from amptree.errors import CapacityError, InputShapeError, RangeError
 from amptree.leveled import LevelConfig, simulate_leveled
 from amptree.rng import generator
@@ -37,6 +39,7 @@ def test_entry_table_picks_entries_by_cumulative_weight():
     u = np.array([0.0, 0.19, 0.2, 0.69, 0.71, 1.0 - 2.0 ** -53])
     assert np.searchsorted(cumw, u, side="right").tolist() == [0, 0, 1, 1,
                                                                2, 2]
+    assert pick(cumw, u).tolist() == [0, 0, 1, 1, 2, 2]
 
 
 def test_entry_table_past_the_total_gives_last_positive_entry():
@@ -47,6 +50,45 @@ def test_entry_table_past_the_total_gives_last_positive_entry():
     _, cumw, _ = entry_table(dist)
     u = np.array([1.0 - 1e-14, 1.0 - 2.0 ** -53])
     assert np.searchsorted(cumw, u, side="right").tolist() == [2, 2]
+    assert pick(cumw, u).tolist() == [2, 2]
+
+
+@st.composite
+def tables_and_draws(draw):
+    """An entry table's cumulative weights and draws that include each
+    finite cumulative weight exactly, the float just below it, 0 and the
+    largest float below 1."""
+    raw = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=1,
+                        max_size=6).filter(any))
+    weights = [w / sum(raw) for w in raw]
+    top = weights.index(max(weights))
+    weights[top] -= draw(st.sampled_from([0.0, 1e-13]))   # sum below 1
+    trees = THREE + (X,)
+    dist = TreeDistribution("mix", tuple(
+        (trees[i % len(trees)], w) for i, w in enumerate(weights)))
+    cumw = entry_table(dist)[1]
+    finite = cumw[np.isfinite(cumw)].tolist()
+    edges = finite + [np.nextafter(c, 0.0) for c in finite]
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True)
+                      | st.sampled_from(edges + [0.0, 1.0 - 2.0 ** -53]),
+                      min_size=1, max_size=40))
+    return cumw, np.array(u)
+
+
+@given(tables_and_draws())
+def test_pick_is_searchsorted_right(table):
+    cumw, u = table
+    want = np.searchsorted(cumw, u, side="right")
+    assert pick(cumw, u).tolist() == want.tolist()
+    strided = np.repeat(u, 2)[::2].reshape(1, -1)     # as the engines call it
+    assert pick(cumw, strided).tolist() == [want.tolist()]
+
+
+def test_pick_on_a_one_entry_table():
+    _, cumw, _ = entry_table(valiant())
+    u = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
+    assert pick(cumw, u).tolist() == [0, 0, 0]
+    assert np.searchsorted(cumw, u, side="right").tolist() == [0, 0, 0]
 
 
 def test_one_leaf_cap_for_both_simulators():

@@ -75,7 +75,7 @@ def test_k_zero_reports_input_fraction():
 
 def test_ledger_matches_scratch_recomputation():
     # X recomputed from scratch (full weight sum over the raw bits) agrees
-    # with the incrementally maintained ledger at every recorded step
+    # with the X carried from recorded step to recorded step
     for alpha in (0.0, 0.01):
         cfg = StreamConfig(n=40, k=20_000, alpha=alpha, seed=3, trials=2,
                            input_p=0.45)
@@ -137,8 +137,9 @@ def test_engines_agree_exactly_on_wild():
 
 @pytest.mark.parametrize("n, k, alpha", [(24, 720, 1.0), (8, 200, 5.0)])
 def test_default_engine_renormalizes_past_600(monkeypatch, n, k, alpha):
-    # alpha * k = 720 and 1000: the default engine renormalizes its ledger
-    # and never reaches the prefix-tree reference, yet agrees with it
+    # alpha * k = 720 and 1000: the oldest weights are subnormal or 0, and
+    # the default engine never reaches the prefix-tree reference, yet
+    # agrees with it
     cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=2, trials=3, input_p=0.5)
     ref = simulate_stream(LT, cfg, engine="prefix_tree")
 
@@ -186,7 +187,7 @@ def test_x_is_one_when_every_item_fires(alpha):
     assert np.all(trace.x == 1.0)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0 renormalizes
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0: d underflows
 @pytest.mark.parametrize("inputs", ["p", "bits"])
 def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
     k, trials = 200, 5
@@ -197,12 +198,13 @@ def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
                            **given)
         monkeypatch.undo()
         ref = simulate_stream(LT, cfg, keep_bits=True)
-        cols = 1 + LT.max_leaf_count
+        cols, steps = 1 + LT.max_leaf_count, recorded_steps(n, k, alpha)
         for chunk in (1, 7, 64):
             for per_batch in (trials, 2, 1):
                 monkeypatch.setattr(stream, "_STEP_CHUNK", chunk)
+                run, per_trial = stream._batch_bytes(n, k, cols, steps)
                 monkeypatch.setattr(stream, "_BATCH_BUDGET",
-                                    per_batch * stream._per_trial(n, k, cols))
+                                    run + per_batch * per_trial)
                 trace = simulate_stream(LT, cfg, keep_bits=True)
                 assert np.array_equal(trace.x, ref.x), (n, chunk, per_batch)
                 assert np.array_equal(trace.final_bits, ref.final_bits)
@@ -216,7 +218,7 @@ STREAM_DISTS = {"linear": LT, "quad4": quad4(0.5), "valiant": valiant(),
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(sorted(STREAM_DISTS)), n=st.integers(1, 6),
        k=st.integers(0, 3 * stream._STEP_CHUNK + 5),
-       alpha=st.sampled_from([0.0, 1e-3, 0.3, 5.0]),    # 5.0 renormalizes
+       alpha=st.sampled_from([0.0, 1e-3, 0.3, 5.0]),    # 5.0: d underflows
        trials=st.integers(1, 4), p=st.sampled_from([0.2, 0.5, 0.8]),
        seed=st.integers(0, 2**32 - 1))
 def test_settled_chunks_match_the_reference_engine(name, n, k, alpha, trials,
@@ -239,11 +241,38 @@ def test_settled_chunks_match_the_reference_engine(name, n, k, alpha, trials,
                        - trace.x[trial, col]) <= 1e-9
 
 
+@pytest.mark.parametrize("name, n, k, alpha, trials", [
+    ("linear", 16, 20_000, 1e-5, 64),
+    ("linear", 16, 20_000, 0.0, 64),
+    ("linear", 16, 20_000, 1.0, 64),     # X recorded at every step
+    ("soft6", 3, 5_000, 0.3, 50),        # 12 leaves, most inside the chunk
+])
+def test_one_batch_peak_is_within_its_predicted_bytes(name, n, k, alpha,
+                                                      trials):
+    # The batch budget counts every buffer a run holds: its traced peak is
+    # at most the predicted bytes plus 64 KB for small Python objects.
+    dist = STREAM_DISTS[name]
+    run, per_trial = stream._batch_bytes(n, k, 1 + dist.max_leaf_count,
+                                         recorded_steps(n, k, alpha))
+    assert trials * per_trial + run < stream._BATCH_BUDGET   # one batch
+    cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=3, trials=trials,
+                       input_p=0.45)
+    simulate_stream(dist, StreamConfig(n=4, k=300, alpha=alpha, seed=1,
+                                       trials=2, input_p=0.5))   # warm up
+    tracemalloc.start()
+    try:
+        simulate_stream(dist, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trials * per_trial + run + 64 * 1024
+
+
 @pytest.mark.parametrize("name", ["linear", "quad4"])
 @pytest.mark.parametrize("alpha", [300.0, 650.0, 709.78])
 def test_engines_agree_at_high_alpha(name, alpha):
-    # The default engine renormalizes its ledger every step or two here,
-    # and every weight but the newest few underflows in the reference.
+    # Every weight but the newest few underflows here, in the table that
+    # both engines read.
     for n, k in ((1, 60), (16, 300)):
         cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=5, trials=3,
                            input_p=0.45)
