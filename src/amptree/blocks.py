@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, InputShapeError, RangeError
+from .errors import CapacityError, InputShapeError, RangeError, check_int
 from .trees import eval_columns
 
 #: Building blocks wider than this are not simulated item-by-item.
@@ -66,13 +66,14 @@ def check_bits(bits) -> tuple:
 
 
 def check_inputs(config) -> None:
-    """Check a config's n, trials and inputs: exactly one of ``input_p``
-    (Bernoulli, drawn per trial) and ``input_bits`` (explicit 0/1 bits,
-    shared by all trials), stored back as a tuple of ints."""
-    if config.n < 1:
-        raise InputShapeError("input count must be >= 1")
-    if config.trials < 1:
-        raise InputShapeError("trials must be >= 1")
+    """Check a config's n, trials and seed, stored back as ints, and its
+    inputs: exactly one of ``input_p`` (Bernoulli, drawn per trial) and
+    ``input_bits`` (0/1 bits shared by all trials, stored as a tuple)."""
+    object.__setattr__(config, "n", check_int(
+        "input count", config.n, 1, error=InputShapeError))
+    object.__setattr__(config, "trials", check_int(
+        "trials", config.trials, 1, error=InputShapeError))
+    object.__setattr__(config, "seed", check_int("seed", config.seed, None))
     if (config.input_p is None) == (config.input_bits is None):
         raise InputShapeError("give exactly one of input_p and input_bits")
     if config.input_bits is not None:

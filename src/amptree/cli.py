@@ -11,9 +11,9 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 from . import catalog, dynamics, leveled, learning, stream
@@ -166,12 +166,15 @@ def build_construction(params: dict) -> catalog.TreeDistribution:
                                   in PARAMS.items() if name in readers})
 
 
+def _output(cfg: ExperimentConfig):
+    """A context manager for ``--out``'s file, else for ``sys.stdout`` as
+    it is at this call, so that a caller's redirection of stdout holds."""
+    return open(cfg.out, "w") if cfg.out else nullcontext(sys.stdout)
+
+
 def _emit(cfg: ExperimentConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(cfg) as out:
+        out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +185,11 @@ def cmd_enumerate(cfg: ExperimentConfig) -> int:
     max_degree = cfg.params.get("max_degree", 5)
     table = achievable_by_degree(max_degree)
     if cfg.format == "csv":
-        buf = io.StringIO()
-        buf.write("degree,coefficients\n")
-        for d in sorted(table):
-            for poly in sorted(table[d], key=lambda q: q.coeffs):
-                buf.write(f"{d},\"{json.dumps(list(poly.coeffs))}\"\n")
-        _emit(cfg, buf.getvalue())
+        with _output(cfg) as out:
+            out.write("degree,coefficients\n")
+            for d in sorted(table):
+                for poly in sorted(table[d], key=lambda q: q.coeffs):
+                    out.write(f"{d},\"{json.dumps(list(poly.coeffs))}\"\n")
     else:
         _emit(cfg, json.dumps(
             {str(d): sorted([list(q.coeffs) for q in table[d]])
@@ -229,13 +231,10 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                              "interval": list(f.interval),
                              "witness": f.witness, "value": f.value})
     if failures:
-        report["status"] = "fail"
         report["failures"] = failures
-        _emit(cfg, json.dumps(report, sort_keys=True) + "\n")
-        return 1
-    report["status"] = "ok"
+    report["status"] = "fail" if failures else "ok"
     _emit(cfg, json.dumps(report, sort_keys=True) + "\n")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_iterate(cfg: ExperimentConfig) -> int:
@@ -243,9 +242,8 @@ def cmd_iterate(cfg: ExperimentConfig) -> int:
     prof = dynamics.profile(dist, cfg.params["p"],
                             max_levels=cfg.params.get("levels", 200))
     if cfg.format == "csv":
-        buf = io.StringIO()
-        prof.write_csv(buf)
-        _emit(cfg, buf.getvalue())
+        with _output(cfg) as out:
+            prof.write_csv(out)
     else:
         _emit(cfg, json.dumps({
             "p": prof.p, "threshold": prof.threshold, "limit": prof.limit,
@@ -266,9 +264,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         config = leveled.LevelConfig(widths=widths, n=params["n"], **inputs)
         trace = leveled.simulate_leveled(dist, config)
         if cfg.format == "csv":
-            buf = io.StringIO()
-            trace.write_csv(buf)
-            _emit(cfg, buf.getvalue())
+            with _output(cfg) as out:
+                trace.write_csv(out)
         else:
             _emit(cfg, json.dumps({
                 "mean_final_fraction": float(trace.fractions[:, -1].mean()),
@@ -280,9 +277,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                                      alpha=params.get("alpha", 0.0), **inputs)
         trace = stream.simulate_stream(dist, config)
         if cfg.format == "csv":
-            buf = io.StringIO()
-            trace.write_csv(buf)
-            _emit(cfg, buf.getvalue())
+            with _output(cfg) as out:
+                trace.write_csv(out)
         else:
             summary = {"mean_final_x": float(trace.x[:, -1].mean())}
             if trace.final_bits is not None:

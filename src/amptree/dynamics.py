@@ -13,7 +13,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .catalog import TreeDistribution
-from .errors import DegenerateInputError, RangeError
+from .errors import DegenerateInputError, RangeError, check_int
 
 LINEAR = "LINEAR"
 QUADRATIC = "QUADRATIC"
@@ -165,8 +165,7 @@ def profile(dist: TreeDistribution, p: float,
             f"p={p} sits on the interior fixed point {t}; iterates stay put")
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"p must be in [0,1], got {p}")
-    if max_levels < 1:
-        raise RangeError(f"max_levels must be >= 1, got {max_levels}")
+    max_levels = check_int("max_levels", max_levels, 1)
     limit = 0.0 if p < t else 1.0
     iterates = [p]
     errors = [abs(p - limit)]

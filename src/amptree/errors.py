@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer check."""
+from numbers import Integral
 
 
 class AmptreeError(Exception):
@@ -40,3 +41,15 @@ class InconsistentFixedPointError(AmptreeError, ValueError):
 
 class InvalidStaircaseError(AmptreeError, ValueError):
     """A staircase specification violates its invariants."""
+
+
+def check_int(name, value, lo, hi=None, error=RangeError) -> int:
+    """``int(value)``; ``error`` unless ``value`` is an integer (numpy's
+    too, not a bool) in [lo, hi], where a None bound leaves its side open."""
+    if (isinstance(value, bool) or not isinstance(value, Integral)
+            or lo is not None and value < lo
+            or hi is not None and value > hi):
+        bound = (f" in [{lo}, {hi}]" if hi is not None
+                 else f" >= {lo}" if lo is not None else "")
+        raise error(f"{name} must be an integer{bound}: {value!r}")
+    return int(value)

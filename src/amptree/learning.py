@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocks import check_bits, eval_blocks
 from .catalog import linear_threshold
-from .errors import InputShapeError, RangeError
+from .errors import InputShapeError, check_int
 from .rng import generator
 
 #: The block an item freezes to when its example bit is b, at index b:
@@ -220,8 +220,9 @@ def learn_threshold(levels: int, width: int, example: Sequence[int],
     x = np.asarray(check_bits(example), dtype=np.uint8)
     if x.size == 0:
         raise InputShapeError("the example string is empty")
-    if levels < 1 or width < 1:
-        raise InputShapeError("levels and width must be >= 1")
+    levels = check_int("levels", levels, 1, error=InputShapeError)
+    width = check_int("width", width, 1, error=InputShapeError)
+    seed = check_int("seed", seed, None)
     n = int(x.size)
     blocks = []
     wiring = []
@@ -250,10 +251,7 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     in 1..the top level's size.
     """
     size = tree.blocks[-1].size if tree.blocks else tree.n
-    if sample is not None and (isinstance(sample, bool) or not isinstance(
-            sample, (int, np.integer)) or not 1 <= sample <= size):
-        raise RangeError(f"sample must be an integer in [1, {size}], "
-                         f"got {sample!r}")
+    sample = size if sample is None else check_int("sample", sample, 1, size)
     bits = np.asarray(check_bits(input_bits), dtype=np.uint8)
     if bits.size != tree.n:
         raise InputShapeError(
@@ -263,8 +261,7 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     for blocks, wires in zip(tree.blocks, tree.wiring):
         cur = eval_blocks(_BLOCKS, blocks, cur[wires])
         trace.append(float(cur.mean()))
-    top = cur if sample is None else cur[:sample]
-    fraction = float(top.mean())
+    fraction = float(cur[:sample].mean())
     if return_trace:
         return fraction, trace
     return fraction

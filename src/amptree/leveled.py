@@ -24,7 +24,7 @@ import numpy as np
 
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
 from .catalog import TreeDistribution
-from .errors import CapacityError, InputShapeError, RangeError
+from .errors import CapacityError, InputShapeError, RangeError, check_int
 from .rng import stacked_streams
 
 #: Dense (m+1)^2 transition matrices are capped here.
@@ -50,9 +50,10 @@ class LevelConfig:
     input_bits: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if not self.widths or any(w < 1 for w in self.widths):
-            raise InputShapeError(f"widths must be positive: {self.widths}")
+        object.__setattr__(self, "widths", tuple(check_int(
+            "each width", w, 1, error=InputShapeError) for w in self.widths))
+        if not self.widths:
+            raise InputShapeError("widths must name at least one level")
         check_inputs(self)
 
 
@@ -143,14 +144,11 @@ def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
     distribution (the expected-count vector is normalized by m so the
     result is a probability).
     """
-    if m < 1:
-        raise RangeError("width must be >= 1")
+    m, levels = check_int("width m", m, 1), check_int("levels", levels, 1)
     if m > EXACT_WIDTH_CAP:
         raise CapacityError(
             f"dense ({m + 1})^2 transition matrix exceeds the cap "
             f"{EXACT_WIDTH_CAP}; use simulate_leveled for wide levels")
-    if levels < 1:
-        raise RangeError("levels must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise RangeError(f"p must be in [0,1], got {p}")
     counts = np.arange(m + 1)

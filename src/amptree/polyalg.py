@@ -204,8 +204,7 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float,
     return 0.5 * (lo + hi)
 
 
-def scan_fixed_points(f: Callable[[float], float],
-                      grid: int = DEFAULT_GRID) -> list[float]:
+def scan_fixed_points(f: Callable[[float], float]) -> list[float]:
     """Interior fixed points of a callable on (0, 1) by sign scan + bisection.
 
     ``f`` is called once on the whole scan grid, a float64 array, and must
@@ -217,7 +216,7 @@ def scan_fixed_points(f: Callable[[float], float],
     def h(p: float) -> float:
         return f(p) - p
 
-    points = np.arange(1, grid) * (1.0 / grid)
+    points = np.arange(1, DEFAULT_GRID) * (1.0 / DEFAULT_GRID)
     xs = points.tolist()
     hv = (f(points) - points).tolist()
     roots = [x for x, v in zip(xs, hv) if v == 0.0]

@@ -41,7 +41,7 @@ import numpy as np
 
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
 from .catalog import TreeDistribution
-from .errors import InputShapeError, RangeError
+from .errors import InputShapeError, RangeError, check_int
 from .rng import generator
 from .trees import eval_tree
 
@@ -73,8 +73,8 @@ class StreamConfig:
 
     def __post_init__(self):
         check_inputs(self)
-        if self.k < 0:
-            raise InputShapeError("items to create must be >= 0")
+        object.__setattr__(self, "k", check_int(
+            "items to create", self.k, 0, error=InputShapeError))
         if not 0.0 <= self.alpha <= _MAX_ALPHA:
             raise RangeError(f"decay rate alpha must be a number in "
                              f"[0, {_MAX_ALPHA:.2f}]: {self.alpha}")
@@ -102,12 +102,8 @@ class StreamTrace:
         the weight table; an independent check on the engine's carried X."""
         if self.bits is None:
             raise ValueError("run simulate_stream with keep_bits=True")
-        for name, value, top in (("trial", trial, self.config.trials - 1),
-                                 ("step", step, self.config.k)):
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, np.integer)) or not 0 <= value <= top:
-                raise RangeError(f"{name} must be an integer in [0, {top}]: "
-                                 f"{value!r}")
+        trial = check_int("trial", trial, 0, self.config.trials - 1)
+        step = check_int("step", step, 0, self.config.k)
         decay = _decay_table(self.config.alpha, step)[0]
         return _weighted_x(self.bits[trial], self.config.n, step, decay)
 
@@ -116,20 +112,21 @@ def recorded_steps(n: int, k: int, alpha: float) -> np.ndarray:
     """Creation counts at which X is recorded: pool doublings, every
     ceil(1/alpha) steps when alpha > 0, plus 0 and k.  Keeps trace memory
     logarithmic in k for the wild construction."""
-    marks = {k, *_phase_marks(n, k, 0.0), *_phase_marks(n, k, alpha)}
-    return np.array(sorted(marks), dtype=np.int64)
+    marks = np.sort(np.concatenate(
+        ([k], _phase_marks(n, k, 0.0), _phase_marks(n, k, alpha))))
+    return marks[np.diff(marks, prepend=-1) > 0]
 
 
-def _phase_marks(n: int, k: int, alpha: float) -> list[int]:
+def _phase_marks(n: int, k: int, alpha: float) -> np.ndarray:
     """Phase boundaries: 0 and the pool doublings n (2^i - 1) <= k for the
     wild construction, every ceil(1/alpha) steps up to k for alpha > 0."""
     if alpha > 0:
-        return list(range(0, k + 1, _stride(alpha, k)))
+        return np.arange(0, k + 1, _stride(alpha, k), dtype=np.int64)
     marks, pool = [0], 2 * n
     while pool - n <= k:
         marks.append(pool - n)
         pool *= 2
-    return marks
+    return np.array(marks, dtype=np.int64)
 
 
 def _stride(alpha: float, k: int) -> int:
@@ -382,7 +379,7 @@ def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:
     Meaningful for below-threshold inputs (X converging to 0).
     """
     cfg = trace.config
-    marks = _phase_marks(cfg.n, cfg.k, cfg.alpha)
+    marks = _phase_marks(cfg.n, cfg.k, cfg.alpha).tolist()
     cols = np.searchsorted(trace.steps, marks)
     trials = trace.x.shape[0]
     rows = []

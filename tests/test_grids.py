@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from amptree import dynamics
+from amptree import dynamics, polyalg
 from amptree.catalog import quad_k
 from amptree.dynamics import _square, _sweep, certified_corridor, \
     verify_conditions
@@ -39,7 +39,8 @@ def _all_floats(values) -> bool:
        grid=st.sampled_from([10_000, 997]) | st.integers(2, 400))
 def test_scan_matches_scalar_loop_on_small_trees(tree, kind, grid):
     f = _scanned(tree, kind)
-    roots = scan_fixed_points(f, grid=grid)
+    with mock.patch.object(polyalg, "DEFAULT_GRID", grid):
+        roots = scan_fixed_points(f)
     assert roots == scalar_scan_fixed_points(f, grid=grid)
     assert _all_floats(roots)
 

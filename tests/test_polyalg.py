@@ -1,10 +1,12 @@
 """Polynomial algebra: evaluation, mixtures, fixed points, ratios."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amptree import polyalg
 from amptree.errors import (DegenerateInputError, InconsistentFixedPointError,
                             WeightError)
 from amptree.polyalg import (ATTRACTIVE, MARGINAL, NON_ATTRACTIVE, Polynomial,
@@ -259,7 +261,8 @@ def test_degree_lower_bound_for_quadratic_candidates():
 def test_ak_fixed_point_intervals():
     for k in range(2, 11):
         f = tree_polynomial(build_ak(k))
-        roots = scan_fixed_points(f, grid=200_000)
+        with mock.patch.object(polyalg, "DEFAULT_GRID", 200_000):
+            roots = scan_fixed_points(f)
         assert len(roots) == 1
         assert 1.0 / k ** 2 < roots[0] < 1.0 / (k * (k - 1))
 

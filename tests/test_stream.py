@@ -178,6 +178,19 @@ def test_long_x_windows_keep_memory_bounded():
     assert peaks[0] <= 1.3 * peaks[1]
 
 
+def test_recorded_steps_peak_is_a_few_copies_of_its_steps():
+    # At alpha >= 1 every step is recorded.  A Python int per mark would
+    # take over 100 bytes, against the result's 8.
+    steps = recorded_steps(16, 20_000, 1.0)
+    tracemalloc.start()
+    try:
+        recorded_steps(16, 20_000, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * steps.nbytes
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.01, 1.0, 5.0])
 def test_x_is_one_when_every_item_fires(alpha):
     cfg = StreamConfig(n=16, k=700, alpha=alpha, seed=3, trials=2,
