@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, InputShapeError, RangeError, check_int
+from .errors import (CapacityError, InputShapeError, RangeError, check_int,
+                     check_real)
 from .trees import eval_columns
 
 #: Building blocks wider than this are not simulated item-by-item.
@@ -67,8 +68,9 @@ def check_bits(bits) -> tuple:
 
 def check_inputs(config) -> None:
     """Check a config's n, trials and seed, stored back as ints, and its
-    inputs: exactly one of ``input_p`` (Bernoulli, drawn per trial) and
-    ``input_bits`` (0/1 bits shared by all trials, stored as a tuple)."""
+    inputs: exactly one of ``input_p`` (Bernoulli, drawn per trial, stored
+    as a float) and ``input_bits`` (0/1 bits shared by all trials, stored
+    as a tuple)."""
     object.__setattr__(config, "n", check_int(
         "input count", config.n, 1, error=InputShapeError))
     object.__setattr__(config, "trials", check_int(
@@ -81,8 +83,9 @@ def check_inputs(config) -> None:
         if len(bits) != config.n:
             raise InputShapeError(f"{len(bits)} input bits for n={config.n}")
         object.__setattr__(config, "input_bits", bits)
-    elif not 0.0 <= config.input_p <= 1.0:
-        raise RangeError(f"input_p must be in [0,1]: {config.input_p}")
+    else:
+        object.__setattr__(config, "input_p", check_real(
+            "input_p", config.input_p, 0, 1, "[]"))
 
 
 def input_draw(config):

@@ -14,7 +14,8 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import (CapacityError, DegenerateInputError,
-                     InvalidStaircaseError, RangeError, WeightError)
+                     InvalidStaircaseError, RangeError, WeightError,
+                     check_int, check_real)
 from .polyalg import (Polynomial, bisect_root, check_weights, iterate_point,
                       mix, scan_fixed_points)
 from .trees import (AndOrTree, activation, and_, and_chain, build_ak, build_bk,
@@ -114,7 +115,7 @@ def _single(label: str, tree: AndOrTree, **kw) -> TreeDistribution:
 # Fixed points of the A_k / B_k family
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)   # typed: 2.0 must not hit 2's entry
 def ak_fixed_point(k: int) -> float:
     """Interior fixed point q of (1 - (1-q)^k)^2, in (1/k^2, 1/(k(k-1))).
 
@@ -122,8 +123,7 @@ def ak_fixed_point(k: int) -> float:
     relative to q, so the bracket keeps its sign and the root its digits
     as q nears 0 (k in the tens of thousands).
     """
-    if k < 2:
-        raise RangeError("A_k and B_k need k >= 2")
+    k = check_int("k of A_k and B_k", k, 2)
     lo = 1.0 / (k * k)
     return bisect_root(lambda q: q - math.expm1(k * math.log1p(-q)) ** 2,
                        lo, 1.0 / (k * (k - 1)), tol=1e-14 * lo)
@@ -150,8 +150,7 @@ def linear_threshold(t: float) -> TreeDistribution:
     Mixture (1-t) p + (1+t) p^2 - p^3, with fixed points exactly 0, t, 1;
     converges linearly for every 0 < t < 1.
     """
-    if not 0.0 < t < 1.0:
-        raise RangeError(f"threshold must be in (0,1), got {t}")
+    t = check_real("threshold t", t, 0, 1)
     t1 = and_(or_(leaf(), leaf()), leaf())
     t2 = or_(and_(leaf(), leaf()), leaf())
     return TreeDistribution(
@@ -160,18 +159,10 @@ def linear_threshold(t: float) -> TreeDistribution:
         threshold=t)
 
 
-def _degree_floor(t: float) -> int:
-    """Minimum leaves any quadratically-convergent construction needs at t;
-    RangeError outside (0, 1), where no construction has a threshold."""
-    s = min(t, 1.0 - t)
-    if not s > 0.0:
-        raise RangeError(f"threshold must be in (0,1), got {t}")
-    return math.ceil(1.0 / math.sqrt(2.0 * s))
-
-
-def _quad_pair(label: str, tree_a: AndOrTree, tree_b: AndOrTree,
-               t: float, corridor=None) -> TreeDistribution:
-    """Weight alpha on ``tree_a`` and 1 - alpha on ``tree_b`` with t fixed.
+def _quad_pair(name: str, tree_a: AndOrTree, tree_b: AndOrTree,
+               t: float, corridor=None, rung: str = "") -> TreeDistribution:
+    """Weight alpha on ``tree_a`` and 1 - alpha on ``tree_b`` with t fixed,
+    labelled ``name(t)``, or ``name(t, rung)`` with a ``rung`` suffix.
 
     alpha solves alpha f_a(t) + (1 - alpha) f_b(t) = t.  The pair covers
     the t whose alpha lies in [0, 1] (clamped there against 1e-9 of float
@@ -180,7 +171,10 @@ def _quad_pair(label: str, tree_a: AndOrTree, tree_b: AndOrTree,
     the larger tree has fewer leaves than the degree floor at t (there an
     activation can round to t and fake a fixed point).
     """
-    floor = _degree_floor(t)            # RangeError outside (0, 1)
+    t = check_real("threshold t", t, 0, 1)
+    label = f"{name}({t}{rung})"
+    # The fewest leaves any quadratically-convergent construction needs at t.
+    floor = math.ceil(1.0 / math.sqrt(2.0 * min(t, 1.0 - t)))
     fa, fb = activation(tree_a, t), activation(tree_b, t)
     alpha = (t - fb) / (fa - fb) if fa != fb else math.nan
     if -1e-9 < alpha < 0.0:
@@ -204,7 +198,7 @@ def quad4(t: float) -> TreeDistribution:
     F1 = (A v B) ^ (C v D) and F2 = (A ^ B) v (C ^ D), the unique 4-leaf
     tree with polynomial 2 p^2 - p^4.
     """
-    return _quad_pair(f"quad4({t})", build_ak(2), build_bk(2), t,
+    return _quad_pair("quad4", build_ak(2), build_bk(2), t,
                       corridor=(0.2, 0.8))
 
 
@@ -232,18 +226,18 @@ def quad5(t: float) -> TreeDistribution:
     Admissible thresholds are where the solved weight lies in [0, 1];
     numerically [~0.245, ~0.755].
     """
-    return _quad_pair(f"quad5({t})", _v1_tree(), _v2_tree(), t,
+    return _quad_pair("quad5", _v1_tree(), _v2_tree(), t,
                       corridor=(1.0 / 7.0, 6.0 / 7.0))
 
 
 def quad6(t: float) -> TreeDistribution:
     """6-leaf analogue (A_3 with B_3); admissible range found numerically."""
-    return _quad_pair(f"quad6({t})", build_ak(3), build_bk(3), t)
+    return _quad_pair("quad6", build_ak(3), build_bk(3), t)
 
 
 def quad7(t: float) -> TreeDistribution:
     """7-leaf analogue: OR3^OR4 against AND3vAND4; range found numerically."""
-    return _quad_pair(f"quad7({t})", and_(or_chain(3), or_chain(4)),
+    return _quad_pair("quad7", and_(or_chain(3), or_chain(4)),
                       or_(and_chain(3), and_chain(4)), t)
 
 
@@ -256,8 +250,7 @@ def quad_k(t: float) -> TreeDistribution:
     when the pair would pass ``DEFAULT_TREE_CAP`` leaves (t within about
     4e-12 of 0 or 1).
     """
-    if not 0.0 < t < 1.0:
-        raise RangeError(f"threshold must be in (0,1), got {t}")
+    t = check_real("threshold t", t, 0, 1)
     phi1 = GOLDEN - 1.0
     if VALIANT_THRESHOLD < t < phi1:
         return quad4(t)
@@ -270,13 +263,13 @@ def quad_k(t: float) -> TreeDistribution:
     if t >= phi1:
         while bk_fixed_point(k + 1) <= t:
             k += 1
-        return _quad_pair(f"quad_k({t}, B{k}/B{k + 1})",
-                          build_bk(k), build_bk(k + 1), t)
+        return _quad_pair("quad_k", build_bk(k), build_bk(k + 1), t,
+                          rung=f", B{k}/B{k + 1}")
     # A-family: a_{k+1} <= t <= a_k with a_k decreasing in k.
     while ak_fixed_point(k + 1) > t:
         k += 1
-    return _quad_pair(f"quad_k({t}, A{k}/A{k + 1})",
-                      build_ak(k), build_ak(k + 1), t)
+    return _quad_pair("quad_k", build_ak(k), build_ak(k + 1), t,
+                      rung=f", A{k}/A{k + 1}")
 
 
 def one_step(alpha: float) -> TreeDistribution:
@@ -284,12 +277,9 @@ def one_step(alpha: float) -> TreeDistribution:
 
     Weight ``alpha`` goes on the 3-leaf OR tree per the mixture formula.
     The unique interior fixed point 3 alpha - 1 is attractive; it exists
-    only for alpha in (1/3, 2/3).
+    only for alpha in (1/3, 2/3), so any other alpha raises RangeError.
     """
-    if not 1.0 / 3.0 < alpha < 2.0 / 3.0:
-        raise RangeError(
-            f"one-step construction needs alpha in (1/3, 2/3), got {alpha}; "
-            f"outside it there is no interior fixed point")
+    alpha = check_real("one-step alpha", alpha, 1.0 / 3.0, 2.0 / 3.0)
     return TreeDistribution(
         label=f"one_step({alpha})",
         entries=((or_chain(3), alpha), (and_chain(3), 1.0 - alpha)),
@@ -302,10 +292,7 @@ def soft_threshold(k: int) -> TreeDistribution:
     0.5 is attractive with derivative k 2^-(k-2) (1 - 2^-k) < 1; two
     non-attractive fixed points s < 0.5 < t bound the middle plateau.
     """
-    if k < 4:
-        raise RangeError(
-            f"soft threshold needs k >= 4 (derivative at 1/2 is >= 1 below "
-            f"that), got {k}")
+    k = check_int("soft threshold k", k, 4)   # f'(1/2) >= 1 below 4
     return TreeDistribution(
         label=f"soft_threshold({k})",
         entries=((build_ak(k), 0.5), (build_bk(k), 0.5)))
@@ -331,10 +318,8 @@ def amplifier(tree: AndOrTree, delta: float, epsilon: float,
     fixed point.  Monotonicity of activations makes the interval endpoints
     sufficient witnesses.
     """
-    if not 0.0 < delta < 1.0:
-        raise RangeError(f"delta must be in (0,1), got {delta}")
-    if not 0.0 < epsilon < 1.0:
-        raise RangeError(f"epsilon must be in (0,1), got {epsilon}")
+    delta = check_real("delta", delta, 0, 1)
+    epsilon = check_real("epsilon", epsilon, 0, 1)
     t_anchor = _unique_interior_fp(tree)
     if tree.leaf_count < 2:
         raise DegenerateInputError("cannot amplify a bare leaf")
@@ -380,10 +365,8 @@ def dense_fixed_point(target: float, epsilon: float,
     fixed points of the B_k family serve as higher anchors to shorten the
     walk.
     """
-    if not 0.0 < target < 1.0:
-        raise RangeError(f"target must be in (0,1), got {target}")
-    if epsilon <= 0.0:
-        raise RangeError("epsilon must be positive")
+    target = check_real("target", target, 0, 1)
+    epsilon = check_real("epsilon", epsilon, 0)
     if target < 0.5:
         return complement_tree(
             dense_fixed_point(1.0 - target, epsilon, max_leaves=max_leaves))
@@ -454,8 +437,11 @@ class StaircaseSpec:
     delta: float
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.breakpoints)
-        p = tuple(float(x) for x in self.heights)
+        a = tuple(check_real("breakpoint", x, 0, 1,
+                             error=InvalidStaircaseError)
+                  for x in self.breakpoints)
+        p = tuple(check_real("height", x, 0, 1, error=InvalidStaircaseError)
+                  for x in self.heights)
         object.__setattr__(self, "breakpoints", a)
         object.__setattr__(self, "heights", p)
         if len(a) < 1:
@@ -464,14 +450,11 @@ class StaircaseSpec:
             raise InvalidStaircaseError(
                 f"{len(a)} breakpoints need {len(a) - 1} interior heights, "
                 f"got {len(p)}")
-        full_a = (0.0,) + a + (1.0,)
-        if any(x >= y for x, y in zip(full_a, full_a[1:])):
-            raise InvalidStaircaseError(
-                f"breakpoints must be strictly increasing inside (0,1): {a}")
-        full_p = (0.0,) + p + (1.0,)
-        if any(x >= y for x, y in zip(full_p, full_p[1:])):
-            raise InvalidStaircaseError(
-                f"heights must be strictly increasing inside (0,1): {p}")
+        for name, xs in (("breakpoints", a), ("heights", p)):
+            if any(x >= y for x, y in zip(xs, xs[1:])):
+                raise InvalidStaircaseError(
+                    f"{name} must be strictly increasing: {xs}")
+        full_a, full_p = (0.0,) + a + (1.0,), (0.0,) + p + (1.0,)
         for i in range(1, len(full_a) - 1):
             if not full_a[i] <= full_p[i] <= full_a[i + 1]:
                 raise InvalidStaircaseError(
@@ -479,11 +462,10 @@ class StaircaseSpec:
                     f"<= a_{i + 1}, got {full_a[i]} <= {full_p[i]} <= "
                     f"{full_a[i + 1]}")
         min_gap = min(y - x for x, y in zip(full_a, full_a[1:]))
-        if not 0.0 < self.epsilon < min_gap:
-            raise InvalidStaircaseError(
-                f"epsilon must be in (0, {min_gap}), got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidStaircaseError(f"delta must be in (0,1): {self.delta}")
+        object.__setattr__(self, "epsilon", check_real(
+            "epsilon", self.epsilon, 0, min_gap, error=InvalidStaircaseError))
+        object.__setattr__(self, "delta", check_real(
+            "delta", self.delta, 0, 1, error=InvalidStaircaseError))
 
 
 def staircase(spec: StaircaseSpec) -> TreeDistribution:

@@ -13,7 +13,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .catalog import TreeDistribution
-from .errors import DegenerateInputError, RangeError, check_int
+from .errors import DegenerateInputError, RangeError, check_int, check_real
 
 LINEAR = "LINEAR"
 QUADRATIC = "QUADRATIC"
@@ -158,13 +158,11 @@ def profile(dist: TreeDistribution, p: float,
     corridor attached to the distribution, a measured certificate, or the
     symmetric 0.2/0.8 default, in that order.
     """
-    p = float(p)
+    p = check_real("p", p, 0, 1, "[]")
     t = _threshold_of(dist)
     if abs(p - t) <= 1e-12:
         raise DegenerateInputError(
             f"p={p} sits on the interior fixed point {t}; iterates stay put")
-    if not 0.0 <= p <= 1.0:
-        raise RangeError(f"p must be in [0,1], got {p}")
     max_levels = check_int("max_levels", max_levels, 1)
     limit = 0.0 if p < t else 1.0
     iterates = [p]
@@ -225,11 +223,11 @@ def verify_conditions(dist: TreeDistribution, t: float, u: float, v: float,
     (v, 1).  Returns the measured constants; failures carry the interval
     and a witness point.
     """
-    if not 0.0 < u < t < v < 1.0:
-        raise RangeError(f"need 0 < u < t < v < 1, got u={u}, t={t}, v={v}")
+    t, u, v = (check_real(name, x, 0, 1) for name, x in zip("tuv", (t, u, v)))
+    margin = check_real("margin", margin, 0)
     if not u < t - margin < t < t + margin < v:
-        raise RangeError("margin must be positive and leave room for the "
-                         "divergence intervals")
+        raise RangeError(f"need u < t - margin < t < t + margin < v, got "
+                         f"u={u}, t={t}, v={v}, margin={margin}")
     # The end sweeps divide by squared distances to 0 and 1 on the grid.
     lo_step, hi_step = u / CONDITION_GRID, (1.0 - v) / CONDITION_GRID
     if lo_step * lo_step == 0.0 or 1.0 - hi_step == 1.0:

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and its integer check."""
-from numbers import Integral
+"""Exception hierarchy shared across the package, and its integer and
+real-number checks."""
+import math
+from numbers import Integral, Real
 
 
 class AmptreeError(Exception):
@@ -53,3 +55,20 @@ def check_int(name, value, lo, hi=None, error=RangeError) -> int:
                  else f" >= {lo}" if lo is not None else "")
         raise error(f"{name} must be an integer{bound}: {value!r}")
     return int(value)
+
+
+def check_real(name, value, lo=-math.inf, hi=math.inf, ends="()",
+               error=RangeError) -> float:
+    """``float(value)``; ``error`` unless ``value`` is a finite real number
+    (numpy's too, not a bool) between lo and hi, each end open or closed as
+    ``ends`` ("()", "[]", "[)" or "(]") marks it."""
+    try:
+        x = (float(value) if isinstance(value, Real)
+             and not isinstance(value, bool) else math.nan)
+    except OverflowError:               # an int or Fraction past 1.8e308
+        x = math.nan
+    if not (math.isfinite(x) and (lo < x if ends[0] == "(" else lo <= x)
+            and (x < hi if ends[1] == ")" else x <= hi)):
+        raise error(f"{name} must be a finite real number in "
+                    f"{ends[0]}{lo}, {hi}{ends[1]}: {value!r}")
+    return x

@@ -61,7 +61,8 @@ class LearnedTree:
     def to_json(self) -> str:
         """``json.dumps`` of the arrays as lists, compact, byte for byte.
 
-        Raises ValueError for a negative index or a block outside {0, 1}.
+        Raises InputShapeError for a negative index or a block outside
+        {0, 1}.
         """
         head = json.dumps({key: getattr(self, key) for key in (
             "n", "seed", "example_ones")}, separators=(",", ":"))
@@ -70,8 +71,8 @@ class LearnedTree:
         parts = [head[:-1], ',"levels":[']
         for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
             if ((b != 0) & (b != 1)).any() or (w.size and w.min() < 0):
-                raise ValueError(f"level {level} has a negative index or "
-                                 "a block outside {0, 1}")
+                raise InputShapeError(f"level {level} has a negative index "
+                                      "or a block outside {0, 1}")
             flags = np.full((b.size, 2), ord(","), np.uint8)
             flags[:, 1] = b + ord("0")
             # Row i is ",[" then "a," "b," "c]", each cell NUL-padded.

@@ -24,7 +24,8 @@ import numpy as np
 
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
 from .catalog import TreeDistribution
-from .errors import CapacityError, InputShapeError, RangeError, check_int
+from .errors import (CapacityError, InputShapeError, RangeError, check_int,
+                     check_real)
 from .rng import stacked_streams
 
 #: Dense (m+1)^2 transition matrices are capped here.
@@ -149,8 +150,7 @@ def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
         raise CapacityError(
             f"dense ({m + 1})^2 transition matrix exceeds the cap "
             f"{EXACT_WIDTH_CAP}; use simulate_leveled for wide levels")
-    if not 0.0 <= p <= 1.0:
-        raise RangeError(f"p must be in [0,1], got {p}")
+    p = check_real("p", p, 0, 1, "[]")
     counts = np.arange(m + 1)
     q = np.clip(dist.evaluate(counts / m), 0.0, 1.0)
     kernel = _binomial_rows(m, q)
@@ -204,15 +204,12 @@ def width_scaling_experiment(dist: TreeDistribution, t: float,
     nondecreasing in m, as it is for m = 1..999 on criterion 8's grid.  The
     log-log slope of width against the predictor is the verdict.
     """
-    if t is None or not 0.0 < t < 1.0:
-        raise RangeError(f"width scaling needs a threshold in (0,1), got {t}")
+    t = check_real("width scaling's threshold t", t, 0, 1)
+    gammas = [check_real("gamma", g, 0, 1) for g in gammas]
+    epsilons = [check_real("epsilon", e, 0, t, "(]") for e in epsilons]
     if not gammas or not epsilons:
         raise RangeError("width scaling needs at least one gamma and one "
                          "epsilon")
-    if not (all(0.0 < g < 1.0 for g in gammas)
-            and all(0.0 < e <= t for e in epsilons)):
-        raise RangeError(f"gammas must be in (0,1) and epsilons in (0, t]: "
-                         f"{gammas}, {epsilons}")
     cells = list(product(gammas, epsilons))
     predictors = [math.log(1 / g) / e ** 2 if e ** 2 else math.inf
                   for g, e in cells]

@@ -11,14 +11,13 @@ documents its degree growth.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (DegenerateInputError, InconsistentFixedPointError,
-                     WeightError)
+                     WeightError, check_int, check_real)
 
 ATTRACTIVE = "ATTRACTIVE"
 NON_ATTRACTIVE = "NON_ATTRACTIVE"
@@ -73,13 +72,6 @@ class Polynomial:
             return Polynomial((0.0,))
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.coeffs))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        return cls(tuple(json.loads(text)))
-
     @classmethod
     def identity(cls) -> "Polynomial":
         return cls((0.0, 1.0))
@@ -87,8 +79,8 @@ class Polynomial:
 
 def check_weights(weights: Sequence[float]) -> None:
     """WeightError unless every weight is finite and >= 0 and they sum to 1."""
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise WeightError(f"weights must be finite and >= 0: {list(weights)}")
+    for w in weights:
+        check_real("weight", w, 0, ends="[)", error=WeightError)
     total = sum(weights)
     if abs(total - 1.0) > 1e-12:
         raise WeightError(f"weights sum to {total!r}, not 1")
@@ -129,8 +121,7 @@ def _mul(a: Sequence, b: Sequence) -> tuple:
 def iterate_point(f: Polynomial | Callable[[float], float], p: float,
                   k: int) -> list[float]:
     """(p, f(p), ..., f^(k)(p)) by repeated pointwise evaluation."""
-    if k < 0:
-        raise DegenerateInputError("iteration count must be >= 0")
+    k = check_int("iteration count k", k, 0, error=DegenerateInputError)
     out = [float(p)]
     x = float(p)
     for _ in range(k):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
 from .catalog import TreeDistribution
-from .errors import InputShapeError, RangeError, check_int
+from .errors import InputShapeError, RangeError, check_int, check_real
 from .rng import generator
 from .trees import eval_tree
 
@@ -75,9 +75,8 @@ class StreamConfig:
         check_inputs(self)
         object.__setattr__(self, "k", check_int(
             "items to create", self.k, 0, error=InputShapeError))
-        if not 0.0 <= self.alpha <= _MAX_ALPHA:
-            raise RangeError(f"decay rate alpha must be a number in "
-                             f"[0, {_MAX_ALPHA:.2f}]: {self.alpha}")
+        object.__setattr__(self, "alpha", check_real(
+            "decay rate alpha", self.alpha, 0, _MAX_ALPHA, "[]"))
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class StreamTrace:
         """X after ``step`` creations, summed afresh from the raw bits and
         the weight table; an independent check on the engine's carried X."""
         if self.bits is None:
-            raise ValueError("run simulate_stream with keep_bits=True")
+            raise InputShapeError("run simulate_stream with keep_bits=True")
         trial = check_int("trial", trial, 0, self.config.trials - 1)
         step = check_int("step", step, 0, self.config.k)
         decay = _decay_table(self.config.alpha, step)[0]

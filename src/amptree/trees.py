@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import CapacityError, InputShapeError
+from .errors import CapacityError, InputShapeError, check_int
 from .polyalg import Polynomial, _mul
 
 LEAF = "LEAF"
@@ -81,17 +81,16 @@ def or_(left: AndOrTree, right: AndOrTree) -> AndOrTree:
 
 def and_chain(k: int) -> AndOrTree:
     """Balanced binary cascade computing the AND of ``k`` inputs."""
-    return _chain(AND, k)
+    return _chain(AND, check_int("gate width k", k, 1, error=InputShapeError))
 
 
 def or_chain(k: int) -> AndOrTree:
     """Balanced binary cascade computing the OR of ``k`` inputs."""
-    return _chain(OR, k)
+    return _chain(OR, check_int("gate width k", k, 1, error=InputShapeError))
 
 
 def _chain(op: str, k: int) -> AndOrTree:
-    if k < 1:
-        raise InputShapeError("gate width must be >= 1")
+    """The cascade of a checked width k >= 1."""
     if k == 1:
         return _THE_LEAF
     half = k // 2
@@ -230,8 +229,7 @@ def self_compose(tree: AndOrTree, k: int) -> AndOrTree:
 
     The activation of T^k is the k-fold iterate of the activation of T.
     """
-    if k < 1:
-        raise InputShapeError("composition depth must be >= 1")
+    k = check_int("composition depth k", k, 1, error=InputShapeError)
     out = tree
     for _ in range(k - 1):
         out = substitute_leaves(out, tree)
@@ -286,10 +284,8 @@ _ACHIEVABLE: list[dict[tuple[int, ...], AndOrTree]] = [
 
 
 def _achievable_table(max_degree: int) -> list[dict[tuple[int, ...], AndOrTree]]:
-    if not 1 <= max_degree <= ENUMERATION_CAP:
-        raise CapacityError(
-            f"enumeration is exponential; supported degrees are 1.."
-            f"{ENUMERATION_CAP}, got {max_degree}")
+    max_degree = check_int("max_degree (enumeration is exponential)",
+                           max_degree, 1, ENUMERATION_CAP, CapacityError)
     for d in range(len(_ACHIEVABLE), max_degree + 1):
         bucket: dict[tuple[int, ...], AndOrTree] = {}
         for k in range(1, d // 2 + 1):
@@ -346,8 +342,7 @@ def all_trees(leaves: int) -> list[AndOrTree]:
 
     Counts grow as Catalan(n-1) * 2^(n-1); keep ``leaves`` small.
     """
-    if leaves < 1:
-        raise InputShapeError("leaves must be >= 1")
+    leaves = check_int("leaves", leaves, 1, error=InputShapeError)
     if leaves > 8:
         raise CapacityError("all_trees is exponential; capped at 8 leaves")
     memo: dict[int, list[AndOrTree]] = {1: [_THE_LEAF]}

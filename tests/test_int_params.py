@@ -1,6 +1,7 @@
-"""Every count, index and seed of the public API: an integer (a numpy
-integer too, not a bool) in its range is taken, anything else raises the
-parameter's AmptreeError.  Seeds take any integer, modulo 2^64."""
+"""Every count, index and seed of the public API, the tree builders'
+sizes among them: an integer (a numpy integer too, not a bool) in its range
+is taken, anything else raises the parameter's AmptreeError.  Seeds take
+any integer, modulo 2^64."""
 import io
 from fractions import Fraction
 from numbers import Integral
@@ -9,13 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amptree.catalog import linear_threshold
+from amptree.catalog import ak_fixed_point, linear_threshold, soft_threshold
 from amptree.dynamics import profile
-from amptree.errors import InputShapeError, RangeError
+from amptree.errors import (CapacityError, DegenerateInputError,
+                            InputShapeError, RangeError)
 from amptree.learning import evaluate_learned, learn_threshold
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled)
+from amptree.polyalg import iterate_point
 from amptree.stream import StreamConfig, simulate_stream
+from amptree.trees import (all_trees, and_chain, build_ak, build_bk,
+                           enumerate_achievable, or_chain, self_compose)
 
 LT = linear_threshold(0.5)
 PROBE = (1, 0, 0, 1)
@@ -69,7 +74,23 @@ PARAMS = {
         lambda v: evaluate_learned(TREE, PROBE, sample=v), 1, 8, RangeError),
     "profile max_levels": (lambda v: profile(LT, 0.4, max_levels=v), 1,
                            None, RangeError),
+    "and_chain k": (and_chain, 1, None, InputShapeError),
+    "or_chain k": (or_chain, 1, None, InputShapeError),
+    "build_ak k": (build_ak, 1, None, InputShapeError),
+    "build_bk k": (build_bk, 1, None, InputShapeError),
+    "self_compose k": (lambda v: self_compose(build_ak(2), v), 1, None,
+                       InputShapeError),
+    "all_trees leaves": (all_trees, 1, 8, InputShapeError),
+    "iterate_point k": (lambda v: iterate_point(LT.evaluate, 0.4, v), 0,
+                        None, DegenerateInputError),
+    "soft_threshold k": (soft_threshold, 4, None, RangeError),
+    "ak_fixed_point k": (ak_fixed_point, 2, None, RangeError),
+    "enumerate_achievable max_degree": (enumerate_achievable, 1, 7,
+                                        CapacityError),
 }
+
+#: A value past hi that raises another error than one below lo: a cap.
+ABOVE = {"all_trees leaves": CapacityError}
 
 SMALL = st.integers(-3, 12)
 #: Integers past 2^62, drawn only where they are refused or, for seeds,
@@ -105,6 +126,8 @@ def test_every_int_parameter_returns_or_raises_its_error(name, data):
     if valid:
         call(value)
     else:
+        if isinstance(value, Integral) and hi is not None and value > hi:
+            error = ABOVE.get(name, error)
         with pytest.raises(error):
             call(value)
 
@@ -119,9 +142,16 @@ def test_every_int_parameter_returns_or_raises_its_error(name, data):
     (lambda: exact_level_distribution(LT, 2.5, 0.4, 2), RangeError),
     (lambda: learn_threshold(2.0, 8, PROBE, 1), InputShapeError),
     (lambda: profile(LT, 0.4, max_levels=2.5), RangeError),
+    (lambda: build_ak(True), InputShapeError),
+    (lambda: soft_threshold(4.5), RangeError),
+    (lambda: iterate_point(LT.evaluate, 0.4, 2.5), DegenerateInputError),
+    (lambda: ak_fixed_point(3.5), RangeError),
+    (lambda: ak_fixed_point(2.0), RangeError),
 ], ids=["widths-2.7", "stream-k-2.5", "stream-trials-2.5",
         "leveled-trials-2.5", "stream-trials-True", "leveled-trials-True",
-        "exact-m-2.5", "learn-levels-2.0", "profile-max_levels-2.5"])
+        "exact-m-2.5", "learn-levels-2.0", "profile-max_levels-2.5",
+        "build_ak-True", "soft_threshold-4.5", "iterate_point-k-2.5",
+        "ak_fixed_point-3.5", "ak_fixed_point-2.0"])
 def test_probes_that_once_ran_or_raised_a_bare_error(call, error):
     with pytest.raises(error):
         call()
