@@ -320,6 +320,7 @@ def amplifier(tree: AndOrTree, delta: float, epsilon: float,
     """
     delta = check_real("delta", delta, 0, 1)
     epsilon = check_real("epsilon", epsilon, 0, 1)
+    max_leaves = check_int("max_leaves", max_leaves, 1)
     t_anchor = _unique_interior_fp(tree)
     if tree.leaf_count < 2:
         raise DegenerateInputError("cannot amplify a bare leaf")
@@ -367,6 +368,7 @@ def dense_fixed_point(target: float, epsilon: float,
     """
     target = check_real("target", target, 0, 1)
     epsilon = check_real("epsilon", epsilon, 0)
+    max_leaves = check_int("max_leaves", max_leaves, 1)
     if target < 0.5:
         return complement_tree(
             dense_fixed_point(1.0 - target, epsilon, max_leaves=max_leaves))

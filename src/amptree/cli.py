@@ -343,8 +343,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag on one ``error:`` line, as every failure is."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="amptree", usage=argparse.SUPPRESS,   # errors on one line
         description="Iterative AND/OR-tree threshold constructions.")
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -364,17 +371,17 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.config) as fh:
                 cfg = ExperimentConfig.from_json(fh.read())
         except (OSError, TypeError, ValueError) as exc:
-            sys.stderr.write(f"bad config {args.config}: {exc}\n")
+            sys.stderr.write(f"error: bad config {args.config}: {exc}\n")
             return 2
         cfg.command = args.command
     if args.params:
         try:
             params = json.loads(args.params)
         except json.JSONDecodeError as exc:
-            sys.stderr.write(f"bad --params: {exc}\n")
+            sys.stderr.write(f"error: bad --params: {exc}\n")
             return 2
         if not isinstance(params, dict):
-            sys.stderr.write("bad --params: expected a JSON object\n")
+            sys.stderr.write("error: bad --params: expected a JSON object\n")
             return 2
         cfg.params.update(params)
     cfg.params.update({name: value for name, value in vars(args).items()
@@ -393,7 +400,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyError as exc:
-        sys.stderr.write(f"missing required config field: {exc}\n")
+        sys.stderr.write(f"error: missing required config field: {exc}\n")
         return 2
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON input: {exc}\n")

@@ -14,26 +14,35 @@ with ``blocks.pick``.  The ``prefix_tree`` engine is a reference only: at
 step j it writes every weight out from the table and draws each leaf, and
 the tree, by ``searchsorted`` on cumulative sums.
 
-The default engine takes 128 steps at a time.  Wiring reads uniforms and
-the table, never a bit, so a chunk is wired at once, leaf-major into one
-buffer per batch.  Each trial's new items are one slice of its bits row:
-they are set to the trial's last earlier item, then evaluated once; the
-items wired into the chunk are re-evaluated until a round changes nothing.
-Each item reads only earlier items, so the chunk has one fixed point, and
-a round that changes nothing has found it.  X is then carried over the
-batch's bits from recorded step to recorded step (``_carried``).
+The default engine takes its steps in chunks: with alpha = 0 a chunk from
+step a takes clamp((n + a) // 16, 128, 2048) steps, so chunks grow with the
+pool; with alpha > 0 every chunk takes 128 (``_chunk_bounds``).  Wiring
+reads uniforms and the table, never a bit, so a chunk is wired at once,
+leaf-major into one buffer per batch.  Each trial's new items are one
+slice of its bits row: they are set to the trial's last earlier item, then
+evaluated once; the items wired into the chunk are re-evaluated until a
+round changes nothing.  Each item reads only earlier items, so the chunk
+has one fixed point, and a round that changes nothing has found it.  X is
+then carried over the batch's bits from recorded step to recorded step
+(``_carried``).  A batch holds at most 32 trials, and the batches run at
+once on a thread pool with a worker per core the process may use (one
+batch or one core: on the calling thread); numpy's draws, gathers, ufuncs
+and searches release the GIL.
 
 Determinism: each trial owns generator PCG64(derive_seed(seed, trial));
 it first draws the Bernoulli inputs (if any), then k rows of 1 + max_leaves
 uniforms: column 0 picks the tree, the rest pick its leaves.  The default
-engine draws them 128 rows at a time, the reference in one block; the
-numbers are the same, so a run is bit-reproducible per (seed, trial)
-however it is chunked or batched.
+engine draws them a chunk's rows at a time, the reference in one block;
+the numbers are the same, so a run is bit-reproducible per (seed, trial)
+however it is chunked or batched, and its bits do not depend on how many
+cores run it.  Generators are made on the calling thread, in trial order.
 """
 from __future__ import annotations
 
 import math
+import os
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -48,11 +57,16 @@ from .trees import eval_tree
 #: e^alpha is a finite float up to this decay rate.
 _MAX_ALPHA = math.log(sys.float_info.max)
 
-#: Steps drawn, wired and evaluated together.
+#: Fewest and most steps drawn, wired and evaluated together
+#: (``_chunk_bounds``).
 _STEP_CHUNK = 128
+_MAX_CHUNK = 2048
 
-#: Memory budget (bytes) of a run: its weight table and one batch's items,
-#: X carry and chunk buffers (``_batch_bytes``).
+#: Most trials in one batch; batches run at once, one per core.
+_BATCH_TRIALS = 32
+
+#: Memory budget (bytes) of a run: its weight table and the items, X carry
+#: and chunk buffers of the batches that run at once (``_batch_bytes``).
 _BATCH_BUDGET = 320_000_000
 
 #: Longest piece of X's carry; fixed, so no chunk size changes X's bits.
@@ -150,6 +164,31 @@ def simulate_stream(dist: TreeDistribution, config: StreamConfig,
     return _simulate_vectorized(dist, config, keep_bits)
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                      # no affinity call here
+        return os.cpu_count() or 1
+
+
+def _chunk_bounds(n: int, k: int, alpha: float) -> list[tuple[int, int]]:
+    """Each chunk's steps [a, z).  With alpha = 0 a chunk from step a takes
+    clamp((n + a) // 16, ``_STEP_CHUNK``, ``_MAX_CHUNK``) steps: a leaf
+    lands inside its own chunk with probability about 1/16 or less, so the
+    settle rounds stay few while each chunk's fixed cost is spread over
+    more steps as the pool grows.  With alpha > 0 every chunk takes
+    ``_STEP_CHUNK`` steps: the recent items carry most of the weight, so a
+    longer chunk would settle over longer chains."""
+    bounds, a = [], 0
+    while a < k:
+        size = (min(max((n + a) // 16, _STEP_CHUNK), _MAX_CHUNK)
+                if alpha == 0 else _STEP_CHUNK)
+        bounds.append((a, min(a + size, k)))
+        a = bounds[-1][1]
+    return bounds
+
+
 def _batch_bytes(n: int, k: int, cols: int,
                  steps: np.ndarray) -> tuple[int, int]:
     """Bytes a run holds whatever its batches, and bytes per trial of a
@@ -159,47 +198,52 @@ def _batch_bytes(n: int, k: int, cols: int,
     steps, and the rows' index arrays).  A trial holds its bits row, its
     generator (about 0.9 KB), X's carry buffer, 24 bytes per carry row (its
     column in the carry and in the gather, and its row of the trace) and,
-    per chunk step, 40 bytes for the settle set's positions and 48 per
-    column: uniforms, the leaf-major buffer and up to four index or draw
-    arrays (the settle set's leaves and, when alpha > 0, the last chunk's
-    indices, the age search's key and its result)."""
+    per step of the largest chunk, 40 bytes for the settle set's positions
+    and 48 per column: uniforms, the leaf-major buffer and up to four index
+    or draw arrays (the settle set's leaves and, when alpha > 0, the last
+    chunk's indices, the age search's key and its result).  The largest
+    chunk is counted as at alpha = 0, the longest any run takes."""
     rows = len(steps) + -(-k // _X_SPAN)
+    chunk = min(k, max(_STEP_CHUNK, min((n + k - 1) // 16, _MAX_CHUNK)))
     return (16 * (k + 1) + 48 * rows,
-            n + k + 1024 + 8 * _X_SPAN + 24 * rows
-            + _STEP_CHUNK * (40 + 48 * cols))
+            n + k + 1024 + 8 * _X_SPAN + 24 * rows + chunk * (40 + 48 * cols))
 
 
 def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
                          keep_bits: bool = False) -> StreamTrace:
     trees, cumw, max_leaves = entry_table(dist)
-    n, k, alpha = config.n, config.k, config.alpha
+    n, k, alpha, trials = config.n, config.k, config.alpha, config.trials
     cols, size = 1 + max_leaves, n + k
     steps = recorded_steps(n, k, alpha)
     decay, ages = _decay_table(alpha, k)
-    x = np.empty((config.trials, len(steps)), dtype=np.float64)
-    final = np.empty(config.trials, dtype=np.uint8) if k > 0 else None
+    bounds = _chunk_bounds(n, k, alpha)
+    longest = max((z - a for a, z in bounds), default=0)
+    x = np.empty((trials, len(steps)), dtype=np.float64)
+    final = np.empty(trials, dtype=np.uint8) if k > 0 else None
 
+    # The batches that run at once share the budget.
+    cores = _cores()
     run_bytes, per_trial = _batch_bytes(n, k, cols, steps)
-    batch_size = max(1, min(config.trials,
-                            (_BATCH_BUDGET - run_bytes) // per_trial))
+    fits = (_BATCH_BUDGET - run_bytes) // (cores * per_trial)
+    batch_size = max(1, min(_BATCH_TRIALS, trials, fits))
+    workers = min(cores, -(-trials // batch_size))
     draw = input_draw(config)
-    kept = np.empty((config.trials, size), np.uint8) if keep_bits else None
+    kept = np.empty((trials, size), np.uint8) if keep_bits else None
 
-    for start in range(0, config.trials, batch_size):
-        batch = range(start, min(start + batch_size, config.trials))
-        b = len(batch)
+    def run_batch(start: int, rngs: list[np.random.Generator]) -> None:
+        """Trials start, start + 1, ... with their generators: this batch
+        writes only its own rows of x, final and kept."""
+        b = len(rngs)
         bits = np.zeros((b, size), dtype=np.uint8)
         flat = bits.ravel()
-        rngs = [generator(config.seed, trial) for trial in batch]
         for row, rng in enumerate(rngs):
             bits[row, :n] = draw(rng.random)
-        u = np.empty((b, _STEP_CHUNK, cols))
+        u = np.empty((b, longest, cols))
         # Leaf-major (leaves, b, steps): leaf indices, or draws when alpha > 0.
-        wired = np.empty(max_leaves * b * _STEP_CHUNK,
+        wired = np.empty(max_leaves * b * longest,
                          np.int64 if alpha == 0 else np.float64)
         rows = np.arange(b)[:, None] * size
-        for a in range(0, k, _STEP_CHUNK):
-            z = min(a + _STEP_CHUNK, k)
+        for a, z in bounds:
             for row, rng in enumerate(rngs):
                 rng.random(out=u[row, :z - a])
             js, uz = np.arange(a, z), u[:, :z - a]
@@ -240,6 +284,27 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
             final[start:start + b] = bits[:, n + k - 1]
         if keep_bits:
             kept[start:start + b] = bits
+
+    # Generators are made here, on the calling thread, in trial order, each
+    # batch's as it is started: only the running batches hold theirs.
+    batches = ((start, [generator(config.seed, trial) for trial in
+                        range(start, min(start + batch_size, trials))])
+               for start in range(0, trials, batch_size))
+    if workers == 1:
+        for batch in batches:
+            run_batch(*batch)
+    else:
+        # Imported here: it pulls in logging, about 0.7 MB of RSS that a
+        # run on one thread, or with no stream at all, need not hold.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers) as pool:
+            running: deque = deque()
+            for batch in batches:
+                if len(running) == workers:
+                    running.popleft().result()
+                running.append(pool.submit(run_batch, *batch))
+            for future in running:
+                future.result()
     return StreamTrace(steps=steps, x=x, final_bits=final, config=config,
                        bits=kept)
 

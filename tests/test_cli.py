@@ -234,7 +234,7 @@ def test_bad_params_exit_2():
                                       "--params", params])
         assert code == 2, params
         assert out == ""
-        assert err.count("\n") == 1 and err.startswith("bad --params")
+        assert err.count("\n") == 1 and err.startswith("error: bad --params")
 
 
 def test_wrong_shape_input_files_exit_2(tmp_path):
@@ -313,7 +313,7 @@ def test_bad_config_field_exits_2(tmp_path, name, fields):
                                   "--levels", "2", "--n", "8", "--p", "0.4"])
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("bad config"), err
+    assert err.count("\n") == 1 and err.startswith("error: bad config"), err
     assert f"{name} must be" in err
 
 
@@ -359,7 +359,7 @@ def test_each_construction_reads_the_keys_params_names(name):
         code, out, err = run_cli_err(["analyze", "--params", json.dumps(
             {k: v for k, v in params.items() if k != key})])
         assert (code, out) == (2, ""), key
-        assert err == f"missing required config field: {key!r}\n"
+        assert err == f"error: missing required config field: {key!r}\n"
     for key in sorted(set(KEYS) - set(keys)):
         code, out, err = run_cli_err(["analyze", "--params", json.dumps(
             dict(params, **{key: KEYS[key]}))])
@@ -678,3 +678,9 @@ def test_fuzzed_params_exit_cleanly(fuzz_files, data):
             code = exc.code
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if code and out.getvalue():     # a failed check, reported on stdout
+        assert (code, err.getvalue()) == (1, ""), argv
+        json.loads(out.getvalue())
+    elif code:      # one line, so a traceback or a second message shows
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())

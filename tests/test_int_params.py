@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amptree.catalog import ak_fixed_point, linear_threshold, soft_threshold
+from amptree.catalog import (ak_fixed_point, amplifier, dense_fixed_point,
+                             linear_threshold, soft_threshold)
 from amptree.dynamics import profile
 from amptree.errors import (CapacityError, DegenerateInputError,
                             InputShapeError, RangeError)
@@ -37,6 +38,17 @@ def run_leveled(**kw):
 
 def run_stream(**kw):
     return simulate_stream(LT, StreamConfig(**{**STREAM, **kw}))
+
+
+def capped(build):
+    """``build(max_leaves)``, where reaching the cap is an answer, not a
+    refusal of the cap."""
+    def call(v):
+        try:
+            build(v)
+        except CapacityError:
+            pass
+    return call
 
 
 #: name: (call with the value, lo, hi, error); a None bound is open.
@@ -87,6 +99,12 @@ PARAMS = {
     "ak_fixed_point k": (ak_fixed_point, 2, None, RangeError),
     "enumerate_achievable max_degree": (enumerate_achievable, 1, 7,
                                         CapacityError),
+    "amplifier max_leaves": (
+        capped(lambda v: amplifier(build_ak(2), 0.1, 0.1, max_leaves=v)), 1,
+        None, RangeError),
+    "dense_fixed_point max_leaves": (
+        capped(lambda v: dense_fixed_point(0.7, 1e-6, max_leaves=v)), 1,
+        None, RangeError),
 }
 
 #: A value past hi that raises another error than one below lo: a cap.
@@ -147,11 +165,14 @@ def test_every_int_parameter_returns_or_raises_its_error(name, data):
     (lambda: iterate_point(LT.evaluate, 0.4, 2.5), DegenerateInputError),
     (lambda: ak_fixed_point(3.5), RangeError),
     (lambda: ak_fixed_point(2.0), RangeError),
+    (lambda: amplifier(build_ak(2), 0.1, 0.1, max_leaves="a"), RangeError),
+    (lambda: dense_fixed_point(0.7, 1e-6, max_leaves=True), RangeError),
 ], ids=["widths-2.7", "stream-k-2.5", "stream-trials-2.5",
         "leveled-trials-2.5", "stream-trials-True", "leveled-trials-True",
         "exact-m-2.5", "learn-levels-2.0", "profile-max_levels-2.5",
         "build_ak-True", "soft_threshold-4.5", "iterate_point-k-2.5",
-        "ak_fixed_point-3.5", "ak_fixed_point-2.0"])
+        "ak_fixed_point-3.5", "ak_fixed_point-2.0", "amplifier-max_leaves-a",
+        "dense-max_leaves-True"])
 def test_probes_that_once_ran_or_raised_a_bare_error(call, error):
     with pytest.raises(error):
         call()

@@ -1,13 +1,16 @@
 """Wild and exponential streaming constructions."""
 import io
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amptree import stream
+from amptree import blocks, stream
 from amptree.catalog import linear_threshold, quad4, soft_threshold, valiant
 from amptree.errors import InputShapeError, RangeError
 from amptree.stream import (StreamConfig, phase_progress_report,
@@ -222,6 +225,53 @@ def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
                 assert np.array_equal(trace.x, ref.x), (n, chunk, per_batch)
                 assert np.array_equal(trace.final_bits, ref.final_bits)
                 assert np.array_equal(trace.bits, ref.bits)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.01, 5.0])    # 5.0: d underflows
+def test_worker_count_does_not_change_a_run(monkeypatch, alpha):
+    # More workers than cores, and a short switch interval so that the
+    # threads interleave often: each batch must write only its own rows.
+    # With alpha = 0 the chunks grow past step 2,042.
+    cfg = StreamConfig(n=6, k=5_000, alpha=alpha, seed=23, trials=5,
+                       input_p=0.45)
+    monkeypatch.setattr(stream, "_cores", lambda: 1)
+    monkeypatch.setattr(stream, "_BATCH_TRIALS", cfg.trials)
+    ref = simulate_stream(LT, cfg, keep_bits=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            for per_batch in (1, 2):
+                monkeypatch.setattr(stream, "_cores", lambda w=workers: w)
+                monkeypatch.setattr(stream, "_BATCH_TRIALS", per_batch)
+                trace = simulate_stream(LT, cfg, keep_bits=True)
+                assert np.array_equal(trace.x, ref.x), (workers, per_batch)
+                assert np.array_equal(trace.final_bits, ref.final_bits)
+                assert np.array_equal(trace.bits, ref.bits)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_batch_error_reaches_the_caller_and_stops_the_workers(monkeypatch):
+    class Boom(Exception):
+        pass
+
+    calls = itertools.count()
+
+    def eval_blocks(trees, which, leafbits):
+        if next(calls) == 7:
+            raise Boom
+        return blocks.eval_blocks(trees, which, leafbits)
+
+    monkeypatch.setattr(stream, "_cores", lambda: 2)
+    monkeypatch.setattr(stream, "_BATCH_TRIALS", 1)
+    monkeypatch.setattr(stream, "eval_blocks", eval_blocks)
+    before = set(threading.enumerate())
+    cfg = StreamConfig(n=6, k=1_000, alpha=0.0, seed=23, trials=6,
+                       input_p=0.45)
+    with pytest.raises(Boom):
+        simulate_stream(LT, cfg)
+    assert set(threading.enumerate()) == before
 
 
 STREAM_DISTS = {"linear": LT, "quad4": quad4(0.5), "valiant": valiant(),
