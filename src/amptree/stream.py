@@ -65,8 +65,9 @@ _MAX_CHUNK = 2048
 #: Most trials in one batch; batches run at once, one per core.
 _BATCH_TRIALS = 32
 
-#: Memory budget (bytes) of a run: its weight table and the items, X carry
-#: and chunk buffers of the batches that run at once (``_batch_bytes``).
+#: Memory budget (bytes) of a run: its weight table and trace, and the
+#: items, X carry and chunk buffers of the batches that run at once
+#: (``_batch_bytes``).
 _BATCH_BUDGET = 320_000_000
 
 #: Longest piece of X's carry; fixed, so no chunk size changes X's bits.
@@ -189,24 +190,30 @@ def _chunk_bounds(n: int, k: int, alpha: float) -> list[tuple[int, int]]:
     return bounds
 
 
-def _batch_bytes(n: int, k: int, cols: int,
-                 steps: np.ndarray) -> tuple[int, int]:
-    """Bytes a run holds whatever its batches, and bytes per trial of a
-    batch.  X's carry keeps a row per recorded step and per ``_X_SPAN``
-    items.  The run holds the weight table and 48 bytes per carry row (the
-    total weight's column, in the carry and in its gather at the recorded
-    steps, and the rows' index arrays).  A trial holds its bits row, its
-    generator (about 0.9 KB), X's carry buffer, 24 bytes per carry row (its
-    column in the carry and in the gather, and its row of the trace) and,
-    per step of the largest chunk, 40 bytes for the settle set's positions
-    and 48 per column: uniforms, the leaf-major buffer and up to four index
-    or draw arrays (the settle set's leaves and, when alpha > 0, the last
-    chunk's indices, the age search's key and its result).  The largest
-    chunk is counted as at alpha = 0, the longest any run takes."""
+def _batch_bytes(config: StreamConfig, cols: int, steps: np.ndarray,
+                 chunk: int) -> tuple[int, int, int]:
+    """Bytes a run holds whatever its batches, bytes each running batch
+    holds whatever its size, and bytes per trial of a batch, when the
+    longest chunk takes ``chunk`` steps.  X's carry keeps a row per
+    recorded step and per ``_X_SPAN`` items.  The run holds the weight
+    table and every trial's row of the trace.  A batch holds 48 bytes per
+    carry row (the total weight's column, in the carry and in its gather at
+    the recorded steps, and the rows' index arrays), five ``_X_SPAN`` rows
+    (the carry's total-weight row, a piece's weights and their indices) and
+    56 bytes per chunk step (the steps, their decay and age entries and
+    their sums).  A trial holds its bits row, its generator (about 1.6 KB),
+    X's carry buffer, 16 bytes per carry row (its column in the carry and
+    in the gather) and, per chunk step, 40 bytes for the settle set's
+    positions and per column: 8 for the uniforms, 8 for the leaf-major
+    buffer, 8 for the settle set's leaves and, when alpha > 0, 24 for the
+    last chunk's indices, the age search's key and its result."""
+    n, k, trials = config.n, config.k, config.trials
     rows = len(steps) + -(-k // _X_SPAN)
-    chunk = min(k, max(_STEP_CHUNK, min((n + k - 1) // 16, _MAX_CHUNK)))
-    return (16 * (k + 1) + 48 * rows,
-            n + k + 1024 + 8 * _X_SPAN + 24 * rows + chunk * (40 + 48 * cols))
+    per_column = 48 if config.alpha > 0 else 24
+    return (16 * (k + 1) + trials * (8 * len(steps) + 1),
+            48 * rows + 40 * _X_SPAN + 56 * chunk,
+            n + k + 1600 + 8 * _X_SPAN + 16 * rows
+            + chunk * (40 + per_column * cols))
 
 
 def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
@@ -223,8 +230,9 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
 
     # The batches that run at once share the budget.
     cores = _cores()
-    run_bytes, per_trial = _batch_bytes(n, k, cols, steps)
-    fits = (_BATCH_BUDGET - run_bytes) // (cores * per_trial)
+    run_bytes, per_batch, per_trial = _batch_bytes(config, cols, steps,
+                                                   longest)
+    fits = ((_BATCH_BUDGET - run_bytes) // cores - per_batch) // per_trial
     batch_size = max(1, min(_BATCH_TRIALS, trials, fits))
     workers = min(cores, -(-trials // batch_size))
     draw = input_draw(config)
@@ -285,24 +293,25 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         if keep_bits:
             kept[start:start + b] = bits
 
+    def rngs(start: int) -> list[np.random.Generator]:
+        return [generator(config.seed, trial)
+                for trial in range(start, min(start + batch_size, trials))]
+
     # Generators are made here, on the calling thread, in trial order, each
-    # batch's as it is started: only the running batches hold theirs.
-    batches = ((start, [generator(config.seed, trial) for trial in
-                        range(start, min(start + batch_size, trials))])
-               for start in range(0, trials, batch_size))
+    # batch's once a worker is free for it: only running batches hold theirs.
     if workers == 1:
-        for batch in batches:
-            run_batch(*batch)
+        for start in range(0, trials, batch_size):
+            run_batch(start, rngs(start))
     else:
         # Imported here: it pulls in logging, about 0.7 MB of RSS that a
         # run on one thread, or with no stream at all, need not hold.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             running: deque = deque()
-            for batch in batches:
+            for start in range(0, trials, batch_size):
                 if len(running) == workers:
                     running.popleft().result()
-                running.append(pool.submit(run_batch, *batch))
+                running.append(pool.submit(run_batch, start, rngs(start)))
             for future in running:
                 future.result()
     return StreamTrace(steps=steps, x=x, final_bits=final, config=config,
@@ -338,9 +347,14 @@ def _simulate_prefix(dist: TreeDistribution, config: StreamConfig,
 def _decay_table(alpha: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The run's weights relative to the newest item: d[m] = e^(-alpha*m),
     m = 0..k, and A[a] = d[1] + ... + d[a] while d > 0.  ``math.exp``,
-    unlike numpy's exp ufunc, gives the same bits at every SIMD level."""
-    d = np.fromiter(map(math.exp, -alpha * np.arange(k + 1)), float, k + 1)
-    return d, np.cumsum(np.r_[0.0, d[1:np.count_nonzero(d)]])
+    unlike numpy's exp ufunc, gives the same bits at every SIMD level.
+    Built in place, the two tables are the most the build holds."""
+    d = np.arange(k + 1, dtype=np.float64)
+    d *= -alpha
+    d = np.fromiter(map(math.exp, d), float, k + 1)
+    ages = np.zeros(np.count_nonzero(d))
+    np.cumsum(d[1:len(ages)], out=ages[1:])
+    return d, ages
 
 
 def _carried(bits: np.ndarray, n: int, steps: np.ndarray,

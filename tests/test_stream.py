@@ -215,12 +215,17 @@ def test_chunks_and_batches_do_not_change_a_run(monkeypatch, alpha, inputs):
         monkeypatch.undo()
         ref = simulate_stream(LT, cfg, keep_bits=True)
         cols, steps = 1 + LT.max_leaf_count, recorded_steps(n, k, alpha)
+        # One core: the budget alone sets the batch size.
+        monkeypatch.setattr(stream, "_cores", lambda: 1)
         for chunk in (1, 7, 64):
             for per_batch in (trials, 2, 1):
                 monkeypatch.setattr(stream, "_STEP_CHUNK", chunk)
-                run, per_trial = stream._batch_bytes(n, k, cols, steps)
+                longest = max(z - a for a, z in
+                              stream._chunk_bounds(n, k, alpha))
+                run, batch, per_trial = stream._batch_bytes(cfg, cols, steps,
+                                                            longest)
                 monkeypatch.setattr(stream, "_BATCH_BUDGET",
-                                    run + per_batch * per_trial)
+                                    run + batch + per_batch * per_trial)
                 trace = simulate_stream(LT, cfg, keep_bits=True)
                 assert np.array_equal(trace.x, ref.x), (n, chunk, per_batch)
                 assert np.array_equal(trace.final_bits, ref.final_bits)
@@ -310,25 +315,33 @@ def test_settled_chunks_match_the_reference_engine(name, n, k, alpha, trials,
     ("linear", 16, 20_000, 1.0, 64),     # X recorded at every step
     ("soft6", 3, 5_000, 0.3, 50),        # 12 leaves, most inside the chunk
 ])
-def test_one_batch_peak_is_within_its_predicted_bytes(name, n, k, alpha,
-                                                      trials):
+def test_one_batch_peak_is_within_its_predicted_bytes(monkeypatch, name, n, k,
+                                                      alpha, trials):
     # The batch budget counts every buffer a run holds: its traced peak is
-    # at most the predicted bytes plus 64 KB for small Python objects.
+    # at most the run's bytes, each running batch's and each held trial's,
+    # plus 64 KB for small Python objects.  On one core the two 32-trial
+    # batches run one after the other; on two they run at once.
     dist = STREAM_DISTS[name]
-    run, per_trial = stream._batch_bytes(n, k, 1 + dist.max_leaf_count,
-                                         recorded_steps(n, k, alpha))
-    assert trials * per_trial + run < stream._BATCH_BUDGET   # one batch
     cfg = StreamConfig(n=n, k=k, alpha=alpha, seed=3, trials=trials,
                        input_p=0.45)
-    simulate_stream(dist, StreamConfig(n=4, k=300, alpha=alpha, seed=1,
-                                       trials=2, input_p=0.5))   # warm up
-    tracemalloc.start()
-    try:
-        simulate_stream(dist, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= trials * per_trial + run + 64 * 1024
+    longest = max(z - a for a, z in stream._chunk_bounds(n, k, alpha))
+    run, batch, per_trial = stream._batch_bytes(
+        cfg, 1 + dist.max_leaf_count, recorded_steps(n, k, alpha), longest)
+    full = stream._BATCH_TRIALS
+    for cores in (1, 2):
+        monkeypatch.setattr(stream, "_cores", lambda c=cores: c)
+        # Full batches fit; the warm-up takes the threaded path too.
+        assert run + cores * (batch + full * per_trial) < stream._BATCH_BUDGET
+        simulate_stream(dist, StreamConfig(n=4, k=300, alpha=alpha, seed=1,
+                                           trials=full + 1, input_p=0.5))
+        tracemalloc.start()
+        try:
+            simulate_stream(dist, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = run + cores * batch + min(trials, cores * full) * per_trial
+        assert peak <= held + 64 * 1024, cores
 
 
 @pytest.mark.parametrize("name", ["linear", "quad4"])
