@@ -2,9 +2,9 @@
 
 Every simulated item samples a building block from a distribution's
 entries, wires the block's leaves to earlier items, and fires as the block
-evaluates on them.  The entry table and its pick, the block evaluation,
-and the check and draw of a run's inputs are decided here, once for all
-three.
+evaluates on them.  The entry table and its pick, the uniform-to-index
+rule, the block evaluation, and the check and draw of a run's inputs are
+decided here, once for all three.
 """
 from __future__ import annotations
 
@@ -43,6 +43,21 @@ def pick(cumw, u):
     for c in cumw[np.isfinite(cumw)]:
         which += u >= c
     return which
+
+
+def index(u, size, out=None):
+    """``min(floor(u * size), size - 1)`` as int64: the uniform draw u in
+    [0, 1) mapped to one of ``size`` slots, for a scalar ``size`` or an
+    array that broadcasts against ``u``; written into the int64 ``out``
+    when it is given.  Every uniform choice among equal slots takes this
+    rule (leveled wiring and top item, the alpha = 0 stream wiring,
+    learning's picks and wiring), so no seeded output depends on a
+    ``Generator`` method other than ``random``."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(u), np.shape(size)),
+                       np.int64)
+    np.multiply(u, size, out=out, casting="unsafe")
+    return np.minimum(out, size - 1, out=out)
 
 
 def eval_blocks(trees, which, leafbits):

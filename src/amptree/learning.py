@@ -8,7 +8,9 @@ the learned structure behaves like the linear threshold construction at
 t = ||X||_1 / n, evaluated on fresh inputs with the wiring held fixed.
 
 Determinism: level j of the learner uses PCG64(derive_seed(seed, j)) and
-draws the block picks, then the wiring, as two blocks.
+draws two blocks of uniforms with ``Generator.random``, the width's picks
+of an example position, then the (width, 3) wiring, each mapped to an index
+by ``blocks.index``, the rule the leveled and stream simulators wire by.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import check_bits, eval_blocks
+from .blocks import check_bits, eval_blocks, index
 from .catalog import linear_threshold
 from .errors import InputShapeError, check_int
 from .rng import generator
@@ -126,8 +128,7 @@ class LearnedTree:
         if has_bool or not all(type(v) is int for v in (n, seed, ones)):
             raise InputShapeError("n, seed, example_ones, blocks and wiring "
                                   "must be integers")
-        if n < 1:
-            raise InputShapeError(f"n must be >= 1, got {n}")
+        _check_counts(n, ones, len(levels))
         prev_size = n
         for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
             if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
@@ -141,6 +142,19 @@ class LearnedTree:
         blocks = tuple(b.astype(np.uint8) for b in blocks)
         return cls(n=n, blocks=blocks, wiring=wiring, seed=seed,
                    example_ones=ones)
+
+
+def _check_counts(n: int, ones: int, levels: int) -> None:
+    """InputShapeError unless a learned file has an input, a level and at
+    most n example ones, as every file :func:`learn_threshold` writes does;
+    both readers check this."""
+    if n < 1:
+        raise InputShapeError(f"n must be >= 1, got {n}")
+    if levels < 1:
+        raise InputShapeError("a learned structure needs at least one level")
+    if not 0 <= ones <= n:
+        raise InputShapeError(
+            f"example_ones must be in 0..{n}, got {ones}")
 
 
 def _read_layout(text: str) -> LearnedTree | None:
@@ -159,7 +173,7 @@ def _read_layout(text: str) -> LearnedTree | None:
         n, seed, ones = (head[key] for key in ("n", "seed", "example_ones"))
     except (TypeError, ValueError, KeyError):
         return None
-    if not all(type(v) is int for v in (n, seed, ones)) or n < 1:
+    if not all(type(v) is int for v in (n, seed, ones)):
         return None
     blocks, wiring, below = [], [], n
     pos = cut + len(b',"levels":[')
@@ -187,8 +201,10 @@ def _read_layout(text: str) -> LearnedTree | None:
     tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
                        seed=seed, example_ones=ones)
     written = tree.to_json()
-    same = text.startswith(written) and text[len(written):] in ("", "\n")
-    return tree if same else None
+    if not (text.startswith(written) and text[len(written):] in ("", "\n")):
+        return None
+    _check_counts(n, ones, len(blocks))
+    return tree
 
 
 def _read_indices(raw: bytes, start: int, end: int) -> np.ndarray | None:
@@ -230,9 +246,8 @@ def learn_threshold(levels: int, width: int, example: Sequence[int],
     prev_size = n
     for level in range(1, levels + 1):
         rng = generator(seed, level)
-        picks = rng.integers(0, n, size=width)
-        blocks.append(x[picks])
-        wiring.append(rng.integers(0, prev_size, size=(width, 3)))
+        blocks.append(x[index(rng.random(width), n)])
+        wiring.append(index(rng.random((width, 3)), prev_size))
         prev_size = width
     return LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
                        seed=seed, example_ones=int(x.sum()))

@@ -22,7 +22,8 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
+from .blocks import (check_inputs, entry_table, eval_blocks, index,
+                     input_draw, pick)
 from .catalog import TreeDistribution
 from .errors import (CapacityError, InputShapeError, RangeError, check_int,
                      check_real)
@@ -100,16 +101,14 @@ def simulate_leveled(dist: TreeDistribution,
         for level, m in enumerate(config.widths, start=1):
             u = random(level, (m, cols))
             which = pick(cumw, u[..., 0])
-            idx = np.minimum((u[..., 1:] * prev_size).astype(np.int64),
-                             prev_size - 1)
+            idx = index(u[..., 1:], prev_size)
             # One flat gather: 2-D fancy indexing is several times slower.
             idx += np.arange(0, b * prev_size, prev_size)[:, None, None]
             prev = eval_blocks(trees, which.ravel(), np.ravel(prev)[idx]
                                .reshape(b * m, -1)).reshape(b, m)
             fractions[rows, level] = prev.mean(axis=1)
             prev_size = m
-        top = np.minimum((random(levels + 1, (1,))[:, 0] * prev_size)
-                         .astype(np.int64), prev_size - 1)
+        top = index(random(levels + 1, (1,))[:, 0], prev_size)
         final_items[rows] = prev[np.arange(b), top]
     return SimulationTrace(fractions=fractions, final_items=final_items,
                            config=config)

@@ -48,7 +48,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .blocks import check_inputs, entry_table, eval_blocks, input_draw, pick
+from .blocks import (check_inputs, entry_table, eval_blocks, index,
+                     input_draw, pick)
 from .catalog import TreeDistribution
 from .errors import InputShapeError, RangeError, check_int, check_real
 from .rng import generator
@@ -259,8 +260,7 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
             lv = np.moveaxis(uz[..., 1:], 2, 0)
             leaf = wired[:lv.size].reshape(lv.shape)
             if alpha == 0:
-                idx = np.multiply(lv, n + js, out=leaf, casting="unsafe")
-                np.minimum(idx, n + js - 1, out=idx)
+                idx = index(lv, n + js, out=leaf)
             else:
                 # An input weighs d[j]; item j - 1 - g weighs d[g + 1].
                 d_j = decay[js]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from amptree.blocks import (SIM_LEAF_CAP, entry_table, eval_blocks,
+from amptree.blocks import (SIM_LEAF_CAP, entry_table, eval_blocks, index,
                             input_draw, pick)
 from amptree.catalog import TreeDistribution, dense_fixed_point, valiant
 from amptree.errors import CapacityError, InputShapeError, RangeError
@@ -89,6 +89,30 @@ def test_pick_on_a_one_entry_table():
     u = np.array([0.0, 0.5, 1.0 - 2.0 ** -53])
     assert pick(cumw, u).tolist() == [0, 0, 0]
     assert np.searchsorted(cumw, u, side="right").tolist() == [0, 0, 0]
+
+
+def test_index_is_the_inline_rule_it_replaced():
+    u = np.concatenate(([0.0, 1.0 - 2.0 ** -53],
+                        generator(4, 2).random(1000)))
+    for size in (1, 2, 3, 1000, 2 ** 31 + 11, 2 ** 53):
+        leveled = np.minimum((u * size).astype(np.int64), size - 1)
+        got = index(u, size)
+        assert got.dtype == np.int64 and np.array_equal(got, leveled)
+        assert got[0] == 0 and got[1] == size - 1 and got.max() < size
+    # The stream form: leaf-major uniforms, a pool size per step, written
+    # into a buffer of int64.
+    lv = u[2:].reshape(5, 2, 100)
+    sizes = 64 + np.arange(100)
+    stream = np.empty(lv.shape, np.int64)
+    np.multiply(lv, sizes, out=stream, casting="unsafe")
+    np.minimum(stream, sizes - 1, out=stream)
+    buffer = np.full(lv.size + 7, -1, np.int64)
+    out = buffer[:lv.size].reshape(lv.shape)
+    assert index(lv, sizes, out=out) is out
+    assert np.array_equal(out, stream) and (buffer[lv.size:] == -1).all()
+    assert np.array_equal(index(lv, sizes), stream)
+    assert index(np.array([0.0, 1.0 - 2.0 ** -53]), np.array([1, 7])
+                 ).tolist() == [0, 6]
 
 
 def test_one_leaf_cap_for_both_simulators():

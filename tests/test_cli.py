@@ -266,12 +266,15 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
                         ("float_bits", [1.0, 0.0, 1]),
                         ("bool_bits", [True, 0, 1]),
                         ("no_inputs", {"n": 0, "seed": 0, "example_ones": 0,
-                                       "levels": []})):
+                                       "levels": []}),
+                        ("no_levels", dict(good, levels=[])),
+                        ("many_ones", dict(good, example_ones=9))):
         bad[name] = tmp_path / f"{name}.json"
         bad[name].write_text(json.dumps(value))
     cases = [["eval", "--learned-file", str(bad[name]), "--input-file",
               str(bits)] for name in ("list", "levels", "wiring",
-                                      "no_inputs", "float_block",
+                                      "no_inputs", "no_levels",
+                                      "many_ones", "float_block",
                                       "float_index", "bool_index",
                                       "float_n", "string_n", "string_seed")]
     cases += [["eval", "--learned-file", str(learned), "--input-file",

@@ -9,8 +9,8 @@ the ``enumerate`` output, the exact A_k/B_k coefficients), and
 compares its sha256 with a value pinned in ``GOLDEN``.  A change that
 alters any seeded output fails here even if run-against-run determinism
 still holds.  The values were taken with numpy 2.4.6; a numpy release
-that changes PCG64 or ``Generator.random``/``integers`` would change them
-too.
+that changes PCG64 or ``Generator.random`` would change them too
+(``tests/test_rng.py`` checks both).
 """
 import csv
 import hashlib

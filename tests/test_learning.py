@@ -161,12 +161,12 @@ DIGIT_EDGES = (0, 9, 10, 99, 100, 9999, 10000)
 
 @st.composite
 def learned_trees(draw):
-    """A LearnedTree of 0-4 levels, widths 1-40 and 1 to 20,000 inputs,
+    """A LearnedTree of 1-4 levels, widths 1-40 and 1 to 20,000 inputs,
     built directly; indices favour the digit-count edges."""
     n = draw(st.one_of(st.integers(1, 20_000),
                        st.sampled_from([1, 10, 11, 101, 10_000, 10_001])))
     blocks, wiring, below = [], [], n
-    for width in draw(st.lists(st.integers(1, 40), max_size=4)):
+    for width in draw(st.lists(st.integers(1, 40), min_size=1, max_size=4)):
         index = st.one_of(st.integers(0, below - 1), st.sampled_from(
             [i for i in DIGIT_EDGES if i < below]))
         blocks.append(draw(arrays(np.uint8, width, fill=st.nothing(),
@@ -341,11 +341,31 @@ def test_from_json_refuses_non_integers(name):
         LearnedTree.from_json(NON_INTEGER[name])
 
 
-@pytest.mark.parametrize("n", [0, -3])
-def test_from_json_needs_an_input(n):
-    text = json.dumps({"n": n, "seed": 0, "example_ones": 0, "levels": []})
-    with pytest.raises(InputShapeError, match="n must be >= 1"):
-        LearnedTree.from_json(text)
+def _compact(**changes):
+    """_learned_text's file in to_json's layout, which the layout reader
+    takes."""
+    return json.dumps(json.loads(_learned_text(**changes)),
+                      separators=(",", ":"))
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"n":0,"seed":0,"example_ones":0,"levels":[]}',
+                 "n must be >= 1", id="0"),
+    pytest.param('{"n":-3,"seed":0,"example_ones":0,"levels":[]}',
+                 "n must be >= 1", id="-3"),
+    pytest.param('{"n":3,"seed":0,"example_ones":1,"levels":[]}',
+                 "at least one level", id="no levels"),
+    pytest.param(_compact(example_ones=9), r"example_ones must be in 0\.\.3",
+                 id="9 ones of 3"),
+    pytest.param(_compact(example_ones=-1), r"example_ones must be in 0\.\.3",
+                 id="-1 ones"),
+])
+def test_from_json_needs_an_input(text, message):
+    # Files that learn_threshold cannot write: no input, no level, or
+    # example ones outside 0..n.  Both readers refuse them alike.
+    for read in (LearnedTree.from_json, learning._read_layout, _general):
+        with pytest.raises(InputShapeError, match=message):
+            read(text)
 
 
 def test_learned_traces_match_linear_threshold_simulation():

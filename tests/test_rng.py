@@ -3,9 +3,14 @@
 ``stacked_streams`` reproduces numpy's own PCG64 seeding (SeedSequence
 hash, then two LCG steps) as array operations.  These tests pin it against
 ``np.random.PCG64``, so a numpy release that changes its seeding fails
-here instead of silently changing every leveled stream.
+here instead of silently changing every leveled stream.  Every seeded
+output draws its numbers with ``Generator.random`` alone, and the last
+test pins that method to PCG64's raw stream.
 """
+from itertools import pairwise
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from amptree.rng import derive_seed, generator, pcg64_states, stacked_streams
@@ -45,3 +50,20 @@ def test_stacked_draws_are_the_generators_draws(root, first, count, streams,
         for row, trial in zip(stack, trials):
             assert np.array_equal(row, generator(root, trial, j)
                                   .random(shape))
+
+
+@pytest.mark.parametrize("root, indices", [(0, ()), (7, (3,)),
+                                           (2 ** 64 - 1, (12, 40))])
+def test_random_is_the_raw_stream_top_53_bits(root, indices):
+    # NEP 19 freezes PCG64's raw stream but not the Generator methods.  A
+    # numpy release that changes how random turns raw words into doubles
+    # fails here, which names the cause of the golden pins' failures.
+    raw = generator(root, *indices).bit_generator.random_raw(1000)
+    want = (raw >> np.uint64(11)) * 2.0 ** -53
+    assert np.array_equal(generator(root, *indices).random(1000), want)
+    assert np.array_equal(generator(root, *indices).random((250, 4)),
+                          want.reshape(250, 4))
+    chunked, gen = np.empty(1000), generator(root, *indices)
+    for a, z in pairwise([0, 1, 8, 135, 512, 1000]):
+        gen.random(out=chunked[a:z])
+    assert np.array_equal(chunked, want)
