@@ -258,9 +258,9 @@ GOLDEN = {
     'json-quad_k-low': '5e557107e9918c50a286ab8a1e5fd2f0281b125091928fc64a75ce3a0e9952a3',
     'json-soft6': '6ef4db9f9ac01cb099db43dcc20a51fee1bca065ac20351af2540f645bf033a2',
     'json-valiant': '1fde1ec348096c534ffaca387f947b603d85ed9c79b1652d9a19da4a7f49d176',
-    'learned-json': '00c80155538d4b0fd9d097d2a92c72fddf68ae04c207506d5758622a8ee1bb23',
-    'learned-json-wide': '11b32715d04e0ad79338589e7fe488c9cf8bd552ce1ef3b5d87af29362d27549',
-    'learned-trace': 'eca4fe156f3e26a2efbb45186b5d38e8be2c2b02319a362a208b2449454014dc',
+    'learned-json': '918bd5a6d59ca30e2801ce3a00c77cee2733cd37637b08130c178f7104b79ab3',
+    'learned-json-wide': 'c50aa3813e2c047052441dcfaac7467578c022c24ca5c345afddea7eacf1241c',
+    'learned-trace': '474163ec1d69efd520a3ce757445ac45ac804af9d7c1b328b2086c3af17176ba',
     'leveled-linear-bits': '654012d0c9bb3147c9b3ca04c3878eab11a412de73a368de803ee2bcdba4e500',
     'leveled-linear-p': '1f9dec92fd69e762ad457dcc4782ccaee376f3b00a0e95ba491df8bf7f4140ce',
     'leveled-quad4-bits': '754a3a12f20e06eae672033abf3d1a24805cd3da9e0eb18a8702960d64e13053',
