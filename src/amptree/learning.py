@@ -63,9 +63,11 @@ class LearnedTree:
     def to_json(self) -> str:
         """``json.dumps`` of the arrays as lists, compact, byte for byte.
 
-        Raises InputShapeError for a negative index or a block outside
-        {0, 1}.
+        Raises InputShapeError for a negative index, a block outside
+        {0, 1}, or a structure the readers refuse for its counts
+        (``_check_counts``).
         """
+        _check_counts(self.n, self.example_ones, self.levels)
         head = json.dumps({key: getattr(self, key) for key in (
             "n", "seed", "example_ones")}, separators=(",", ":"))
         top = max((int(w.max()) + 1 for w in self.wiring if w.size), default=1)
@@ -145,9 +147,10 @@ class LearnedTree:
 
 
 def _check_counts(n: int, ones: int, levels: int) -> None:
-    """InputShapeError unless a learned file has an input, a level and at
-    most n example ones, as every file :func:`learn_threshold` writes does;
-    both readers check this."""
+    """InputShapeError unless a learned structure has an input, a level
+    and 0..n example ones, as every one :func:`learn_threshold` makes
+    does.  The general reader checks this, and so does ``to_json``, which
+    the layout reader writes its result back with."""
     if n < 1:
         raise InputShapeError(f"n must be >= 1, got {n}")
     if levels < 1:
@@ -200,11 +203,9 @@ def _read_layout(text: str) -> LearnedTree | None:
         return None
     tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
                        seed=seed, example_ones=ones)
-    written = tree.to_json()
-    if not (text.startswith(written) and text[len(written):] in ("", "\n")):
-        return None
-    _check_counts(n, ones, len(blocks))
-    return tree
+    written = tree.to_json()    # which checks the counts
+    same = text.startswith(written) and text[len(written):] in ("", "\n")
+    return tree if same else None
 
 
 def _read_indices(raw: bytes, start: int, end: int) -> np.ndarray | None:

@@ -10,7 +10,8 @@ compares its sha256 with a value pinned in ``GOLDEN``.  A change that
 alters any seeded output fails here even if run-against-run determinism
 still holds.  The values were taken with numpy 2.4.6; a numpy release
 that changes PCG64 or ``Generator.random`` would change them too
-(``tests/test_rng.py`` checks both).
+(``tests/test_rng.py`` checks numpy's PCG64 seeding, and ``random``
+against PCG64's raw stream).
 """
 import csv
 import hashlib

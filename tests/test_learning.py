@@ -362,10 +362,18 @@ def _compact(**changes):
 ])
 def test_from_json_needs_an_input(text, message):
     # Files that learn_threshold cannot write: no input, no level, or
-    # example ones outside 0..n.  Both readers refuse them alike.
+    # example ones outside 0..n.  Both readers refuse them alike, and
+    # to_json does not write them.
     for read in (LearnedTree.from_json, learning._read_layout, _general):
         with pytest.raises(InputShapeError, match=message):
             read(text)
+    data = json.loads(text)
+    tree = LearnedTree(
+        n=data["n"], seed=0, example_ones=data["example_ones"],
+        blocks=tuple(np.uint8(lvl["blocks"]) for lvl in data["levels"]),
+        wiring=tuple(np.int64(lvl["wiring"]) for lvl in data["levels"]))
+    with pytest.raises(InputShapeError, match=message):
+        tree.to_json()
 
 
 def test_learned_traces_match_linear_threshold_simulation():
