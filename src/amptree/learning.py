@@ -11,6 +11,8 @@ Determinism: level j of the learner uses PCG64(derive_seed(seed, j)) and
 draws two blocks of uniforms with ``Generator.random``, the width's picks
 of an example position, then the (width, 3) wiring, each mapped to an index
 by ``blocks.index``, the rule the leveled and stream simulators wire by.
+
+A :class:`LearnedTree` checks its counts, blocks and wiring when it is built.
 """
 from __future__ import annotations
 
@@ -38,6 +40,11 @@ class LearnedTree:
 
     ``blocks[j]`` is 1 where the item uses (A v B) ^ C; wiring indices at
     level j point into level j-1 (level 0 = inputs).
+
+    Construction raises InputShapeError unless n >= 1, example_ones in
+    0..n and seed are integers, and each of one or more levels has 1-D,
+    non-empty integer 0/1 blocks and integer (width, 3) wiring into the
+    level below.  It keeps read-only uint8 blocks and int64 wiring.
     """
 
     n: int
@@ -46,13 +53,41 @@ class LearnedTree:
     seed: int
     example_ones: int
 
+    def __post_init__(self):
+        n = check_int("n", self.n, 1, error=InputShapeError)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "example_ones", check_int(
+            "example_ones", self.example_ones, 0, n, error=InputShapeError))
+        object.__setattr__(self, "seed", check_int(
+            "seed", self.seed, None, error=InputShapeError))
+        if not self.blocks or len(self.blocks) != len(self.wiring):
+            raise InputShapeError("a learned structure needs at least one "
+                                  "level, with as much wiring as blocks")
+        blocks, wiring, below = [], [], n
+        for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
+            b, w = np.asarray(b), np.asarray(w)
+            if not (b.dtype.kind in "iu" and w.dtype.kind in "iu"
+                    and b.ndim == 1 and b.size and w.shape == (b.size, 3)
+                    and 0 <= b.min() <= b.max() <= 1
+                    and 0 <= w.min() <= w.max() < below):
+                raise InputShapeError(f"level {level} is not 0/1 blocks wired "
+                                      f"into the {below} items below it")
+            b = b.astype(np.uint8, copy=False).view()
+            w = w.astype(np.int64, copy=False).view()
+            b.flags.writeable = w.flags.writeable = False
+            blocks.append(b)
+            wiring.append(w)
+            below = b.size
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "wiring", tuple(wiring))
+
     @property
     def levels(self) -> int:
         return len(self.blocks)
 
     @property
     def width(self) -> int:
-        return int(self.blocks[0].shape[0]) if self.blocks else 0
+        return int(self.blocks[0].shape[0])
 
     def block_fraction(self) -> float:
         """Fraction of items using the (A v B) ^ C block."""
@@ -61,22 +96,13 @@ class LearnedTree:
         return total / count
 
     def to_json(self) -> str:
-        """``json.dumps`` of the arrays as lists, compact, byte for byte.
-
-        Raises InputShapeError for a negative index, a block outside
-        {0, 1}, or a structure the readers refuse for its counts
-        (``_check_counts``).
-        """
-        _check_counts(self.n, self.example_ones, self.levels)
+        """``json.dumps`` of the arrays as lists, compact, byte for byte."""
         head = json.dumps({key: getattr(self, key) for key in (
             "n", "seed", "example_ones")}, separators=(",", ":"))
-        top = max((int(w.max()) + 1 for w in self.wiring if w.size), default=1)
+        top = max(int(w.max()) for w in self.wiring) + 1
         table = np.array([str(i).encode() for i in range(top)])
         parts = [head[:-1], ',"levels":[']
         for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
-            if ((b != 0) & (b != 1)).any() or (w.size and w.min() < 0):
-                raise InputShapeError(f"level {level} has a negative index "
-                                      "or a block outside {0, 1}")
             flags = np.full((b.size, 2), ord(","), np.uint8)
             flags[:, 1] = b + ord("0")
             # Row i is ",[" then "a," "b," "c]", each cell NUL-padded.
@@ -127,37 +153,10 @@ class LearnedTree:
             raise InputShapeError(
                 f"not a learned structure ({type(exc).__name__}: {exc})"
             ) from exc
-        if has_bool or not all(type(v) is int for v in (n, seed, ones)):
-            raise InputShapeError("n, seed, example_ones, blocks and wiring "
-                                  "must be integers")
-        _check_counts(n, ones, len(levels))
-        prev_size = n
-        for level, (b, w) in enumerate(zip(blocks, wiring), start=1):
-            if not (b.dtype.kind == w.dtype.kind == "i" and b.ndim == 1
-                    and b.size and w.shape == (b.size, 3)
-                    and 0 <= b.min() <= b.max() <= 1
-                    and 0 <= w.min() <= w.max() < prev_size):
-                raise InputShapeError(
-                    f"level {level} of the learned structure is not 0/1 "
-                    f"blocks wired into the {prev_size} items below it")
-            prev_size = b.size
-        blocks = tuple(b.astype(np.uint8) for b in blocks)
+        if has_bool:
+            raise InputShapeError("true or false in blocks or wiring")
         return cls(n=n, blocks=blocks, wiring=wiring, seed=seed,
                    example_ones=ones)
-
-
-def _check_counts(n: int, ones: int, levels: int) -> None:
-    """InputShapeError unless a learned structure has an input, a level
-    and 0..n example ones, as every one :func:`learn_threshold` makes
-    does.  The general reader checks this, and so does ``to_json``, which
-    the layout reader writes its result back with."""
-    if n < 1:
-        raise InputShapeError(f"n must be >= 1, got {n}")
-    if levels < 1:
-        raise InputShapeError("a learned structure needs at least one level")
-    if not 0 <= ones <= n:
-        raise InputShapeError(
-            f"example_ones must be in 0..{n}, got {ones}")
 
 
 def _read_layout(text: str) -> LearnedTree | None:
@@ -203,7 +202,7 @@ def _read_layout(text: str) -> LearnedTree | None:
         return None
     tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
                        seed=seed, example_ones=ones)
-    written = tree.to_json()    # which checks the counts
+    written = tree.to_json()
     same = text.startswith(written) and text[len(written):] in ("", "\n")
     return tree if same else None
 
@@ -267,7 +266,7 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     Raises RangeError unless ``sample`` is None or an integer (not a bool)
     in 1..the top level's size.
     """
-    size = tree.blocks[-1].size if tree.blocks else tree.n
+    size = tree.blocks[-1].size
     sample = size if sample is None else check_int("sample", sample, 1, size)
     bits = np.asarray(check_bits(input_bits), dtype=np.uint8)
     if bits.size != tree.n:

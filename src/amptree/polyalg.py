@@ -267,21 +267,26 @@ def divergence_ratio(poly: Polynomial, t: float) -> Polynomial:
 
     Dividing out the three linear factors exactly (synthetic division)
     makes g evaluable everywhere, including at 0, t and 1.
+
+    Raises RangeError unless t is a finite real number in (0, 1), and
+    InconsistentFixedPointError when a remainder is past REMAINDER_TOL or
+    NaN.
     """
+    t = check_real("t", t, 0, 1)
     h = list(poly.coeffs)
     while len(h) < 2:
         h.append(0.0)
     h[1] -= 1.0
-    if abs(h[0]) > REMAINDER_TOL:
+    if not abs(h[0]) <= REMAINDER_TOL:
         raise InconsistentFixedPointError(
             f"f(0) = {h[0]!r}; 0 is not a fixed point")
     q = h[1:]                                   # divided by p
     q, rem_t = _synthetic_divide(q, t)
-    if abs(rem_t) > REMAINDER_TOL:
+    if not abs(rem_t) <= REMAINDER_TOL:
         raise InconsistentFixedPointError(
             f"remainder {rem_t!r} dividing by (p - {t}); not a fixed point")
     q, rem_1 = _synthetic_divide(q, 1.0)
-    if abs(rem_1) > REMAINDER_TOL:
+    if not abs(rem_1) <= REMAINDER_TOL:
         raise InconsistentFixedPointError(
             f"remainder {rem_1!r} dividing by (p - 1); 1 is not a fixed point")
     # (1-p) = -(p-1), so negate the quotient once.

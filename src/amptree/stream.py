@@ -455,7 +455,10 @@ def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:
     over trials, that the mean end value obeys the expected-progress form
     mean_start * (1 - epsilon (1-t) / 8) up to three standard errors.
     Meaningful for below-threshold inputs (X converging to 0).
+
+    Raises RangeError unless t is a finite real number in (0, 1).
     """
+    t = check_real("threshold t", t, 0, 1)
     cfg = trace.config
     marks = _phase_marks(cfg.n, cfg.k, cfg.alpha).tolist()
     cols = np.searchsorted(trace.steps, marks)

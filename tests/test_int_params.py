@@ -15,7 +15,7 @@ from amptree.catalog import (ak_fixed_point, amplifier, dense_fixed_point,
 from amptree.dynamics import profile
 from amptree.errors import (CapacityError, DegenerateInputError,
                             InputShapeError, RangeError)
-from amptree.learning import evaluate_learned, learn_threshold
+from amptree.learning import LearnedTree, evaluate_learned, learn_threshold
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled)
 from amptree.polyalg import iterate_point
@@ -26,6 +26,9 @@ from amptree.trees import (all_trees, and_chain, build_ak, build_bk,
 LT = linear_threshold(0.5)
 PROBE = (1, 0, 0, 1)
 TREE = learn_threshold(2, 8, PROBE, seed=1)
+#: TREE's fields, for building it again with one of them changed.
+FIELDS = dict(n=4, blocks=TREE.blocks, wiring=TREE.wiring, seed=1,
+              example_ones=2)
 LEVELED = dict(widths=(3, 2), n=4, seed=1, trials=2, input_p=0.5)
 STREAM = dict(n=4, k=5, alpha=0.5, seed=1, trials=2, input_p=0.5)
 TRACE = simulate_stream(LT, StreamConfig(**{**STREAM, "k": 6}),
@@ -84,6 +87,14 @@ PARAMS = {
                              None, None, RangeError),
     "evaluate_learned sample": (
         lambda v: evaluate_learned(TREE, PROBE, sample=v), 1, 8, RangeError),
+    # An n below the largest level-1 index + 1 is refused for the wiring.
+    "LearnedTree n": (lambda v: LearnedTree(**{**FIELDS, "n": v}),
+                      int(TREE.wiring[0].max()) + 1, None, InputShapeError),
+    "LearnedTree example_ones": (
+        lambda v: LearnedTree(**{**FIELDS, "example_ones": v}), 0, 4,
+        InputShapeError),
+    "LearnedTree seed": (lambda v: LearnedTree(**{**FIELDS, "seed": v}),
+                         None, None, InputShapeError),
     "profile max_levels": (lambda v: profile(LT, 0.4, max_levels=v), 1,
                            None, RangeError),
     "and_chain k": (and_chain, 1, None, InputShapeError),

@@ -292,17 +292,75 @@ def test_mutated_files_read_as_before(name, monkeypatch):
 @pytest.mark.parametrize("level, bad", [(0, "wiring"), (1, "wiring"),
                                         (0, "blocks"), (1, "blocks")])
 def test_to_json_refuses_what_from_json_refuses(level, bad):
+    # The constructor refuses what both readers refuse, so no tree that
+    # to_json could write them from exists.
     tree = learn_threshold(2, 4, [1, 0, 1, 1], 0)
     parts = {"blocks": list(tree.blocks), "wiring": list(tree.wiring)}
     parts[bad][level] = parts[bad][level].copy()
     parts[bad][level][-1] = -1 if bad == "wiring" else 2
-    broken = LearnedTree(n=4, blocks=tuple(parts["blocks"]),
-                         wiring=tuple(parts["wiring"]), seed=0,
-                         example_ones=3)
-    with pytest.raises(ValueError, match=f"level {level + 1}"):
-        broken.to_json()
-    with pytest.raises(InputShapeError):
-        LearnedTree.from_json(learned_json(broken))
+    with pytest.raises(InputShapeError, match=f"level {level + 1}"):
+        LearnedTree(n=4, blocks=tuple(parts["blocks"]),
+                    wiring=tuple(parts["wiring"]), seed=0, example_ones=3)
+    data = json.loads(tree.to_json())
+    data["levels"][level][bad][-1] = parts[bad][level][-1].tolist()
+    for text in (json.dumps(data, separators=(",", ":")), json.dumps(data)):
+        with pytest.raises(InputShapeError, match=f"level {level + 1}"):
+            LearnedTree.from_json(text)
+
+
+#: Blocks and wiring of a valid structure on 5 inputs, two levels of
+#: width 2 (COMPACT's).
+B1, B2 = np.uint8([1, 0]), np.uint8([0, 1])
+W1, W2 = np.int64([[4, 0, 2], [1, 3, 0]]), np.int64([[1, 0, 1], [0, 0, 1]])
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(dict(blocks=(), wiring=()), "at least one level",
+                 id="no levels"),
+    pytest.param(dict(wiring=(W1,)), "as much wiring as blocks",
+                 id="two block levels, one wiring level"),
+    pytest.param(dict(wiring=(W1 + (W1 == 4), W2)), "level 1 .* 5 items",
+                 id="index 5 at level 1"),
+    pytest.param(dict(wiring=(W1, W2 * 2)), "level 2 .* 2 items",
+                 id="index 2 at level 2"),
+    pytest.param(dict(wiring=(W1 - 1, W2)), "level 1", id="index -1"),
+    pytest.param(dict(blocks=(B1 * 2, B2)), "level 1", id="block 2"),
+    pytest.param(dict(blocks=(B1[None], B2)), "level 1", id="2-D blocks"),
+    pytest.param(dict(blocks=(B1, B2[:0]), wiring=(W1, W2[:0])), "level 2",
+                 id="width-0 level"),
+    pytest.param(dict(wiring=(W1.astype(float), W2)), "level 1",
+                 id="float wiring"),
+    pytest.param(dict(blocks=(B1.astype(bool), B2)), "level 1",
+                 id="bool blocks"),
+    pytest.param(dict(n=0), "n must be an integer >= 1", id="n 0"),
+    pytest.param(dict(n=3.0), "n must be an integer >= 1", id="n 3.0"),
+    pytest.param(dict(example_ones=6),
+                 r"example_ones must be an integer in \[0, 5\]",
+                 id="example_ones n + 1"),
+    pytest.param(dict(seed="7"), "seed must be an integer", id="seed '7'"),
+])
+def test_constructor_refuses_what_evaluate_cannot_run(changes, message):
+    fields = dict(n=5, seed=0, example_ones=3, blocks=(B1, B2),
+                  wiring=(W1, W2))
+    LearnedTree(**fields)
+    with pytest.raises(InputShapeError, match=message):
+        LearnedTree(**{**fields, **changes})
+
+
+def test_stored_arrays_are_read_only():
+    tree = learn_threshold(2, 4, [1, 0, 1, 1], 0)
+    for stored in (tree.blocks[0], tree.wiring[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+    # The caller's arrays stay writable; they are copied only to convert.
+    wiring = W1.astype(np.int32)
+    built = LearnedTree(n=5, seed=0, example_ones=3, blocks=(B1, B2),
+                        wiring=(wiring, W2))
+    assert B1.flags.writeable and W2.flags.writeable
+    assert np.shares_memory(built.blocks[0], B1)
+    assert np.shares_memory(built.wiring[1], W2)
+    assert built.wiring[0].dtype == np.int64
+    assert not np.shares_memory(built.wiring[0], wiring)
 
 
 def _learned_text(**changes):
@@ -350,30 +408,31 @@ def _compact(**changes):
 
 @pytest.mark.parametrize("text, message", [
     pytest.param('{"n":0,"seed":0,"example_ones":0,"levels":[]}',
-                 "n must be >= 1", id="0"),
+                 "n must be an integer >= 1", id="0"),
     pytest.param('{"n":-3,"seed":0,"example_ones":0,"levels":[]}',
-                 "n must be >= 1", id="-3"),
+                 "n must be an integer >= 1", id="-3"),
     pytest.param('{"n":3,"seed":0,"example_ones":1,"levels":[]}',
                  "at least one level", id="no levels"),
-    pytest.param(_compact(example_ones=9), r"example_ones must be in 0\.\.3",
+    pytest.param(_compact(example_ones=9),
+                 r"example_ones must be an integer in \[0, 3\]",
                  id="9 ones of 3"),
-    pytest.param(_compact(example_ones=-1), r"example_ones must be in 0\.\.3",
+    pytest.param(_compact(example_ones=-1),
+                 r"example_ones must be an integer in \[0, 3\]",
                  id="-1 ones"),
 ])
 def test_from_json_needs_an_input(text, message):
     # Files that learn_threshold cannot write: no input, no level, or
-    # example ones outside 0..n.  Both readers refuse them alike, and
-    # to_json does not write them.
+    # example ones outside 0..n.  Both readers refuse them alike, and no
+    # tree to write them from can be built.
     for read in (LearnedTree.from_json, learning._read_layout, _general):
         with pytest.raises(InputShapeError, match=message):
             read(text)
     data = json.loads(text)
-    tree = LearnedTree(
-        n=data["n"], seed=0, example_ones=data["example_ones"],
-        blocks=tuple(np.uint8(lvl["blocks"]) for lvl in data["levels"]),
-        wiring=tuple(np.int64(lvl["wiring"]) for lvl in data["levels"]))
     with pytest.raises(InputShapeError, match=message):
-        tree.to_json()
+        LearnedTree(
+            n=data["n"], seed=0, example_ones=data["example_ones"],
+            blocks=tuple(np.uint8(lvl["blocks"]) for lvl in data["levels"]),
+            wiring=tuple(np.int64(lvl["wiring"]) for lvl in data["levels"]))
 
 
 def test_learned_traces_match_linear_threshold_simulation():

@@ -201,6 +201,13 @@ def test_divergence_ratio_rejects_non_fixed_point():
         divergence_ratio(VALIANT_POLY, 0.25)
 
 
+@pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (0.0, 1.0, math.nan)],
+                         ids=["f(0)", "p - t"])
+def test_divergence_ratio_refuses_a_nan_remainder(coeffs):
+    with pytest.raises(InconsistentFixedPointError, match="nan"):
+        divergence_ratio(Polynomial(coeffs), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Mixture-level properties
 # ---------------------------------------------------------------------------

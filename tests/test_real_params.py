@@ -20,8 +20,9 @@ from amptree.errors import (AmptreeError, InputShapeError,
                             InvalidStaircaseError, RangeError, WeightError)
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled, width_scaling_experiment)
-from amptree.polyalg import check_weights
-from amptree.stream import StreamConfig, simulate_stream
+from amptree.polyalg import check_weights, divergence_ratio
+from amptree.stream import (StreamConfig, phase_progress_report,
+                            simulate_stream)
 from amptree.trees import activation, build_ak
 
 LT = linear_threshold(0.5)
@@ -30,6 +31,7 @@ A2 = build_ak(2)
 LEVELED = dict(widths=(3, 2), n=4, seed=1, trials=2, input_p=0.5)
 STREAM = dict(n=4, k=5, alpha=0.5, seed=1, trials=2, input_p=0.5)
 MAX_ALPHA = math.log(sys.float_info.max)
+TRACE = simulate_stream(LT, StreamConfig(**{**STREAM, "k": 12}))
 
 
 def csv(trace) -> str:
@@ -123,6 +125,11 @@ PARAMS = {
     "width_scaling_experiment epsilons": (
         lambda v: width_scaling_experiment(Q4, 0.5, (0.9,), (0.4, v)), 0,
         0.5, "(]", RangeError),
+    "phase_progress_report t": (lambda v: phase_progress_report(TRACE, v),
+                                0, 1, "()", RangeError),
+    # Only t = 0.5 divides out; any other t is a remainder's refusal.
+    "divergence_ratio t": (lambda v: divergence_ratio(LT.mixture, v), 0, 1,
+                           "()", RangeError),
 }
 
 NOT_REALS = (st.booleans() | st.just(np.bool_(True)) | st.none()
