@@ -201,20 +201,25 @@ def scan_fixed_points(f: Callable[[float], float]) -> list[float]:
     ``f`` is called once on the whole scan grid, a float64 array, and must
     work elementwise, as :class:`Polynomial`, ``activation`` and
     ``TreeDistribution.evaluate`` do; the bisection then calls it on
-    Python floats.  Roots closer together than the grid pitch can merge;
-    catalog constructions are checked to have well-separated roots.
+    Python floats.  The grid zeros and the cells whose ends are nonzero
+    with opposite signs are found by array masks (NaN counts as nonzero
+    and not positive), and each cell is bisected in grid order.  Roots
+    closer together than the grid pitch can merge; catalog constructions
+    are checked to have well-separated roots.
     """
     def h(p: float) -> float:
         return f(p) - p
 
     points = np.arange(1, DEFAULT_GRID) * (1.0 / DEFAULT_GRID)
     xs = points.tolist()
-    hv = (f(points) - points).tolist()
-    roots = [x for x, v in zip(xs, hv) if v == 0.0]
-    for i in range(len(xs) - 1):
-        a, b = hv[i], hv[i + 1]
-        if a != 0.0 and b != 0.0 and (a > 0) != (b > 0):
-            roots.append(bisect_root(h, xs[i], xs[i + 1]))
+    hv = f(points) - points
+    nonzero = hv != 0.0
+    positive = hv > 0
+    roots = points[~nonzero].tolist()
+    cells = np.flatnonzero(nonzero[:-1] & nonzero[1:]
+                           & (positive[:-1] != positive[1:]))
+    for i in cells.tolist():
+        roots.append(bisect_root(h, xs[i], xs[i + 1]))
     roots.sort()
     merged: list[float] = []
     for r in roots:

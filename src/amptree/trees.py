@@ -35,7 +35,7 @@ SEXPR_LEAF_CAP = 100_000
 class AndOrTree:
     """A node of an AND/OR tree.  Treat instances as immutable."""
 
-    __slots__ = ("op", "left", "right", "leaf_count")
+    __slots__ = ("op", "left", "right", "leaf_count", "_gates")
 
     def __init__(self, op: str, left: "AndOrTree | None" = None,
                  right: "AndOrTree | None" = None):
@@ -53,6 +53,7 @@ class AndOrTree:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "leaf_count", count)
+        object.__setattr__(self, "_gates", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AndOrTree is immutable")
@@ -116,30 +117,52 @@ def build_bk(k: int) -> AndOrTree:
 def fold(tree: AndOrTree, leaf_value, and_fn: Callable, or_fn: Callable):
     """Bottom-up reduction over the *distinct* nodes of a (possibly shared) tree.
 
-    Each distinct node is visited once; sharing makes this O(#nodes) even
-    when the unfolded tree is enormous.  Iterative, so arbitrarily deep
-    compositions do not hit the recursion limit.
+    Walks the tree's stored gate order (:func:`_gate_order`): slot 0 holds
+    ``leaf_value`` and the i-th gate's result goes to slot i, so each
+    distinct gate is combined once, which makes this O(#distinct gates)
+    even when the unfolded tree is enormous, and no depth reaches the
+    recursion limit.
     """
-    memo: dict[int, object] = {}
+    order = tree._gates
+    if order is None:
+        order = _gate_order(tree)
+    vals = [leaf_value]
+    append = vals.append
+    for is_and, left, right in order:
+        append(and_fn(vals[left], vals[right]) if is_and
+               else or_fn(vals[left], vals[right]))
+    return vals[-1]
+
+
+def _gate_order(tree: AndOrTree) -> tuple[tuple[bool, int, int], ...]:
+    """Store and return the distinct gates of ``tree`` bottom-up.
+
+    Each gate is (is AND, left slot, right slot); every leaf has slot 0 and
+    the i-th gate listed has slot i, so the root is the last.  The order is
+    a property of the immutable node, like its leaf count, and holds no
+    value folded over it.
+    """
+    slot: dict[AndOrTree, int] = {}
+    gates: list[tuple[bool, int, int]] = []
     stack = [tree]
     while stack:
         node = stack[-1]
-        key = id(node)
-        if key in memo:
+        if node in slot:
             stack.pop()
-            continue
-        if node.op == LEAF:
-            memo[key] = leaf_value
+        elif node.op == LEAF:
+            slot[node] = 0
             stack.pop()
-            continue
-        pending = [c for c in (node.left, node.right) if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        combine = and_fn if node.op == AND else or_fn
-        memo[key] = combine(memo[id(node.left)], memo[id(node.right)])
-        stack.pop()
-    return memo[id(tree)]
+        else:
+            pending = [c for c in (node.left, node.right) if c not in slot]
+            if pending:
+                stack.extend(pending)
+                continue
+            gates.append((node.op == AND, slot[node.left], slot[node.right]))
+            slot[node] = len(gates)
+            stack.pop()
+    order = tuple(gates)
+    object.__setattr__(tree, "_gates", order)
+    return order
 
 
 def eval_tree(tree: AndOrTree, assignment: Sequence[int]) -> int:

@@ -5,7 +5,9 @@ activation probabilities come from exhaustive assignment enumeration, and
 fixed-point claims on exact-integer polynomials are verified in rational
 arithmetic.  The scalar grid loops at the end are the one-point-per-call
 forms of the library's array-evaluated analysis grids, kept as the
-reference those must match exactly.  ``learned_json`` is the
+reference those must match exactly.  ``memo_fold`` is the memo-dict
+traversal ``trees.fold`` replaced, kept as the reference for the stored
+gate order.  ``learned_json`` is the
 ``json.dumps`` writer of learned structures that ``LearnedTree.to_json``
 must match byte for byte.
 """
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from amptree.dynamics import CORRIDOR_FACTOR, CORRIDOR_GRID
 from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, Polynomial, bisect_root
-from amptree.trees import AndOrTree, eval_tree
+from amptree.trees import AND, LEAF, AndOrTree, eval_tree
 
 
 def brute_force_activation(tree: AndOrTree, p: float) -> float:
@@ -74,6 +76,30 @@ def verified_interior_roots(poly: Polynomial,
         if exact_sign_change(poly, lo, hi):
             out.append(r)
     return out
+
+
+def memo_fold(tree: AndOrTree, leaf_value, and_fn, or_fn):
+    """``trees.fold`` as a memo dict keyed by ``id`` over a node stack."""
+    memo: dict[int, object] = {}
+    stack = [tree]
+    while stack:
+        node = stack[-1]
+        key = id(node)
+        if key in memo:
+            stack.pop()
+            continue
+        if node.op == LEAF:
+            memo[key] = leaf_value
+            stack.pop()
+            continue
+        pending = [c for c in (node.left, node.right) if id(c) not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        combine = and_fn if node.op == AND else or_fn
+        memo[key] = combine(memo[id(node.left)], memo[id(node.right)])
+        stack.pop()
+    return memo[id(tree)]
 
 
 def binom_pmf(m: int, k: int, q: float) -> float:

@@ -33,12 +33,23 @@ def _all_floats(values) -> bool:
     return all(type(x) is float for x in values)
 
 
+def _with_nans(f):
+    """``f`` with NaN wherever frac(37 p) < 0.3, on arrays and on floats."""
+    def g(p):
+        out = np.where(np.mod(np.multiply(p, 37.0), 1.0) < 0.3, np.nan, f(p))
+        return out if out.ndim else float(out)
+    return g
+
+
 @settings(max_examples=40, deadline=None)
 @given(tree=st.sampled_from(TREES),
-       kind=st.sampled_from(["polynomial", "activation"]),
+       kind=st.sampled_from(["polynomial", "activation", "NaN"]),
        grid=st.sampled_from([10_000, 997]) | st.integers(2, 400))
 def test_scan_matches_scalar_loop_on_small_trees(tree, kind, grid):
-    f = _scanned(tree, kind)
+    if kind == "NaN":
+        f = _with_nans(_scanned(tree, "activation"))
+    else:
+        f = _scanned(tree, kind)
     with mock.patch.object(polyalg, "DEFAULT_GRID", grid):
         roots = scan_fixed_points(f)
     assert roots == scalar_scan_fixed_points(f, grid=grid)

@@ -1,4 +1,5 @@
 """Tree representation, evaluation, polynomials, enumeration."""
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,12 @@ from amptree.errors import CapacityError, InputShapeError
 from amptree.trees import (activation, achievable_by_degree,
                            achievable_witnesses, all_trees, and_, build_ak,
                            build_bk, complement_tree, enumerate_achievable,
-                           eval_columns, eval_tree, format_tree, has_and_path, has_or_path,
-                           leaf, or_, parse_tree, self_compose,
-                           substitute_leaves, tree_polynomial)
+                           eval_columns, eval_tree, fold, format_tree,
+                           has_and_path, has_or_path, leaf, or_, parse_tree,
+                           self_compose, substitute_leaves, tree_polynomial)
+from amptree.trees import _mul, _or
 
-from _oracles import brute_force_activation
+from _oracles import brute_force_activation, memo_fold
 
 X = leaf()
 VALIANT = and_(or_(X, X), or_(X, X))
@@ -311,6 +313,103 @@ def test_huge_composition_stays_cheap():
     t = self_compose(build_ak(2), 20)
     assert t.leaf_count == 4 ** 20
     assert 0.0 <= activation(t, 0.3) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Fold: the stored gate order against the memo-dict oracle
+# ---------------------------------------------------------------------------
+
+#: Ways to make a node from two earlier ones of a pool, so nodes share.
+BUILDERS = {
+    "and": and_,
+    "or": or_,
+    "substitute": substitute_leaves,
+    "compose2": lambda a, b: self_compose(a, 2),
+    "compose3": lambda a, b: self_compose(a, 3),
+    "complement": lambda a, b: complement_tree(a),
+}
+
+
+@st.composite
+def shared_dags(draw):
+    """The last node of a pool grown from the leaf by random builders."""
+    pool = [X]
+    steps = draw(st.lists(st.tuples(st.sampled_from(sorted(BUILDERS)),
+                                    st.integers(0, 10 ** 6),
+                                    st.integers(0, 10 ** 6)),
+                          min_size=1, max_size=12))
+    for name, i, j in steps:
+        pool.append(BUILDERS[name](pool[i % len(pool)], pool[j % len(pool)]))
+    return pool[-1]
+
+
+def _deep_comb(depth: int):
+    """A comb of ``depth`` gates, alternating AND and OR down one side."""
+    tree = X
+    for i in range(depth):
+        tree = (and_ if i % 3 else or_)(tree, X if i % 2 else VALIANT)
+    return tree
+
+
+def _oracle_activation(tree, p):
+    return memo_fold(tree, p, lambda a, b: a * b, lambda a, b: a + b - a * b)
+
+
+def _oracle_path(tree, op):
+    if tree.op == "LEAF":
+        return True
+    return memo_fold(tree, True,
+                     (lambda a, b: a or b) if op == "AND" else (lambda a, b: False),
+                     (lambda a, b: a or b) if op == "OR" else (lambda a, b: False))
+
+
+def _assert_fold_matches_oracle(tree, ps):
+    grid = np.asarray(ps)
+    assert [activation(tree, p) for p in ps] == [
+        _oracle_activation(tree, p) for p in ps]
+    assert activation(tree, grid).tolist() == _oracle_activation(
+        tree, grid).tolist()
+    assert has_and_path(tree) == _oracle_path(tree, "AND")
+    assert has_or_path(tree) == _oracle_path(tree, "OR")
+    comp = complement_tree(tree)
+    oracle_comp = memo_fold(tree, X, or_, and_)
+    assert [activation(comp, p) for p in ps] == [
+        _oracle_activation(oracle_comp, p) for p in ps]
+    if tree.leaf_count <= 256:
+        assert tree_polynomial(tree).coeffs == memo_fold(
+            tree, (0, 1), _mul, _or)
+        assert format_tree(comp) == format_tree(oracle_comp)
+        assert format_tree(substitute_leaves(tree, VALIANT)) == format_tree(
+            memo_fold(tree, VALIANT, and_, or_))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=shared_dags(),
+       ps=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_fold_matches_the_memo_dict_oracle(tree, ps):
+    _assert_fold_matches_oracle(tree, ps)
+
+
+def test_fold_matches_the_oracle_past_the_recursion_limit():
+    tree = _deep_comb(sys.getrecursionlimit() + 500)
+    deep = substitute_leaves(tree, VALIANT)
+    for t in (tree, deep, self_compose(deep, 2)):
+        _assert_fold_matches_oracle(t, [0.0, 0.3, 0.5, 0.71, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=shared_dags())
+def test_fold_combines_each_distinct_gate_once(tree):
+    def counter(calls):
+        return lambda a, b: calls.append(None) or 0
+
+    for run in (memo_fold, fold, fold):     # the second fold reuses the order
+        ands, ors = [], []
+        run(tree, 0, counter(ands), counter(ors))
+        if run is memo_fold:
+            want = (len(ands), len(ors))
+        else:
+            assert (len(ands), len(ors)) == want
 
 
 # ---------------------------------------------------------------------------
