@@ -81,6 +81,15 @@ class LearnedTree:
         object.__setattr__(self, "blocks", tuple(blocks))
         object.__setattr__(self, "wiring", tuple(wiring))
 
+    def __eq__(self, other) -> bool:
+        """Equal counts and seed, and equal arrays level by level."""
+        if not isinstance(other, LearnedTree):
+            return NotImplemented
+        return ((self.n, self.seed, self.example_ones, self.levels)
+                == (other.n, other.seed, other.example_ones, other.levels)
+                and all(np.array_equal(a, b) for a, b in zip(
+                    self.blocks + self.wiring, other.blocks + other.wiring)))
+
     @property
     def levels(self) -> int:
         return len(self.blocks)
@@ -126,8 +135,8 @@ class LearnedTree:
         newline, is read straight into arrays; any other JSON goes through
         ``json.loads``, with the same result and the same refusals.
 
-        Raises InputShapeError when the JSON does not describe a structure
-        :func:`evaluate_learned` can run.
+        Raises InputShapeError when the text is not JSON or does not
+        describe a structure :func:`evaluate_learned` can run.
         """
         tree = _read_layout(text)
         if tree is not None:
@@ -136,6 +145,9 @@ class LearnedTree:
         gc.disable()    # one list per wiring row and no cycles to collect
         try:
             data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InputShapeError(
+                f"not JSON ({type(exc).__name__}: {exc})") from exc
         finally:
             if enabled:
                 gc.enable()
@@ -173,7 +185,7 @@ def _read_layout(text: str) -> LearnedTree | None:
         cut = raw.find(b',"levels":[')
         head = json.loads(raw[:cut] + b"}") if cut > 0 else None
         n, seed, ones = (head[key] for key in ("n", "seed", "example_ones"))
-    except (TypeError, ValueError, KeyError):
+    except (TypeError, ValueError, KeyError, RecursionError):
         return None
     if not all(type(v) is int for v in (n, seed, ones)):
         return None

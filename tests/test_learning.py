@@ -435,6 +435,31 @@ def test_from_json_needs_an_input(text, message):
             wiring=tuple(np.int64(lvl["wiring"]) for lvl in data["levels"]))
 
 
+@pytest.mark.parametrize("text", [
+    "{bad", "", "[" * 100_000, '{"n":3,"levels":' + "[" * 100_000],
+    ids=["unclosed", "empty", "deep", "deep levels"])
+def test_text_that_is_not_json_is_an_input_shape_error(text):
+    with pytest.raises(InputShapeError, match="not JSON"):
+        LearnedTree.from_json(text)
+
+
+def test_equality_is_a_bool_over_counts_seed_and_arrays():
+    a = learn_threshold(2, 4, [1, 0, 1, 1], 0)
+    assert (a == learn_threshold(2, 4, [1, 0, 1, 1], 0)) is True
+    assert (a != learn_threshold(2, 4, [1, 0, 1, 1], 0)) is False
+    assert a == LearnedTree.from_json(a.to_json())
+    for other in (learn_threshold(2, 4, [1, 0, 1, 1], 1),
+                  learn_threshold(3, 4, [1, 0, 1, 1], 0),
+                  learn_threshold(2, 5, [1, 0, 1, 1], 0),
+                  learn_threshold(2, 4, [1, 0, 1, 0], 0)):
+        assert (a == other) is False
+    blocks = list(a.blocks)
+    blocks[-1] = 1 - blocks[-1]
+    flipped = LearnedTree(n=a.n, blocks=tuple(blocks), wiring=a.wiring,
+                          seed=a.seed, example_ones=a.example_ones)
+    assert (a == flipped) is False and (a == "a tree") is False
+
+
 def test_learned_traces_match_linear_threshold_simulation():
     # the learned structure is distributionally the t-threshold leveled
     # construction; per-level mean fractions agree within 3 sigma
