@@ -356,11 +356,9 @@ def _oracle_activation(tree, p):
 
 
 def _oracle_path(tree, op):
-    if tree.op == "LEAF":
-        return True
-    return memo_fold(tree, True,
-                     (lambda a, b: a or b) if op == "AND" else (lambda a, b: False),
-                     (lambda a, b: a or b) if op == "OR" else (lambda a, b: False))
+    either, never = (lambda a, b: a or b), (lambda a, b: False)
+    return memo_fold(tree, True, either if op == "AND" else never,
+                     either if op == "OR" else never)
 
 
 def _assert_fold_matches_oracle(tree, ps):
@@ -400,16 +398,15 @@ def test_fold_matches_the_oracle_past_the_recursion_limit():
 @settings(max_examples=40, deadline=None)
 @given(tree=shared_dags())
 def test_fold_combines_each_distinct_gate_once(tree):
-    def counter(calls):
-        return lambda a, b: calls.append(None) or 0
-
-    for run in (memo_fold, fold, fold):     # the second fold reuses the order
+    def combines(run):
         ands, ors = [], []
-        run(tree, 0, counter(ands), counter(ors))
-        if run is memo_fold:
-            want = (len(ands), len(ors))
-        else:
-            assert (len(ands), len(ors)) == want
+        run(tree, 0, lambda a, b: ands.append(a) or 0,
+            lambda a, b: ors.append(a) or 0)
+        return len(ands), len(ors)
+
+    want = combines(memo_fold)
+    assert combines(fold) == want
+    assert combines(fold) == want       # walks the order the first stored
 
 
 # ---------------------------------------------------------------------------
