@@ -8,6 +8,8 @@ decided here, once for all three.
 """
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import (CapacityError, InputShapeError, RangeError, check_int,
@@ -73,12 +75,16 @@ def eval_blocks(trees, which, leafbits):
 
 
 def check_bits(bits) -> tuple:
-    """``bits`` as a tuple of ints; RangeError unless every one is 0 or 1."""
+    """``bits`` as a tuple of ints; RangeError unless every one is the
+    integer 0 or 1 (numpy's too, not a bool or a float)."""
     bits = tuple(bits)
-    for b in bits:
-        if b not in (0, 1):
-            raise RangeError(f"input bits must be 0 or 1, got {b}")
-    return tuple(int(b) for b in bits)
+    wrong = [kind for kind in set(map(type, bits))
+             if issubclass(kind, bool) or not issubclass(kind, Integral)]
+    if wrong or not set(bits) <= {0, 1}:
+        bad = next(b for b in bits if type(b) in wrong or b not in (0, 1))
+        raise RangeError(f"input bits must be the integers 0 or 1, "
+                         f"got {bad!r}")
+    return tuple(map(int, bits))
 
 
 def check_inputs(config) -> None:

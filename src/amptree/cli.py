@@ -17,7 +17,8 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 from . import catalog, dynamics, leveled, learning, stream
-from .errors import AmptreeError, InputShapeError
+from .blocks import check_bits
+from .errors import AmptreeError, InputShapeError, RangeError, load_json
 from .polyalg import fixed_points
 from .trees import achievable_by_degree
 
@@ -37,11 +38,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Parse a config; TypeError or ValueError names a bad field."""
-        data = json.loads(text)
+        """Parse a config; UsageError names what is wrong with it."""
+        data = load_json(text, "bad config", UsageError)
         if not isinstance(data, dict):
-            raise TypeError("expected a JSON object")
-        cfg = cls(**data)
+            raise UsageError("bad config: expected a JSON object")
+        try:
+            cfg = cls(**data)
+        except TypeError as exc:        # a key that is not a field
+            raise UsageError(f"bad config: {exc}") from exc
         for name, ok, want in (
                 ("command", isinstance(cfg.command, str), "a string"),
                 ("params", isinstance(cfg.params, dict), "an object"),
@@ -50,8 +54,8 @@ class ExperimentConfig:
                  "a string or null"),
                 ("format", cfg.format in ("csv", "json"), "csv or json")):
             if not ok:
-                raise ValueError(
-                    f"{name} must be {want}: {getattr(cfg, name)!r}")
+                raise UsageError(f"bad config: {name} must be {want}: "
+                                 f"{getattr(cfg, name)!r}")
         return cfg
 
 
@@ -301,13 +305,16 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0 if res.verdict == "OK" else 1
 
 
-def _read_bits(path: str) -> list:
+def _read_bits(path: str) -> tuple:
     with open(path) as fh:
-        bits = json.load(fh)
-    if not isinstance(bits, list) or any(type(b) is not int or b not in (0, 1)
-                                         for b in bits):
-        raise UsageError(f"{path} must hold a JSON list of 0/1 bits")
-    return bits
+        bits = load_json(fh.read(), f"malformed JSON input {path}",
+                         UsageError)
+    if isinstance(bits, list):
+        try:
+            return check_bits(bits)
+        except RangeError:
+            pass
+    raise UsageError(f"{path} must hold a JSON list of 0/1 bits")
 
 
 def cmd_learn(cfg: ExperimentConfig) -> int:
@@ -365,45 +372,32 @@ def main(argv: list[str] | None = None) -> int:
             parser.add_argument("--" + name.replace("_", "-"), type=typ)
     args = parser.parse_args(argv)
 
-    cfg = ExperimentConfig(command=args.command)
-    if args.config:
-        try:
+    try:
+        cfg = ExperimentConfig(command=args.command)
+        if args.config:
             with open(args.config) as fh:
                 cfg = ExperimentConfig.from_json(fh.read())
-        except (OSError, TypeError, ValueError) as exc:
-            sys.stderr.write(f"error: bad config {args.config}: {exc}\n")
-            return 2
-        cfg.command = args.command
-    if args.params:
-        try:
-            params = json.loads(args.params)
-        except json.JSONDecodeError as exc:
-            sys.stderr.write(f"error: bad --params: {exc}\n")
-            return 2
-        if not isinstance(params, dict):
-            sys.stderr.write("error: bad --params: expected a JSON object\n")
-            return 2
-        cfg.params.update(params)
-    cfg.params.update({name: value for name, value in vars(args).items()
-                       if name in PARAMS and value is not None})
-    for name in ("seed", "out", "format"):
-        if getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-
-    try:
+            cfg.command = args.command
+        if args.params:
+            params = load_json(args.params, "bad --params", UsageError)
+            if not isinstance(params, dict):
+                raise UsageError("bad --params: expected a JSON object")
+            cfg.params.update(params)
+        cfg.params.update({name: value for name, value in vars(args).items()
+                           if name in PARAMS and value is not None})
+        for name in ("seed", "out", "format"):
+            if getattr(args, name) is not None:
+                setattr(cfg, name, getattr(args, name))
         check_params(cfg)
         return COMMANDS[cfg.command](cfg)
     except AmptreeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (UsageError, OSError) as exc:
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except KeyError as exc:
         sys.stderr.write(f"error: missing required config field: {exc}\n")
-        return 2
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: malformed JSON input: {exc}\n")
         return 2
 
 

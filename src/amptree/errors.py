@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and its integer and
-real-number checks."""
+"""Exception hierarchy shared across the package, its integer and
+real-number checks, and its one JSON loader."""
+import json
 import math
 from numbers import Integral, Real
 
@@ -72,3 +73,13 @@ def check_real(name, value, lo=-math.inf, hi=math.inf, ends="()",
         raise error(f"{name} must be a finite real number in "
                     f"{ends[0]}{lo}, {hi}{ends[1]}: {value!r}")
     return x
+
+
+def load_json(text, what, error):
+    """``json.loads(text)``; ``error`` prefixed by ``what`` when the text is
+    not JSON, nested past the interpreter's recursion limit included (RFC
+    8259 lets a parser bound the depth)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what}: {exc}") from exc

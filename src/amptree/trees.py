@@ -411,34 +411,38 @@ def format_tree(tree: AndOrTree) -> str:
 
 
 def parse_tree(text: str) -> AndOrTree:
-    """Inverse of :func:`format_tree`."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    """Inverse of :func:`format_tree`.  Open gates wait on an explicit
+    stack, so no depth is too deep to parse."""
+    tokens = iter(text.replace("(", " ( ").replace(")", " ) ").split())
 
-    def parse() -> AndOrTree:
-        nonlocal pos
-        if pos >= len(tokens):
+    def take() -> str:
+        tok = next(tokens, None)
+        if tok is None:
             raise InputShapeError("unexpected end of tree expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "x":
-            return _THE_LEAF
-        if tok != "(":
+        return tok
+
+    stack: list[tuple[str, list]] = []      # open gates: operator, operands
+    while True:
+        tok = take()
+        if tok == "(":
+            op = take()
+            if op not in (AND, OR):
+                raise InputShapeError(f"unknown operator {op!r}")
+            stack.append((op, []))
+            continue
+        if tok != "x":
             raise InputShapeError(f"unexpected token {tok!r}")
-        if pos >= len(tokens):
-            raise InputShapeError("unexpected end of tree expression")
-        op = tokens[pos]
-        pos += 1
-        if op not in (AND, OR):
-            raise InputShapeError(f"unknown operator {op!r}")
-        left = parse()
-        right = parse()
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise InputShapeError("expected ')'")
-        pos += 1
-        return AndOrTree(op, left, right)
-
-    out = parse()
-    if pos != len(tokens):
-        raise InputShapeError("trailing tokens after tree expression")
-    return out
+        node = _THE_LEAF
+        while stack:        # close each gate that this operand completes
+            op, operands = stack[-1]
+            operands.append(node)
+            if len(operands) < 2:
+                break
+            if next(tokens, None) != ")":
+                raise InputShapeError("expected ')'")
+            stack.pop()
+            node = AndOrTree(op, *operands)
+        else:
+            if next(tokens, None) is not None:
+                raise InputShapeError("trailing tokens after tree expression")
+            return node

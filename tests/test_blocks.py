@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from amptree.blocks import (SIM_LEAF_CAP, entry_table, eval_blocks, index,
-                            input_draw, pick)
+from amptree.blocks import (SIM_LEAF_CAP, check_bits, entry_table,
+                            eval_blocks, index, input_draw, pick)
 from amptree.catalog import TreeDistribution, dense_fixed_point, valiant
 from amptree.errors import CapacityError, InputShapeError, RangeError
+from amptree.learning import evaluate_learned, learn_threshold
 from amptree.leveled import LevelConfig, simulate_leveled
 from amptree.rng import generator
 from amptree.stream import StreamConfig, simulate_stream
@@ -146,8 +147,23 @@ def test_both_configs_share_the_input_check(make):
         make(n=3, input_p=1.5)
     with pytest.raises(RangeError, match="0 or 1"):
         make(n=3, input_bits=(1, 2, 3))
-    cfg = make(n=3, input_bits=[True, 0, 1])
+    with pytest.raises(RangeError, match="integers 0 or 1"):
+        make(n=3, input_bits=[True, 0, 1])
+    cfg = make(n=3, input_bits=[np.uint8(1), 0, np.int64(1)])
     assert cfg.input_bits == (1, 0, 1)
+    assert all(type(b) is int for b in cfg.input_bits)
+
+
+@pytest.mark.parametrize("bits", [(True, 1.0), (True, 0), (1.0, 0),
+                                  (np.True_, 0), (0.5, 1), ([0], 1), ("1", 0)])
+def test_a_bit_is_the_integer_0_or_1_everywhere(bits):
+    tree = learn_threshold(2, 3, [1, 0], 0)
+    for use in (check_bits, lambda b: learn_threshold(2, 3, b, 0),
+                lambda b: evaluate_learned(tree, b),
+                lambda b: LevelConfig(widths=(4,), n=2, seed=1,
+                                      input_bits=b)):
+        with pytest.raises(RangeError, match="integers 0 or 1"):
+            use(bits)
 
 
 def test_input_draw():

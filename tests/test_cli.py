@@ -2,6 +2,7 @@
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -288,6 +289,36 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
         assert code == 2, args
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff[1]"],
+                         ids=["deep", "not UTF-8"])
+@pytest.mark.parametrize("flag", ["--config", "--x-file", "--input-file",
+                                  "--learned-file", "--params"])
+def test_unusable_json_text_exits_2(tmp_path, flag, content):
+    # RFC 8259 lets a parser bound the nesting depth; text nested past it
+    # is unusable input on every path that reads JSON, as are bytes that
+    # are not UTF-8.  --params takes 5,000 brackets, within argv's limit.
+    bits = tmp_path / "bits.json"
+    bits.write_text("[1, 0, 1]")
+    learned = tmp_path / "learned.json"
+    learned.write_text(learning.learn_threshold(2, 4, [1, 0, 1], 0).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = {
+        "--config": ["analyze", "--config", str(bad)],
+        "--x-file": ["learn", "--x-file", str(bad), "--levels", "2",
+                     "--width", "5"],
+        "--input-file": ["eval", "--learned-file", str(learned),
+                         "--input-file", str(bad)],
+        "--learned-file": ["eval", "--learned-file", str(bad),
+                           "--input-file", str(bits)],
+        "--params": ["analyze", "--params", os.fsdecode(content[:5000])],
+    }[flag]
+    code, out, err = run_cli_err(args)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

@@ -1,4 +1,5 @@
 """Tree representation, evaluation, polynomials, enumeration."""
+import re
 import sys
 from fractions import Fraction
 
@@ -429,6 +430,32 @@ def test_parse_rejects_garbage():
     for bad in ["", "(AND x)", "(NOT x x)", "(AND x x) x", "(AND x x"]:
         with pytest.raises(InputShapeError):
             parse_tree(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of tree expression"),
+    ("(", "unexpected end of tree expression"),
+    ("(AND x", "unexpected end of tree expression"),
+    ("(AND x)", "unexpected token ')'"),
+    ("y", "unexpected token 'y'"),
+    ("(NOT x x)", "unknown operator 'NOT'"),
+    ("(AND x x x)", "expected ')'"),
+    ("(AND x x) x", "trailing tokens after tree expression"),
+    ("(AND " * 5000 + "x", "unexpected end of tree expression"),
+], ids=["empty", "open", "one operand", "early close", "bad token",
+        "bad operator", "three operands", "trailing", "5,000 open"])
+def test_parse_names_what_is_wrong(text, message):
+    with pytest.raises(InputShapeError, match=re.escape(message)):
+        parse_tree(text)
+
+
+def test_parse_has_no_depth_limit():
+    tree = X
+    for i in range(5000):
+        tree = and_(tree, X) if i % 2 else or_(X, tree)
+    text = format_tree(tree)
+    assert text.count("(") == 5000
+    assert format_tree(parse_tree(text)) == text
 
 
 def test_int_polynomial_json_shape():
