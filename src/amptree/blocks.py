@@ -74,24 +74,32 @@ def eval_blocks(trees, which, leafbits):
     return out
 
 
-def check_bits(bits) -> tuple:
-    """``bits`` as a tuple of ints; RangeError unless every one is the
-    integer 0 or 1 (numpy's too, not a bool or a float)."""
-    bits = tuple(bits)
-    wrong = [kind for kind in set(map(type, bits))
-             if issubclass(kind, bool) or not issubclass(kind, Integral)]
-    if wrong or not set(bits) <= {0, 1}:
-        bad = next(b for b in bits if type(b) in wrong or b not in (0, 1))
-        raise RangeError(f"input bits must be the integers 0 or 1, "
-                         f"got {bad!r}")
-    return tuple(map(int, bits))
+def check_bits(bits) -> np.ndarray:
+    """``bits`` as a read-only 1-D uint8 array; RangeError unless every one
+    is the integer 0 or 1 (numpy's too, not a bool or a float)."""
+    if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.size
+            and bits.dtype.kind in "iu" and 0 <= bits.min()
+            and bits.max() <= 1):
+        if not np.iterable(bits):
+            raise RangeError(f"input bits must be a sequence of the integers "
+                             f"0 or 1, got {bits!r}")
+        bits = tuple(bits)
+        wrong = [kind for kind in set(map(type, bits))
+                 if issubclass(kind, bool) or not issubclass(kind, Integral)]
+        if wrong or not set(bits) <= {0, 1}:
+            bad = next(b for b in bits if type(b) in wrong or b not in (0, 1))
+            raise RangeError(f"input bits must be the integers 0 or 1, "
+                             f"got {bad!r}")
+    bits = np.array(bits, np.uint8)
+    bits.flags.writeable = False
+    return bits
 
 
 def check_inputs(config) -> None:
     """Check a config's n, trials and seed, stored back as ints, and its
     inputs: exactly one of ``input_p`` (Bernoulli, drawn per trial, stored
     as a float) and ``input_bits`` (0/1 bits shared by all trials, stored
-    as a tuple)."""
+    as bytes, so that equal configs compare and hash equal)."""
     object.__setattr__(config, "n", check_int(
         "input count", config.n, 1, error=InputShapeError))
     object.__setattr__(config, "trials", check_int(
@@ -103,7 +111,7 @@ def check_inputs(config) -> None:
         bits = check_bits(config.input_bits)
         if len(bits) != config.n:
             raise InputShapeError(f"{len(bits)} input bits for n={config.n}")
-        object.__setattr__(config, "input_bits", bits)
+        object.__setattr__(config, "input_bits", bits.tobytes())
     else:
         object.__setattr__(config, "input_p", check_real(
             "input_p", config.input_p, 0, 1, "[]"))
@@ -112,11 +120,11 @@ def check_inputs(config) -> None:
 def input_draw(config):
     """``draw(random)``: uint8 inputs for a checked config.
 
-    Explicit bits are converted once and shared by every trial; otherwise
+    Explicit bits are one read-only view shared by every trial; otherwise
     Bernoulli(input_p) bits come from the uniforms ``random(n)``, called
     only then.
     """
     if config.input_bits is not None:
-        fixed = np.asarray(config.input_bits, dtype=np.uint8)
+        fixed = np.frombuffer(config.input_bits, np.uint8)
         return lambda random: fixed
     return lambda random: (random(config.n) < config.input_p).astype(np.uint8)

@@ -321,9 +321,9 @@ def amplifier(tree: AndOrTree, delta: float, epsilon: float,
     delta = check_real("delta", delta, 0, 1)
     epsilon = check_real("epsilon", epsilon, 0, 1)
     max_leaves = check_int("max_leaves", max_leaves, 1)
-    t_anchor = _unique_interior_fp(tree)
     if tree.leaf_count < 2:
         raise DegenerateInputError("cannot amplify a bare leaf")
+    t_anchor = _unique_interior_fp(tree)
     # A side whose interval [0, t-eps] or [t+eps, 1] is empty is vacuous.
     lo, hi = t_anchor - epsilon, t_anchor + epsilon
     k_cap, total = 1, tree.leaf_count

@@ -305,16 +305,15 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0 if res.verdict == "OK" else 1
 
 
-def _read_bits(path: str) -> tuple:
+def _read_bits(path: str):
     with open(path) as fh:
         bits = load_json(fh.read(), f"malformed JSON input {path}",
                          UsageError)
-    if isinstance(bits, list):
-        try:
-            return check_bits(bits)
-        except RangeError:
-            pass
-    raise UsageError(f"{path} must hold a JSON list of 0/1 bits")
+    try:
+        return check_bits(bits if isinstance(bits, list) else None)
+    except RangeError:
+        raise UsageError(
+            f"{path} must hold a JSON list of 0/1 bits") from None
 
 
 def cmd_learn(cfg: ExperimentConfig) -> int:

@@ -106,15 +106,17 @@ def certified_corridor(f: Callable[[float], float], t: float
     side on that side's grid, a float64 array; it must work elementwise,
     as ``activation`` and ``TreeDistribution.evaluate`` do.
     """
+    t = check_real("threshold t", t, 0, 1)
     # f/p^2 is unbounded near 0 unless f'(0) = 0, which a finite grid
     # cannot see; gate on the endpoint derivatives first.
     if f(1e-9) / 1e-9 > 1e-6 or (1.0 - f(1.0 - 1e-9)) / 1e-9 > 1e-6:
         return None
     steps = np.arange(1, CORRIDOR_GRID)
     lo_ps = t * steps / CORRIDOR_GRID
-    best_u = _last_certified(lo_ps, f(lo_ps) / (lo_ps * lo_ps), lo_ps)
     hi_ps = t + (1.0 - t) * steps / CORRIDOR_GRID
-    hi_ratios = (1.0 - f(hi_ps)) / _square(1.0 - hi_ps)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0: no certificate
+        best_u = _last_certified(lo_ps, f(lo_ps) / (lo_ps * lo_ps), lo_ps)
+        hi_ratios = (1.0 - f(hi_ps)) / _square(1.0 - hi_ps)
     best_v = _last_certified(hi_ps[::-1], hi_ratios[::-1], (1.0 - hi_ps)[::-1])
     if best_u is None or best_v is None:
         return None

@@ -228,7 +228,7 @@ def learn_threshold(levels: int, width: int, example: Sequence[int],
     runs and produces a monotone-trivial function (pure AND or pure OR
     amplification).
     """
-    x = np.asarray(check_bits(example), dtype=np.uint8)
+    x = check_bits(example)
     if x.size == 0:
         raise InputShapeError("the example string is empty")
     levels = check_int("levels", levels, 1, error=InputShapeError)
@@ -262,11 +262,10 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     """
     size = tree.blocks[-1].size
     sample = size if sample is None else check_int("sample", sample, 1, size)
-    bits = np.asarray(check_bits(input_bits), dtype=np.uint8)
-    if bits.size != tree.n:
+    cur = check_bits(input_bits)
+    if cur.size != tree.n:
         raise InputShapeError(
-            f"input has {bits.size} bits, learned structure expects {tree.n}")
-    cur = bits
+            f"input has {cur.size} bits, learned structure expects {tree.n}")
     trace = [float(cur.mean())]
     for blocks, wires in zip(tree.blocks, tree.wiring):
         cur = eval_blocks(_BLOCKS, blocks, cur[wires])

@@ -49,13 +49,15 @@ class LevelConfig:
     seed: int
     trials: int = 1
     input_p: float | None = None
-    input_bits: tuple[int, ...] | None = None
+    input_bits: Sequence[int] | None = None
 
     def __post_init__(self):
+        widths = tuple(self.widths) if np.iterable(self.widths) else ()
+        if not widths:
+            raise InputShapeError(f"widths must name at least one level, "
+                                  f"got {self.widths!r}")
         object.__setattr__(self, "widths", tuple(check_int(
-            "each width", w, 1, error=InputShapeError) for w in self.widths))
-        if not self.widths:
-            raise InputShapeError("widths must name at least one level")
+            "each width", w, 1, error=InputShapeError) for w in widths))
         check_inputs(self)
 
 

@@ -49,7 +49,7 @@ class Polynomial:
     coeffs: tuple[int, ...] | tuple[float, ...]
 
     def __post_init__(self):
-        c = tuple(self.coeffs)
+        c = tuple(self.coeffs) or (0,)
         if not all(type(x) is int for x in c):
             c = tuple(float(x) for x in c)
         n = len(c)
@@ -121,9 +121,9 @@ def _mul(a: Sequence, b: Sequence) -> tuple:
 def iterate_point(f: Polynomial | Callable[[float], float], p: float,
                   k: int) -> list[float]:
     """(p, f(p), ..., f^(k)(p)) by repeated pointwise evaluation."""
+    x = check_real("p", p, 0, 1, "[]")
     k = check_int("iteration count k", k, 0, error=DegenerateInputError)
-    out = [float(p)]
-    x = float(p)
+    out = [x]
     for _ in range(k):
         x = f(x)
         out.append(x)

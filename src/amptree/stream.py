@@ -44,7 +44,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class StreamConfig:
     seed: int
     trials: int = 1
     input_p: float | None = None
-    input_bits: tuple[int, ...] | None = None
+    input_bits: Sequence[int] | None = None
 
     def __post_init__(self):
         check_inputs(self)

@@ -149,13 +149,22 @@ def test_both_configs_share_the_input_check(make):
         make(n=3, input_bits=(1, 2, 3))
     with pytest.raises(RangeError, match="integers 0 or 1"):
         make(n=3, input_bits=[True, 0, 1])
+    with pytest.raises(RangeError, match="integers 0 or 1, got 5"):
+        make(n=3, input_bits=5)
     cfg = make(n=3, input_bits=[np.uint8(1), 0, np.int64(1)])
-    assert cfg.input_bits == (1, 0, 1)
-    assert all(type(b) is int for b in cfg.input_bits)
+    # Stored as bytes: a frozen dataclass compares and hashes its fields,
+    # and an array's == is elementwise, not a bool.
+    assert type(cfg.input_bits) is bytes and cfg.input_bits == bytes((1, 0, 1))
+    for same in ((1, 0, 1), np.array([1, 0, 1]), b"\x01\x00\x01"):
+        twin = make(n=3, input_bits=same)
+        assert twin == cfg and hash(twin) == hash(cfg)
+    assert make(n=3, input_bits=(1, 1, 0)) != cfg
 
 
-@pytest.mark.parametrize("bits", [(True, 1.0), (True, 0), (1.0, 0),
-                                  (np.True_, 0), (0.5, 1), ([0], 1), ("1", 0)])
+@pytest.mark.parametrize("bits", [
+    (True, 1.0), (True, 0), (1.0, 0), (np.True_, 0), (0.5, 1), ([0], 1),
+    ("1", 0), 5, np.array([True, False]), np.array([0., 1.]),
+    np.array([[1, 0]]), np.array([2, 0]), np.array([-1, 0], np.int8)])
 def test_a_bit_is_the_integer_0_or_1_everywhere(bits):
     tree = learn_threshold(2, 3, [1, 0], 0)
     for use in (check_bits, lambda b: learn_threshold(2, 3, b, 0),
@@ -166,11 +175,39 @@ def test_a_bit_is_the_integer_0_or_1_everywhere(bits):
             use(bits)
 
 
+def test_none_is_not_a_bit_string():
+    # (to a config, None is "no explicit bits": see the shared input check)
+    tree = learn_threshold(2, 3, [1, 0], 0)
+    for use in (check_bits, lambda b: learn_threshold(2, 3, b, 0),
+                lambda b: evaluate_learned(tree, b)):
+        with pytest.raises(RangeError, match="integers 0 or 1, got None"):
+            use(None)
+
+
+@pytest.mark.parametrize("bits", [
+    [1, 0, 1], (np.int64(1), 0, np.uint64(1)), np.array([1, 0, 1]),
+    np.array([1, 0, 1], np.uint64), np.array([1, 0, 1], object),
+    b"\x01\x00\x01", iter([1, 0, 1])])
+def test_check_bits_returns_a_read_only_uint8_array(bits):
+    got = check_bits(bits)
+    assert got.dtype == np.uint8 and got.shape == (3,)
+    assert got.tolist() == [1, 0, 1] and not got.flags.writeable
+    if isinstance(bits, np.ndarray):        # a copy: the caller's stays
+        assert bits.flags.writeable and got.base is not bits
+
+
+def test_check_bits_of_no_bits_is_an_empty_uint8_array():
+    for bits in ([], (), np.array([], np.int64)):
+        got = check_bits(bits)
+        assert got.dtype == np.uint8 and got.shape == (0,)
+
+
 def test_input_draw():
     explicit = LevelConfig(widths=(4,), n=3, seed=1, input_bits=(1, 0, 1))
     draw = input_draw(explicit)
     first = draw(lambda size: pytest.fail("explicit inputs draw nothing"))
     assert first.dtype == np.uint8 and first.tolist() == [1, 0, 1]
+    assert not first.flags.writeable
     assert draw(None) is first
     bernoulli = LevelConfig(widths=(4,), n=50, seed=1, input_p=0.3)
     bits = input_draw(bernoulli)(generator(9).random)

@@ -11,8 +11,8 @@ from amptree.catalog import (GOLDEN, VALIANT_THRESHOLD, StaircaseSpec,
                              bk_fixed_point, dense_fixed_point,
                              linear_threshold, one_step, quad4, quad5, quad6,
                              quad7, quad_k, soft_threshold, staircase, valiant)
-from amptree.errors import (CapacityError, InvalidStaircaseError, RangeError,
-                            WeightError)
+from amptree.errors import (CapacityError, DegenerateInputError,
+                            InvalidStaircaseError, RangeError, WeightError)
 from amptree.polyalg import Polynomial, fixed_points, iterate_point, mix, \
     scan_fixed_points
 from amptree.trees import (activation, build_ak, build_bk, format_tree, leaf,
@@ -411,6 +411,13 @@ def test_amplifier_complement_symmetry():
     va = activation(res_a.tree, p)
     vb = activation(res_b.tree, 1 - p)
     assert abs(vb - (1 - va)) <= 1e-9
+
+
+def test_amplifier_refuses_a_bare_leaf_first():
+    # before the fixed-point scan, which finds every grid point fixed
+    with pytest.raises(DegenerateInputError,
+                       match="^cannot amplify a bare leaf$"):
+        amplifier(leaf(), 0.1, 0.1)
 
 
 def test_amplifier_capacity_error_reports_achieved_delta():

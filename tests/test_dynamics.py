@@ -181,3 +181,11 @@ def test_certified_corridor_for_quad_families():
     assert u >= 0.5
     d2 = linear_threshold(0.5)
     assert certified_corridor(d2.evaluate, 0.5) is None
+
+
+def test_certified_corridor_near_the_ends_certifies_nothing_quietly():
+    # p * p or (1 - p)^2 is 0 on part of the grid; warnings are errors here
+    for t in (2.2e-309, 1e-300, 1.0 - 1e-16):
+        assert certified_corridor(quad4(0.5).evaluate, t) is None
+    with pytest.raises(RangeError, match="threshold t"):
+        certified_corridor(quad4(0.5).evaluate, 1.5)

@@ -21,6 +21,8 @@ from _oracles import binom_pmf
 def test_config_validation():
     with pytest.raises(InputShapeError):
         LevelConfig(widths=(), n=5, seed=1, input_p=0.5)
+    with pytest.raises(InputShapeError, match="widths .* got 5"):
+        LevelConfig(widths=5, n=5, seed=1, input_p=0.5)
     with pytest.raises(InputShapeError):
         LevelConfig(widths=(0, 3), n=5, seed=1, input_p=0.5)
     with pytest.raises(InputShapeError):

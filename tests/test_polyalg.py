@@ -66,6 +66,13 @@ def test_mix_rejects_bad_weights():
         mix((float("nan"), 1.0), (f, f))
 
 
+def test_empty_coefficients_are_the_zero_polynomial():
+    assert Polynomial(()).coeffs == Polynomial((0, 0)).coeffs == (0,)
+    for coeffs in ((), (0, 0)):
+        with pytest.raises(DegenerateInputError, match="constant"):
+            fixed_points(Polynomial(coeffs))
+
+
 def test_derivative():
     assert Polynomial((1.0, 2.0, 3.0)).derivative().coeffs == (2.0, 6.0)
     assert Polynomial((5.0,)).derivative().coeffs == (0.0,)

@@ -15,12 +15,12 @@ from hypothesis import given, settings, strategies as st
 from amptree.catalog import (StaircaseSpec, amplifier, dense_fixed_point,
                              linear_threshold, one_step, quad4, quad5, quad6,
                              quad7, quad_k)
-from amptree.dynamics import profile, verify_conditions
+from amptree.dynamics import certified_corridor, profile, verify_conditions
 from amptree.errors import (AmptreeError, InputShapeError,
                             InvalidStaircaseError, RangeError, WeightError)
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled, width_scaling_experiment)
-from amptree.polyalg import check_weights, divergence_ratio
+from amptree.polyalg import check_weights, divergence_ratio, iterate_point
 from amptree.stream import (StreamConfig, phase_progress_report,
                             simulate_stream)
 from amptree.trees import activation, build_ak
@@ -103,6 +103,10 @@ PARAMS = {
     "check_weights entry": (lambda v: check_weights((0.5, v)), 0, math.inf,
                             "[)", WeightError),
     "profile p": (lambda v: profile(LT, v), 0, 1, "[]", RangeError),
+    "iterate_point p": (lambda v: iterate_point(Q4.evaluate, v, 3), 0, 1,
+                        "[]", RangeError),
+    "certified_corridor t": (lambda v: certified_corridor(Q4.evaluate, v),
+                             0, 1, "()", RangeError),
     "exact_level_distribution p": (
         lambda v: exact_level_distribution(LT, 4, v, 2)[1].tolist(), 0, 1,
         "[]", RangeError),
