@@ -8,6 +8,7 @@ decided here, once for all three.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from numbers import Integral
 
 import numpy as np
@@ -76,11 +77,12 @@ def eval_blocks(trees, which, leafbits):
 
 def check_bits(bits) -> np.ndarray:
     """``bits`` as a read-only 1-D uint8 array; RangeError unless every one
-    is the integer 0 or 1 (numpy's too, not a bool or a float)."""
+    is the integer 0 or 1 (numpy's too, not a bool or a float), and unless
+    they come in order: a set's or a mapping's iteration order is not."""
     if not (isinstance(bits, np.ndarray) and bits.ndim == 1 and bits.size
             and bits.dtype.kind in "iu" and 0 <= bits.min()
             and bits.max() <= 1):
-        if not np.iterable(bits):
+        if not np.iterable(bits) or isinstance(bits, (Set, Mapping)):
             raise RangeError(f"input bits must be a sequence of the integers "
                              f"0 or 1, got {bits!r}")
         bits = tuple(bits)

@@ -3,15 +3,16 @@
 Monte Carlo realization of the leveled iterative construction, the exact
 width-m transition-matrix computation, and the width-scaling experiment.
 
-Determinism: the generator for (trial, level) is PCG64 seeded by mixing the
-root seed, the trial index and the level index through the splitmix64
-avalanche (see :mod:`amptree.rng`).  Each level draws one uniform block of
-shape (m, 1 + max_leaves): column 0 picks the building-block tree, the
-remaining columns pick its leaves.  Trials run in batches, a level of a
-batch as one (trials, m) array, and a batch's streams are seeded at once
-(:func:`amptree.rng.stacked_streams`).  The streams stay those above, so
-reruns with the same config and seed are bit-identical whatever the batch
-size, and trials are independent of each other.
+Determinism: each trial owns generator PCG64(derive_seed(seed, trial)), as
+in the stream engine (see :mod:`amptree.rng`).  It first draws the
+Bernoulli inputs (if any), then one uniform block of shape
+(m, 1 + max_leaves) per level, whose column 0 picks the building-block
+tree and whose other columns pick its leaves, and last one uniform for the
+top item.  Trials run in batches, a level of a batch as one (trials, m)
+array; each trial draws its own row of the batch.  So reruns with the same
+config and seed are bit-identical whatever the batch size, trials are
+independent of each other, and a stream run with the same seed and
+``input_p`` draws the same inputs for each trial.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .blocks import (check_inputs, entry_table, eval_blocks, index,
 from .catalog import TreeDistribution
 from .errors import (CapacityError, InputShapeError, RangeError, check_int,
                      check_real)
-from .rng import stacked_streams
+from .rng import generator
 
 #: Dense (m+1)^2 transition matrices are capped here.
 EXACT_WIDTH_CAP = 2000
@@ -95,13 +96,15 @@ def simulate_leveled(dist: TreeDistribution,
     for start in range(0, config.trials, batch_size):
         batch = range(start, min(start + batch_size, config.trials))
         b, rows = len(batch), slice(batch.start, batch.stop)
-        random = stacked_streams(config.seed, batch, levels + 2)
-        prev = np.broadcast_to(draw(lambda size: random(0, (size,))),
-                               (b, config.n))
+        rngs = [generator(config.seed, trial) for trial in batch]
+        prev = np.broadcast_to(draw(lambda size: np.array(
+            [rng.random(size) for rng in rngs])), (b, config.n))
         fractions[rows, 0] = prev.mean(axis=1)
         prev_size = config.n
         for level, m in enumerate(config.widths, start=1):
-            u = random(level, (m, cols))
+            u = np.empty((b, m, cols))
+            for row, rng in zip(u, rngs):
+                rng.random(out=row)
             which = pick(cumw, u[..., 0])
             idx = index(u[..., 1:], prev_size)
             # One flat gather: 2-D fancy indexing is several times slower.
@@ -110,7 +113,7 @@ def simulate_leveled(dist: TreeDistribution,
                                .reshape(b * m, -1)).reshape(b, m)
             fractions[rows, level] = prev.mean(axis=1)
             prev_size = m
-        top = index(random(levels + 1, (1,))[:, 0], prev_size)
+        top = index(np.array([rng.random() for rng in rngs]), prev_size)
         final_items[rows] = prev[np.arange(b), top]
     return SimulationTrace(fractions=fractions, final_items=final_items,
                            config=config)

@@ -9,7 +9,10 @@ reference those must match exactly.  ``memo_fold`` is the memo-dict
 traversal ``trees.fold`` replaced, kept as the reference for the stored
 gate order.  ``learned_json`` is the
 ``json.dumps`` writer of learned structures that ``LearnedTree.to_json``
-must match byte for byte.
+must match byte for byte.  ``leveled_reference`` is the leveled
+construction one trial and one item at a time, drawn from each trial's
+generator in the documented order, which ``simulate_leveled`` must match
+bit for bit.
 """
 from __future__ import annotations
 
@@ -19,7 +22,10 @@ import math
 from fractions import Fraction
 
 from amptree.dynamics import CORRIDOR_FACTOR, CORRIDOR_GRID
+import numpy as np
+
 from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, Polynomial, bisect_root
+from amptree.rng import generator
 from amptree.trees import AND, LEAF, AndOrTree, eval_tree
 
 
@@ -181,3 +187,45 @@ def learned_json(tree) -> str:
             {"blocks": lvl.tolist(), "wiring": w.tolist()}
             for lvl, w in zip(tree.blocks, tree.wiring)],
     }, separators=(",", ":"))
+
+
+def leveled_reference(dist, config) -> tuple[list[list[float]], list[int]]:
+    """(fractions, final items) of ``simulate_leveled(dist, config)``, one
+    trial and one item at a time.
+
+    Trial i draws from ``generator(config.seed, i)``: its Bernoulli inputs
+    (only with ``input_p``), then each level's (m, 1 + max_leaves) block,
+    then one uniform for the top item.  Column 0 picks the tree by
+    ``searchsorted`` on the cumulative weights, held to the last entry of
+    positive weight; column 1 + l wires leaf l to item
+    min(floor(u * size), size - 1) of the level below.
+    """
+    trees = [t for t, _ in dist.entries]
+    cumw = np.cumsum([w for _, w in dist.entries])
+    last = int(np.argmax(cumw == cumw[-1]))
+    cols = 1 + dist.max_leaf_count
+
+    def slot(u: float, size: int) -> int:
+        return min(math.floor(u * size), size - 1)
+
+    fractions, final_items = [], []
+    for trial in range(config.trials):
+        rng = generator(config.seed, trial)
+        if config.input_p is None:
+            prev = list(config.input_bits)
+        else:
+            prev = [int(u < config.input_p) for u in rng.random(config.n)]
+        row = [sum(prev) / len(prev)]
+        for m in config.widths:
+            level = []
+            for u in rng.random((m, cols)).tolist():
+                tree = trees[min(int(np.searchsorted(cumw, u[0],
+                                                     side="right")), last)]
+                level.append(eval_tree(tree, [
+                    prev[slot(v, len(prev))]
+                    for v in u[1:1 + tree.leaf_count]]))
+            prev = level
+            row.append(sum(prev) / len(prev))
+        fractions.append(row)
+        final_items.append(prev[slot(rng.random(), len(prev))])
+    return fractions, final_items

@@ -164,7 +164,8 @@ def test_both_configs_share_the_input_check(make):
 @pytest.mark.parametrize("bits", [
     (True, 1.0), (True, 0), (1.0, 0), (np.True_, 0), (0.5, 1), ([0], 1),
     ("1", 0), 5, np.array([True, False]), np.array([0., 1.]),
-    np.array([[1, 0]]), np.array([2, 0]), np.array([-1, 0], np.int8)])
+    np.array([[1, 0]]), np.array([2, 0]), np.array([-1, 0], np.int8),
+    {1, 0}, frozenset({0}), {1: "x", 0: "y"}])
 def test_a_bit_is_the_integer_0_or_1_everywhere(bits):
     tree = learn_threshold(2, 3, [1, 0], 0)
     for use in (check_bits, lambda b: learn_threshold(2, 3, b, 0),

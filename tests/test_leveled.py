@@ -14,8 +14,9 @@ from amptree.catalog import linear_threshold, quad4, valiant
 from amptree.errors import CapacityError, InputShapeError, RangeError
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled, width_scaling_experiment)
+from amptree.stream import StreamConfig, simulate_stream
 
-from _oracles import binom_pmf
+from _oracles import binom_pmf, leveled_reference
 
 
 def test_config_validation():
@@ -80,6 +81,28 @@ def test_batches_do_not_change_a_run(monkeypatch, dist, inputs):
         trace = simulate_leveled(dist, cfg)
         assert np.array_equal(trace.fractions, ref.fractions), per_batch
         assert np.array_equal(trace.final_items, ref.final_items)
+
+
+@pytest.mark.parametrize("dist", [quad4(0.5), linear_threshold(0.45),
+                                  valiant()], ids=lambda d: d.label)
+@pytest.mark.parametrize("inputs", ["p", "bits"])
+@pytest.mark.parametrize("widths", [(5, 300, 17), (1, 6, 1)])
+def test_trials_draw_from_their_generator_in_order(dist, inputs, widths):
+    n, trials = 200, 7
+    given = ({"input_p": 0.45} if inputs == "p"
+             else {"input_bits": tuple(int(i % 3 == 0) for i in range(n))})
+    cfg = LevelConfig(widths=widths, n=n, seed=13, trials=trials, **given)
+    trace = simulate_leveled(dist, cfg)
+    fractions, final_items = leveled_reference(dist, cfg)
+    assert trace.fractions.tolist() == fractions
+    assert trace.final_items.tolist() == final_items
+    # One seeding rule: a stream run with the same seed draws the same
+    # inputs for each trial.
+    stream = simulate_stream(dist, StreamConfig(n=n, k=1, alpha=0.0, seed=13,
+                                                trials=trials, **given),
+                             keep_bits=True)
+    assert trace.fractions[:, 0].tolist() == stream.bits[:, :n].mean(
+        axis=1).tolist()
 
 
 def test_all_ones_input_fires():
