@@ -238,7 +238,7 @@ GOLDEN = {
     'cli-analyze-staircase': '7a9d9da2bdef9acbc2279b814feb66bc3d361464fd756e6a397f027eea82021c',
     'cli-enumerate-csv': '45016d91ed34349da1964d792f73131c4e9963c5197a8b2e7f23345c82cbd509',
     'cli-enumerate-json': 'b1177e5fc1fefe0a573263efa9526d5fb1eb6e144481d8066f4d432653bafd62',
-    'cli-leveled': '56e6be50307b7aed1f85a5adf5755ceed82cca89f74cb1eaeb8120658de3fbde',
+    'cli-leveled': 'fab67b57267a4698df89f87ce78f7c61a5868ccb98783c35d9ed7dac11946f9a',
     'cli-stream': '56b54f52d6d06b739317ea30f121c4390df020e268f9224d79e5314f9225197b',
     'cli-stream-json': '66c6d712bf5f41d60f6c8cb17f24cb689098db99584b108bd2995940da9037c0',
     'conditions-linear': '8bcb6f5f457d7321ce4163397293b63d4e516241385eee0d2924ff42547cb901',
@@ -262,12 +262,12 @@ GOLDEN = {
     'learned-json': '918bd5a6d59ca30e2801ce3a00c77cee2733cd37637b08130c178f7104b79ab3',
     'learned-json-wide': 'c50aa3813e2c047052441dcfaac7467578c022c24ca5c345afddea7eacf1241c',
     'learned-trace': '474163ec1d69efd520a3ce757445ac45ac804af9d7c1b328b2086c3af17176ba',
-    'leveled-linear-bits': '654012d0c9bb3147c9b3ca04c3878eab11a412de73a368de803ee2bcdba4e500',
-    'leveled-linear-p': '1f9dec92fd69e762ad457dcc4782ccaee376f3b00a0e95ba491df8bf7f4140ce',
-    'leveled-quad4-bits': '754a3a12f20e06eae672033abf3d1a24805cd3da9e0eb18a8702960d64e13053',
-    'leveled-quad4-p': '6af860d03a2c5c4329c9aac73f819e9c9aed1a6f0596d347f7773b734c85e5fd',
-    'leveled-valiant-bits': '702fc51b839b931d0daf5ded4ec160aef6bd4b241babab98c04a3de8ff2de110',
-    'leveled-valiant-p': '7eb91a078d3b57bfffc0d9bece56ba3ec595fe86f603ab5aa2caf43b8182bdc3',
+    'leveled-linear-bits': 'e424aa57644d373c185b83bd3a1305996c60c90e87b29f1531d185911858b418',
+    'leveled-linear-p': 'fef0ebf0a4b71c0bb208352bf6640eb5a73afd70c3fc1651492d5f45d529f925',
+    'leveled-quad4-bits': 'f71b95f814527636c3042339c66c7448f68882d3406aa3c4f297f5a9ca3029cd',
+    'leveled-quad4-p': '28fdbfdad8920bb7420ecb7351d4ba00a336b202b5228d852df3d2e0dcb12edb',
+    'leveled-valiant-bits': '64966cd37ccc59d4072634465aa6c959e86387be13c22347c68c1e6f921860c5',
+    'leveled-valiant-p': 'c95f4c6ed6a6e7fc6d8fdd65ffd96361b229a618022a550e2cd37e5d38fe4001',
     'polynomials-ak-bk': 'a026e6ca0a331dba9e96f477e0afd341f283e8508615955f8c1243b03aca79fa',
     'stream-decay': '60af889078a9ca980c327532ea2c0c41fed01351edbbb4f9c2be0e25c5a8923a',
     'stream-fallback': 'f2100a51ff1123fa4b094cc4247ee95d5b83d60ac3a2bbadb2942b1a3ba90c3f',
