@@ -97,8 +97,7 @@ def simulate_leveled(dist: TreeDistribution,
         batch = range(start, min(start + batch_size, config.trials))
         b, rows = len(batch), slice(batch.start, batch.stop)
         rngs = [generator(config.seed, trial) for trial in batch]
-        prev = np.broadcast_to(draw(lambda size: np.array(
-            [rng.random(size) for rng in rngs])), (b, config.n))
+        prev = np.array([draw(rng.random) for rng in rngs])
         fractions[rows, 0] = prev.mean(axis=1)
         prev_size = config.n
         for level, m in enumerate(config.widths, start=1):

@@ -1,10 +1,10 @@
 """Deterministic, splittable seeding for all simulations.
 
 Every random stream in the package is derived from a 64-bit root seed plus
-a tuple of integer indices (trial, level, ...).  The derivation mixes each
-index into the state with the splitmix64 avalanche function, so streams for
-distinct index tuples are statistically independent and a rerun with the
-same (seed, indices) is bit-identical regardless of execution order.
+a tuple of integer indices.  The derivation mixes each index into the
+state with the splitmix64 avalanche function, so streams for distinct index
+tuples are statistically independent and a rerun with the same
+(seed, indices) is bit-identical regardless of execution order.
 
 One stream per independent replication: each trial of a leveled or a
 stream run draws from ``generator(seed, trial)``, and each level of the

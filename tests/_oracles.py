@@ -21,9 +21,9 @@ import json
 import math
 from fractions import Fraction
 
-from amptree.dynamics import CORRIDOR_FACTOR, CORRIDOR_GRID
 import numpy as np
 
+from amptree.dynamics import CORRIDOR_FACTOR, CORRIDOR_GRID
 from amptree.polyalg import DEFAULT_GRID, DEFAULT_TOL, Polynomial, bisect_root
 from amptree.rng import generator
 from amptree.trees import AND, LEAF, AndOrTree, eval_tree
