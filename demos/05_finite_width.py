@@ -32,8 +32,7 @@ means = trace.fractions.mean(axis=0)
 print("  " + " ".join(f"{v:.3f}" for v in means))
 
 # width scaling on a small 2x2 grid
-res = width_scaling_experiment(dist, 0.5, gammas=(0.2, 0.1),
-                               epsilons=(0.1, 0.05))
+res = width_scaling_experiment(dist, gammas=(0.2, 0.1), epsilons=(0.1, 0.05))
 print("\nminimal widths for 1-gamma accuracy (exact chain):")
 for row in res.rows:
     print(f"  gamma={row.gamma:4}  eps={row.epsilon:5}  "

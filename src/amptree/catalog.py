@@ -43,9 +43,9 @@ STAIRCASE_TREE_CAP = 10 ** 15
 class TreeDistribution:
     """A finite weighted set of trees plus its mixture activation.
 
-    ``threshold`` and ``corridor`` are optional analysis hints attached by
-    the constructors (the interior fixed point, and (u, v) bounds for the
-    quadratic-regime corridor).
+    ``threshold`` and ``corridor`` are optional hints attached by the
+    constructors: the interior fixed point (see :meth:`unique_threshold`)
+    and (u, v) bounds for the quadratic-regime corridor.
     """
 
     label: str
@@ -81,6 +81,18 @@ class TreeDistribution:
 
     def interior_fixed_points(self) -> list[float]:
         return scan_fixed_points(self.evaluate)
+
+    def unique_threshold(self) -> float:
+        """The ``threshold`` hint if set, else the one interior fixed point;
+        DegenerateInputError, counting the roots, if there is not one."""
+        if self.threshold is not None:
+            return self.threshold
+        roots = self.interior_fixed_points()
+        if len(roots) != 1:
+            raise DegenerateInputError(
+                f"{self.label} has no threshold: {len(roots)} interior fixed "
+                f"points, not one")
+        return roots[0]
 
     def complement(self) -> "TreeDistribution":
         """Same weights on the complemented trees."""
@@ -183,7 +195,8 @@ def _quad_pair(name: str, tree_a: AndOrTree, tree_b: AndOrTree,
         alpha = 1.0
     if (not 0.0 <= alpha <= 1.0
             or max(tree_a.leaf_count, tree_b.leaf_count) < floor):
-        lo, hi = sorted(map(_unique_interior_fp, (tree_a, tree_b)))
+        lo, hi = sorted(_single(repr(tree), tree).unique_threshold()
+                        for tree in (tree_a, tree_b))
         raise RangeError(
             f"{label}: the pair covers [{lo:.6f}, {hi:.6f}]; t={t} needs at "
             f"least {floor} leaves")
@@ -210,14 +223,6 @@ def _v1_tree() -> AndOrTree:
 def _v2_tree() -> AndOrTree:
     """(A v B) ^ (C v D v E): polynomial 6 p^2 - 9 p^3 + 5 p^4 - p^5."""
     return and_(or_chain(2), or_chain(3))
-
-
-def _unique_interior_fp(tree: AndOrTree) -> float:
-    roots = scan_fixed_points(lambda p: activation(tree, p))
-    if len(roots) != 1:
-        raise DegenerateInputError(
-            f"expected a unique interior fixed point, found {roots}")
-    return roots[0]
 
 
 def quad5(t: float) -> TreeDistribution:
@@ -314,16 +319,16 @@ def amplifier(tree: AndOrTree, delta: float, epsilon: float,
 
     Returns T^k (every leaf repeatedly replaced by a copy of T) with the
     smallest k such that the activation is below delta on [0, t-epsilon]
-    and above 1-delta on [t+epsilon, 1], where t is the tree's interior
-    fixed point.  Monotonicity of activations makes the interval endpoints
-    sufficient witnesses.
+    and above 1-delta on [t+epsilon, 1], where t is the tree's one interior
+    fixed point (DegenerateInputError without one).  Monotonicity of
+    activations makes the interval endpoints sufficient witnesses.
     """
     delta = check_real("delta", delta, 0, 1)
     epsilon = check_real("epsilon", epsilon, 0, 1)
     max_leaves = check_int("max_leaves", max_leaves, 1)
     if tree.leaf_count < 2:
         raise DegenerateInputError("cannot amplify a bare leaf")
-    t_anchor = _unique_interior_fp(tree)
+    t_anchor = _single(repr(tree), tree).unique_threshold()
     # A side whose interval [0, t-eps] or [t+eps, 1] is empty is vacuous.
     lo, hi = t_anchor - epsilon, t_anchor + epsilon
     k_cap, total = 1, tree.leaf_count

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import catalog, dynamics, leveled, learning, stream
 from .blocks import check_bits
-from .errors import AmptreeError, InputShapeError, RangeError, load_json
+from .errors import (AmptreeError, DegenerateInputError, InputShapeError,
+                     RangeError, load_json)
 from .polyalg import fixed_points
 from .trees import achievable_by_degree
 
@@ -170,6 +171,14 @@ def build_construction(params: dict) -> catalog.TreeDistribution:
                                   in PARAMS.items() if name in readers})
 
 
+def _threshold(dist: catalog.TreeDistribution) -> float:
+    """``dist.unique_threshold()``, else exit 2: unusable input."""
+    try:
+        return dist.unique_threshold()
+    except DegenerateInputError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _output(cfg: ExperimentConfig):
     """A context manager for ``--out``'s file, else for ``sys.stdout`` as
     it is at this call, so that a caller's redirection of stdout holds."""
@@ -221,12 +230,8 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                              "expected": dist.threshold,
                              "found": interior})
     if "u" in cfg.params:
-        t = dist.threshold
-        if t is None:
-            raise UsageError(f"{dist.label} has no threshold to check --u/--v "
-                             f"conditions against")
-        cond = dynamics.verify_conditions(dist, t, cfg.params["u"],
-                                          cfg.params["v"])
+        cond = dynamics.verify_conditions(dist, _threshold(dist),
+                                          cfg.params["u"], cfg.params["v"])
         report["conditions"] = {
             "c1": cond.c1, "c2": cond.c2, "c3": cond.c3, "c4": cond.c4,
             "passed": cond.passed}
@@ -243,6 +248,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 
 def cmd_iterate(cfg: ExperimentConfig) -> int:
     dist = build_construction(cfg.params)
+    _threshold(dist)
     prof = dynamics.profile(dist, cfg.params["p"],
                             max_levels=cfg.params.get("levels", 200))
     if cfg.format == "csv":
@@ -297,9 +303,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             dist, params["m"], params["p"], params["levels"])
         _emit(cfg, json.dumps({"firing_probability": firing}) + "\n")
         return 0
-    res = leveled.width_scaling_experiment(               # width_scaling
-        dist, dist.threshold,
-        gammas=params.get("gammas", (0.2, 0.1, 0.05)),
+    _threshold(dist)                                    # width_scaling
+    res = leveled.width_scaling_experiment(
+        dist, gammas=params.get("gammas", (0.2, 0.1, 0.05)),
         epsilons=params.get("epsilons", (0.1, 0.05, 0.025)))
     _emit(cfg, res.to_json() + "\n")
     return 0 if res.verdict == "OK" else 1

@@ -141,27 +141,16 @@ def _square(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2)
 
 
-def _threshold_of(dist: TreeDistribution) -> float:
-    if dist.threshold is not None:
-        return dist.threshold
-    roots = dist.interior_fixed_points()
-    if len(roots) != 1:
-        raise DegenerateInputError(
-            f"{dist.label} has {len(roots)} interior fixed points; profile "
-            f"needs a unique threshold")
-    return roots[0]
-
-
 def profile(dist: TreeDistribution, p: float,
             max_levels: int = 400) -> ConvergenceProfile:
     """Iterate the mixture from ``p`` and record distances to the limit.
 
-    Stops early once the error drops below 1e-15.  The order fit uses the
-    corridor attached to the distribution, a measured certificate, or the
-    symmetric 0.2/0.8 default, in that order.
+    The limit is 0 or 1 by the side of ``dist.unique_threshold()`` that p
+    is on.  Stops early once the error drops below 1e-15.  The order fit
+    uses the distribution's corridor, a measured certificate, or 0.2/0.8.
     """
     p = check_real("p", p, 0, 1, "[]")
-    t = _threshold_of(dist)
+    t = dist.unique_threshold()
     if abs(p - t) <= 1e-12:
         raise DegenerateInputError(
             f"p={p} sits on the interior fixed point {t}; iterates stay put")

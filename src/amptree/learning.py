@@ -175,9 +175,9 @@ def _read_layout(text: str) -> LearnedTree | None:
 
     The levels are cut at the layout's fixed punctuation with
     ``bytes.find``, and each level's indices are read by numpy's decimal
-    parser once its brackets are deleted.  The arrays are range-checked
-    before anything uses them, and the result stands only if writing it
-    back gives ``text``.
+    parser once its brackets are deleted.  It declines what LearnedTree
+    refuses, so the general parser names each refusal, and its result
+    stands only if writing it back gives ``text``.
     """
     try:
         raw = text.encode()
@@ -186,9 +186,7 @@ def _read_layout(text: str) -> LearnedTree | None:
         n, seed, ones = (head[key] for key in ("n", "seed", "example_ones"))
     except (TypeError, ValueError, KeyError, RecursionError):
         return None
-    if not all(type(v) is int for v in (n, seed, ones)):
-        return None
-    blocks, wiring, below = [], [], n
+    blocks, wiring = [], []
     pos = cut + len(b',"levels":[')
     while not raw.startswith(b"]}", pos):
         start = pos + len(b',{"blocks":[' if blocks else b'{"blocks":[')
@@ -202,19 +200,18 @@ def _read_layout(text: str) -> LearnedTree | None:
         try:
             w = np.fromstring(raw[mid + len(b'],"wiring":['):end]
                               .translate(None, b"[]"), np.int64,
-                              sep=",").copy()
+                              sep=",").reshape(-1, 3).copy()
         except (ValueError, DeprecationWarning):  # older numpy warns
             return None         # and reads a prefix, which is declined
-        if not (b.size and w.size == 3 * b.size and b.max() <= 1
-                and 0 <= w.min() and w.max() < below):
-            return None
         blocks.append(b)
-        wiring.append(w.reshape(-1, 3))
-        below = b.size
+        wiring.append(w)
         pos = end + len(b"]}")
     del raw     # free the text's copy before the text is written again
-    tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
-                       seed=seed, example_ones=ones)
+    try:
+        tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
+                           seed=seed, example_ones=ones)
+    except InputShapeError:
+        return None
     written = tree.to_json()
     same = text.startswith(written) and text[len(written):] in ("", "\n")
     return tree if same else None

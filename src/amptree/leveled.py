@@ -195,19 +195,20 @@ class WidthScalingResult:
         }, sort_keys=True)
 
 
-def width_scaling_experiment(dist: TreeDistribution, t: float,
+def width_scaling_experiment(dist: TreeDistribution,
                              gammas: Sequence[float],
                              epsilons: Sequence[float]) -> WidthScalingResult:
     """Minimal widths for 1-gamma accuracy, fit against ln(1/gamma)/eps^2.
 
     Accuracy at width m is 1 minus the exact chain's firing from
-    p = t - epsilon: with fixed inputs each level-1 leaf is a uniform draw
-    from them.  Per cell the width doubles from 1 up to ``EXACT_WIDTH_CAP``,
-    then bisects to the least accurate width.  That takes accuracy to be
-    nondecreasing in m, as it is for m = 1..999 on criterion 8's grid.  The
-    log-log slope of width against the predictor is the verdict.
+    p = t - epsilon, t = ``dist.unique_threshold()``: with fixed inputs each
+    level-1 leaf is a uniform draw from them.  Per cell the width doubles
+    from 1 up to ``EXACT_WIDTH_CAP``, then bisects to the least accurate
+    width.  That takes accuracy to be nondecreasing in m, as it is for
+    m = 1..999 on criterion 8's grid.  The log-log slope of width against
+    the predictor is the verdict.
     """
-    t = check_real("width scaling's threshold t", t, 0, 1)
+    t = dist.unique_threshold()
     gammas = [check_real("gamma", g, 0, 1) for g in gammas]
     epsilons = [check_real("epsilon", e, 0, t, "(]") for e in epsilons]
     if not gammas or not epsilons:

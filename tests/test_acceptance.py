@@ -153,8 +153,7 @@ def test_criterion_07_exact_vs_monte_carlo():
 
 def test_criterion_08_width_scaling():
     start = time.perf_counter()
-    res = width_scaling_experiment(quad4(0.5), 0.5,
-                                   gammas=(0.2, 0.1, 0.05),
+    res = width_scaling_experiment(quad4(0.5), gammas=(0.2, 0.1, 0.05),
                                    epsilons=(0.1, 0.05, 0.025))
     assert 0.8 <= res.slope <= 1.2
     elapsed = time.perf_counter() - start

@@ -16,7 +16,7 @@ from amptree.errors import (CapacityError, DegenerateInputError,
 from amptree.polyalg import Polynomial, fixed_points, iterate_point, mix, \
     scan_fixed_points
 from amptree.trees import (activation, build_ak, build_bk, format_tree, leaf,
-                           or_, and_, parse_tree, tree_polynomial)
+                           or_, or_chain, and_, parse_tree, tree_polynomial)
 
 PHI1 = GOLDEN - 1.0
 
@@ -418,6 +418,26 @@ def test_amplifier_refuses_a_bare_leaf_first():
     with pytest.raises(DegenerateInputError,
                        match="^cannot amplify a bare leaf$"):
         amplifier(leaf(), 0.1, 0.1)
+
+
+def test_amplifier_refuses_a_tree_without_one_threshold():
+    # AND(x, OR of 5) is below the diagonal on (0, 1), but the scan sees
+    # roots where f(p) - p is below rounding; the message counts them.
+    with pytest.raises(DegenerateInputError, match="no threshold") as err:
+        amplifier(and_(leaf(), or_chain(5)), 0.1, 0.1)
+    assert len(str(err.value)) < 200
+
+
+def test_unique_threshold_takes_the_hint_else_the_one_root():
+    ak2 = ((build_ak(2), 1.0),)
+    assert TreeDistribution("ak2", ak2, threshold=0.4).unique_threshold() \
+        == 0.4
+    assert TreeDistribution("ak2", ak2).unique_threshold() \
+        == scan_fixed_points(lambda p: activation(build_ak(2), p))[0]
+    with pytest.raises(DegenerateInputError,
+                       match=r"^soft_threshold\(6\) has no threshold: 3 "
+                             r"interior fixed points, not one$"):
+        soft_threshold(6).unique_threshold()
 
 
 def test_amplifier_capacity_error_reports_achieved_delta():

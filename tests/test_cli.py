@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amptree import catalog, cli, learning
+from amptree import catalog, cli, learning, leveled
 from amptree.cli import ExperimentConfig, main
 
 
@@ -197,6 +197,44 @@ def test_analyze_conditions_without_threshold_is_a_usage_error():
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "no threshold" in err
+
+
+#: Constructions with no threshold hint and three interior fixed points,
+#: so none is the threshold: soft_threshold(6) and a two-step staircase.
+NO_THRESHOLD = {
+    "soft_threshold": ["--k", "6"],
+    "staircase": ["--params", '{"breakpoints": [0.3, 0.7], "heights": [0.5],'
+                              ' "epsilon": 0.1, "delta": 0.1}'],
+}
+
+#: The commands that read a construction's threshold.
+NEEDS_THRESHOLD = {
+    "analyze": ["analyze", "--u", "0.1", "--v", "0.9"],
+    "iterate": ["iterate", "--p", "0.3"],
+    "width_scaling": ["simulate", "--mode", "width_scaling"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NEEDS_THRESHOLD))
+@pytest.mark.parametrize("construction", sorted(NO_THRESHOLD))
+def test_a_construction_without_a_threshold_is_a_usage_error(construction,
+                                                             command):
+    code, out, err = run_cli_err(NEEDS_THRESHOLD[command] + [
+        "--construction", construction] + NO_THRESHOLD[construction])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "no threshold" in err
+
+
+def test_width_scaling_prints_the_library_result():
+    code, out, err = run_cli_err([
+        "simulate", "--construction", "quad4", "--t", "0.5", "--mode",
+        "width_scaling", "--params",
+        '{"gammas": [0.2, 0.1], "epsilons": [0.1]}'])
+    res = leveled.width_scaling_experiment(catalog.quad4(0.5), (0.2, 0.1),
+                                           (0.1,))
+    assert (out, err) == (res.to_json() + "\n", "")
+    assert (code == 0) == (res.verdict == "OK")
 
 
 def test_learn_and_eval_with_missing_files_exit_2(tmp_path):

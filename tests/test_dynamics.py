@@ -4,11 +4,13 @@ import io
 import numpy as np
 import pytest
 
-from amptree.catalog import linear_threshold, quad4, quad5, quad_k, valiant
+from amptree.catalog import (TreeDistribution, linear_threshold, quad4,
+                             quad5, quad_k, soft_threshold, valiant)
 from amptree.dynamics import (LINEAR, QUADRATIC, UNDETERMINED,
                               certified_corridor, order_estimate, profile,
                               verify_conditions)
 from amptree.errors import DegenerateInputError, RangeError
+from amptree.trees import build_ak
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,16 @@ def test_profile_rejects_fixed_point_start():
     for levels in (0, -1):
         with pytest.raises(RangeError, match="max_levels"):
             profile(linear_threshold(0.5), 0.4, max_levels=levels)
+
+
+def test_profile_without_a_hint_takes_the_one_interior_root():
+    dist = TreeDistribution("ak2", ((build_ak(2), 1.0),))
+    t = dist.interior_fixed_points()[0]
+    below, above = profile(dist, 0.3), profile(dist, 0.5)
+    assert below.threshold == above.threshold == t
+    assert (below.limit, above.limit) == (0.0, 1.0)
+    with pytest.raises(DegenerateInputError, match="no threshold"):
+        profile(soft_threshold(6), 0.3)
 
 
 def test_profile_levels_to_and_csv():

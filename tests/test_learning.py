@@ -247,6 +247,8 @@ MUTATIONS = {
     "index past level below": COMPACT.replace("[[1,0,1]", "[[2,0,1]"),
     "plus sign": COMPACT.replace("[[4,", "[[+4,"),
     "empty index": COMPACT.replace("[[4,0,", "[[4,,"),
+    "float seed": COMPACT.replace('"seed":0', '"seed":1.0'),
+    "no wiring key": COMPACT.replace('[0,1],"wiring"', '[0,1],"Wiring"'),
 }
 
 
@@ -432,9 +434,11 @@ def _compact(**changes):
 ])
 def test_from_json_needs_an_input(text, message):
     # Files that learn_threshold cannot write: no input, no level, or
-    # example ones outside 0..n.  Both readers refuse them alike, and no
-    # tree to write them from can be built.
-    for read in (LearnedTree.from_json, learning._read_layout, _general):
+    # example ones outside 0..n.  The layout reader declines them, so the
+    # general parser refuses them, and no tree to write them from can be
+    # built.
+    assert learning._read_layout(text) is None
+    for read in (LearnedTree.from_json, _general):
         with pytest.raises(InputShapeError, match=message):
             read(text)
     data = json.loads(text)

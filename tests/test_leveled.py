@@ -10,8 +10,9 @@ import pytest
 
 import amptree
 from amptree import leveled
-from amptree.catalog import linear_threshold, quad4, valiant
-from amptree.errors import CapacityError, InputShapeError, RangeError
+from amptree.catalog import linear_threshold, quad4, soft_threshold, valiant
+from amptree.errors import (CapacityError, DegenerateInputError,
+                            InputShapeError, RangeError)
 from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled, width_scaling_experiment)
 from amptree.stream import StreamConfig, simulate_stream
@@ -35,16 +36,24 @@ def test_config_validation():
         LevelConfig(widths=(3,), n=5, seed=1, input_bits=(1, 0))
     with pytest.raises(RangeError):
         LevelConfig(widths=(3,), n=5, seed=1, input_p=1.5)
-    for t, gammas, epsilons in ((0.5, (), (0.1,)), (0.5, (0.1,), ()),
-                                (None, (0.1,), (0.1,)),
-                                (0.5, (2.0,), (0.1,)), (0.5, (0.1,), (0,)),
-                                (0.5, (0.1,), (0.6,)),
-                                (0.5, (0.3,), (0.2,)),
-                                (0.5, (0.3, 0.3), (0.2,)),
-                                (0.5, (0.1, 0.2), (1e-200,)),
-                                (0.5, (5e-324, 0.2), (0.1,))):
+    for gammas, epsilons in (((), (0.1,)), ((0.1,), ()),
+                             ((2.0,), (0.1,)), ((0.1,), (0,)),
+                             ((0.1,), (0.6,)),
+                             ((0.3,), (0.2,)),
+                             ((0.3, 0.3), (0.2,)),
+                             ((0.1, 0.2), (1e-200,)),
+                             ((5e-324, 0.2), (0.1,))):
         with pytest.raises(RangeError):     # before any width is searched
-            width_scaling_experiment(quad4(0.5), t, gammas, epsilons)
+            width_scaling_experiment(quad4(0.5), gammas, epsilons)
+
+
+def test_width_scaling_needs_the_construction_threshold(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a width was searched")
+
+    monkeypatch.setattr(leveled, "exact_level_distribution", no_search)
+    with pytest.raises(DegenerateInputError, match="no threshold"):
+        width_scaling_experiment(soft_threshold(6), (0.2, 0.1), (0.1,))
 
 
 def test_trace_determinism():
@@ -219,7 +228,7 @@ def test_exact_width_cap():
         exact_level_distribution(valiant(), 2001, 0.5, 2)
     # width scaling probes the cap itself, then names the cell and the cap
     with pytest.raises(CapacityError, match="cap 2000") as err:
-        width_scaling_experiment(quad4(0.5), 0.5, (0.2, 0.1), (0.001,))
+        width_scaling_experiment(quad4(0.5), (0.2, 0.1), (0.001,))
     assert "gamma=0.2, epsilon=0.001" in str(err.value)
     assert "simulate_leveled" not in str(err.value)
 
@@ -266,7 +275,7 @@ def test_half_progress_falsification_rate():
 
 
 def test_width_scaling_smoke():
-    res = width_scaling_experiment(quad4(0.5), 0.5, gammas=(0.2, 0.1),
+    res = width_scaling_experiment(quad4(0.5), gammas=(0.2, 0.1),
                                    epsilons=(0.1, 0.05))
     assert len(res.rows) == 4
     assert all(r.min_width >= 1 for r in res.rows)
@@ -286,7 +295,7 @@ def test_width_scaling_smoke():
 ])
 def test_width_scaling_finds_the_exact_minimum(gammas, epsilons):
     dist = quad4(0.5)
-    res = width_scaling_experiment(dist, 0.5, gammas, epsilons)
+    res = width_scaling_experiment(dist, gammas, epsilons)
     assert len(res.rows) == len(gammas) * len(epsilons)
     for row in res.rows:
         levels = math.ceil(math.log2(1 / row.gamma) +

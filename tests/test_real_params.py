@@ -120,14 +120,11 @@ PARAMS = {
         lambda v: verify_conditions(Q4, 0.5, 0.2, 0.8, margin=v), 0,
         math.inf, "()", RangeError),
     # Loose accuracies keep the widths, and so the exact chains, small.
-    "width_scaling_experiment t": (
-        lambda v: width_scaling_experiment(Q4, v, (0.99, 0.98), (0.1,)), 0,
-        1, "()", RangeError),
     "width_scaling_experiment gammas": (
-        lambda v: width_scaling_experiment(Q4, 0.5, (0.2, v), (0.4,)), 0, 1,
+        lambda v: width_scaling_experiment(Q4, (0.2, v), (0.4,)), 0, 1,
         "()", RangeError),
     "width_scaling_experiment epsilons": (
-        lambda v: width_scaling_experiment(Q4, 0.5, (0.9,), (0.4, v)), 0,
+        lambda v: width_scaling_experiment(Q4, (0.9,), (0.4, v)), 0,
         0.5, "(]", RangeError),
     "phase_progress_report t": (lambda v: phase_progress_report(TRACE, v),
                                 0, 1, "()", RangeError),
