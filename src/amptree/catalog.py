@@ -27,6 +27,10 @@ GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 #: Interior fixed point of the 4-leaf tree (A v B) ^ (C v D).
 VALIANT_THRESHOLD = 2.0 - GOLDEN
 
+#: How far a threshold hint's activation may lie from the hint.  Every
+#: catalog construction's hint, and its complement's, lies within 4.5e-16.
+HINT_TOLERANCE = 1e-9
+
 #: Mixtures are materialized as dense polynomials only up to this degree.
 MIXTURE_DEGREE_CAP = 128
 
@@ -45,7 +49,9 @@ class TreeDistribution:
 
     ``threshold`` and ``corridor`` are optional hints attached by the
     constructors: the interior fixed point (see :meth:`unique_threshold`)
-    and (u, v) bounds for the quadratic-regime corridor.
+    and (u, v) bounds for the quadratic-regime corridor.  A threshold hint
+    must be a finite real in (0, 1), else RangeError, and a fixed point of
+    the mixture within ``HINT_TOLERANCE``, else DegenerateInputError.
     """
 
     label: str
@@ -57,6 +63,13 @@ class TreeDistribution:
         if not self.entries:
             raise WeightError("a distribution needs at least one tree")
         check_weights([w for _, w in self.entries])
+        if self.threshold is not None:
+            t = check_real("threshold hint", self.threshold, 0, 1)
+            image = self.evaluate(t)
+            if not abs(image - t) <= HINT_TOLERANCE:
+                raise DegenerateInputError(
+                    f"{self.label}: the threshold hint {t!r} is not a fixed "
+                    f"point; the mixture maps it to {image!r}")
 
     @property
     def max_leaf_count(self) -> int:

@@ -326,7 +326,9 @@ def cmd_learn(cfg: ExperimentConfig) -> int:
     x_bits = _read_bits(cfg.params["x_file"])
     tree = learning.learn_threshold(cfg.params["levels"],
                                     cfg.params["width"], x_bits, cfg.seed)
-    _emit(cfg, tree.to_json() + "\n")
+    with _output(cfg) as out:
+        out.writelines(tree.json_pieces())
+        out.write("\n")
     return 0
 
 

@@ -13,13 +13,19 @@ of an example position, then the (width, 3) wiring, each mapped to an index
 by ``blocks.index``, the rule the leveled and stream simulators wire by.
 
 A :class:`LearnedTree` checks its counts, blocks and wiring when it is built.
+It stores each level's wiring in the smallest unsigned type that holds an
+index into the level below, ``np.min_scalar_type(below - 1)``: uint8 for up
+to 256 items below, uint16 up to 65,536, then uint32 and uint64.  A
+40-level, width-20,000 structure thus keeps 4.8 MB of uint16 wiring, not
+19.2 MB of int64.
 """
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +49,9 @@ class LearnedTree:
     Construction raises InputShapeError unless n >= 1, example_ones in
     0..n and seed are integers, and each of one or more levels has 1-D,
     non-empty integer 0/1 blocks and integer (width, 3) wiring into the
-    level below.  It keeps read-only uint8 blocks and int64 wiring.
+    level below.  It keeps read-only uint8 blocks and read-only wiring in
+    each level's index type (see :func:`_index_dtype`), and copies a
+    caller's array only when it has another type.
     """
 
     n: int
@@ -72,7 +80,7 @@ class LearnedTree:
                 raise InputShapeError(f"level {level} is not 0/1 blocks wired "
                                       f"into the {below} items below it")
             b = b.astype(np.uint8, copy=False).view()
-            w = w.astype(np.int64, copy=False).view()
+            w = w.astype(_index_dtype(below), copy=False).view()
             b.flags.writeable = w.flags.writeable = False
             blocks.append(b)
             wiring.append(w)
@@ -105,19 +113,23 @@ class LearnedTree:
 
     def to_json(self) -> str:
         """``json.dumps`` of the arrays as lists, compact, byte for byte."""
+        return "".join(self.json_pieces())
+
+    def json_pieces(self) -> Iterator[str]:
+        """:meth:`to_json`'s text in pieces: the head, one piece per level
+        and the closing brackets, so that a writer holds one level's text
+        at a time, not the file's."""
         head = json.dumps({key: getattr(self, key) for key in (
             "n", "seed", "example_ones")}, separators=(",", ":"))
         # Digits for each index up to the largest, or, when those would
-        # outnumber the file's indices, for these, sorted and looked up.
+        # outnumber the file's indices, for the distinct ones, looked up.
         top = max(int(w.max()) for w in self.wiring) + 1
-        if top <= sum(w.size for w in self.wiring):
-            present, wiring = range(top), self.wiring
-        else:
-            present = np.sort(np.concatenate(self.wiring, axis=None))
-            wiring = [np.searchsorted(present, w) for w in self.wiring]
+        sparse = top > sum(w.size for w in self.wiring)
+        present = (np.unique(np.concatenate(self.wiring, axis=None))
+                   if sparse else range(top))
         table = np.array([str(i).encode() for i in present])
-        parts = [head[:-1], ',"levels":[']
-        for level, (b, w) in enumerate(zip(self.blocks, wiring), 1):
+        yield head[:-1] + ',"levels":['
+        for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
             flags = np.full((b.size, 2), ord(","), np.uint8)
             flags[:, 1] = b + ord("0")
             # Row i is ",[" then "a," "b," "c]", each cell NUL-padded.
@@ -126,12 +138,14 @@ class LearnedTree:
             rows[:, 0, 0] = ord(",")
             rows[:, :, -1] = np.frombuffer(
                 b"[" + b"," * (w.shape[1] - 1) + b"]", np.uint8)
-            rows[:, 1:, :-1] = table[w][..., None].view(np.uint8)
+            rows[:, 1:, :-1] = np.take(
+                table, np.searchsorted(present, w) if sparse else w,
+                axis=0)[..., None].view(np.uint8)
             cells = rows.ravel()[1:]
-            parts += ["," * (level > 1), '{"blocks":[',
-                      flags.tobytes()[1:].decode(), '],"wiring":[',
-                      cells[cells != 0].tobytes().decode(), "]}"]
-        return "".join(parts + ["]}"])
+            yield b"".join([b"," * (level > 1), b'{"blocks":[',
+                            flags.tobytes()[1:], b'],"wiring":[',
+                            cells[cells != 0].tobytes(), b"]}"]).decode()
+        yield "]}"
 
     @classmethod
     def from_json(cls, text: str) -> "LearnedTree":
@@ -175,9 +189,10 @@ def _read_layout(text: str) -> LearnedTree | None:
 
     The levels are cut at the layout's fixed punctuation with
     ``bytes.find``, and each level's indices are read by numpy's decimal
-    parser once its brackets are deleted.  It declines what LearnedTree
-    refuses, so the general parser names each refusal, and its result
-    stands only if writing it back gives ``text``.
+    parser once its brackets are deleted, then cast to the level's index
+    type.  It declines what LearnedTree refuses, so the general parser
+    names each refusal, and its result stands only if writing it back
+    gives ``text``, compared piece by piece.
     """
     try:
         raw = text.encode()
@@ -186,7 +201,7 @@ def _read_layout(text: str) -> LearnedTree | None:
         n, seed, ones = (head[key] for key in ("n", "seed", "example_ones"))
     except (TypeError, ValueError, KeyError, RecursionError):
         return None
-    blocks, wiring = [], []
+    blocks, wiring, below = [], [], n
     pos = cut + len(b',"levels":[')
     while not raw.startswith(b"]}", pos):
         start = pos + len(b',{"blocks":[' if blocks else b'{"blocks":[')
@@ -195,16 +210,21 @@ def _read_layout(text: str) -> LearnedTree | None:
         if mid < 0 or end < 0:
             return None
         b = np.frombuffer(raw, np.uint8, mid - start, start)[::2] - ord("0")
-        # Copied at its final size: the parse's grown buffer fragments the
-        # heap (7 MB more peak RSS on a 40-level, width-20,000 file).
+        # Cast level by level, so one level's int64 parse is alive at a time,
+        # and copied at its final size: the parse's grown buffer fragments
+        # the heap (7 MB more peak RSS on a 40-level, width-20,000 file).
+        # An n that is not an integer is declined here; one below 1, or an
+        # index the cast changes, by LearnedTree or by the write-back.
         try:
             w = np.fromstring(raw[mid + len(b'],"wiring":['):end]
                               .translate(None, b"[]"), np.int64,
-                              sep=",").reshape(-1, 3).copy()
-        except (ValueError, DeprecationWarning):  # older numpy warns
-            return None         # and reads a prefix, which is declined
+                              sep=",").reshape(-1, 3).astype(
+                                  _index_dtype(below))
+        except (ValueError, TypeError, DeprecationWarning):  # older numpy
+            return None     # warns and reads a prefix, which is declined
         blocks.append(b)
         wiring.append(w)
+        below = b.size
         pos = end + len(b"]}")
     del raw     # free the text's copy before the text is written again
     try:
@@ -212,9 +232,20 @@ def _read_layout(text: str) -> LearnedTree | None:
                            seed=seed, example_ones=ones)
     except InputShapeError:
         return None
-    written = tree.to_json()
-    same = text.startswith(written) and text[len(written):] in ("", "\n")
-    return tree if same else None
+    # Piece by piece at offsets, so the written text is never held whole.
+    at = 0
+    for piece in tree.json_pieces():
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return tree if text[at:at + 2] in ("", "\n") else None
+
+
+def _index_dtype(below: int) -> np.dtype:
+    """The smallest unsigned type that holds an index into ``below`` items
+    (uint64 past 2^64 items, which no integer array can index past);
+    TypeError unless ``below`` is an integer."""
+    return np.min_scalar_type(min(operator.index(below), 2 ** 64) - 1)
 
 
 def learn_threshold(levels: int, width: int, example: Sequence[int],
@@ -238,7 +269,9 @@ def learn_threshold(levels: int, width: int, example: Sequence[int],
     for level in range(1, levels + 1):
         rng = generator(seed, level)
         blocks.append(x[index(rng.random(width), n)])
-        wiring.append(index(rng.random((width, 3)), prev_size))
+        # Cast as drawn, so one level's int64 indices are alive at a time.
+        wiring.append(index(rng.random((width, 3)), prev_size).astype(
+            _index_dtype(prev_size)))
         prev_size = width
     return LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
                        seed=seed, example_ones=int(x.sum()))
@@ -265,7 +298,9 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
             f"input has {cur.size} bits, learned structure expects {tree.n}")
     trace = [float(cur.mean())]
     for blocks, wires in zip(tree.blocks, tree.wiring):
-        cur = eval_blocks(_BLOCKS, blocks, cur[wires])
+        # np.take gathers as fast from any index type; cur[wires] takes
+        # twice as long from a type other than intp.
+        cur = eval_blocks(_BLOCKS, blocks, np.take(cur, wires))
         trace.append(float(cur.mean()))
     fraction = float(cur[:sample].mean())
     if return_trace:

@@ -430,14 +430,26 @@ def test_amplifier_refuses_a_tree_without_one_threshold():
 
 def test_unique_threshold_takes_the_hint_else_the_one_root():
     ak2 = ((build_ak(2), 1.0),)
-    assert TreeDistribution("ak2", ak2, threshold=0.4).unique_threshold() \
-        == 0.4
-    assert TreeDistribution("ak2", ak2).unique_threshold() \
-        == scan_fixed_points(lambda p: activation(build_ak(2), p))[0]
+    root = scan_fixed_points(lambda p: activation(build_ak(2), p))[0]
+    hint = root + 1e-10     # a fixed point within the tolerance, not root
+    assert TreeDistribution("ak2", ak2, threshold=hint).unique_threshold() \
+        == hint
+    assert TreeDistribution("ak2", ak2).unique_threshold() == root
     with pytest.raises(DegenerateInputError,
                        match=r"^soft_threshold\(6\) has no threshold: 3 "
                              r"interior fixed points, not one$"):
         soft_threshold(6).unique_threshold()
+
+
+@pytest.mark.parametrize("hint, error", [
+    (0.9, DegenerateInputError), (0.4, DegenerateInputError),
+    (np.nan, RangeError), (0.0, RangeError), (1.0, RangeError),
+    ("0.4", RangeError)])
+def test_a_threshold_hint_must_be_a_fixed_point_in_0_1(hint, error):
+    # ak2's one interior fixed point is 2 - phi = 0.382; a hint of 0.9 made
+    # profile report limit 0 for iterates that go to 1.
+    with pytest.raises(error, match="threshold hint"):
+        TreeDistribution("ak2", ((build_ak(2), 1.0),), threshold=hint)
 
 
 def test_amplifier_capacity_error_reports_achieved_delta():

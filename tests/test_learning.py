@@ -248,6 +248,9 @@ MUTATIONS = {
     "plus sign": COMPACT.replace("[[4,", "[[+4,"),
     "empty index": COMPACT.replace("[[4,0,", "[[4,,"),
     "float seed": COMPACT.replace('"seed":0', '"seed":1.0'),
+    # No index type is taken from a float n (float16 would overflow).
+    "float n": COMPACT.replace('"n":5', '"n":5.5').replace("[[4,",
+                                                           "[[70000,"),
     "no wiring key": COMPACT.replace('[0,1],"wiring"', '[0,1],"Wiring"'),
 }
 
@@ -308,7 +311,7 @@ def test_to_json_refuses_what_from_json_refuses(level, bad):
     # to_json could write them from exists.
     tree = learn_threshold(2, 4, [1, 0, 1, 1], 0)
     parts = {"blocks": list(tree.blocks), "wiring": list(tree.wiring)}
-    parts[bad][level] = parts[bad][level].copy()
+    parts[bad][level] = parts[bad][level].astype(np.int64)   # -1 fits
     parts[bad][level][-1] = -1 if bad == "wiring" else 2
     with pytest.raises(InputShapeError, match=f"level {level + 1}"):
         LearnedTree(n=4, blocks=tuple(parts["blocks"]),
@@ -364,15 +367,92 @@ def test_stored_arrays_are_read_only():
     for stored in (tree.blocks[0], tree.wiring[0]):
         with pytest.raises(ValueError, match="read-only"):
             stored[0] = 0
-    # The caller's arrays stay writable; they are copied only to convert.
-    wiring = W1.astype(np.int32)
+    # The caller's arrays stay writable; they are copied only to convert,
+    # here W1's int64 to uint8, the index type of 5 items below.
+    wiring = W2.astype(np.uint8)
     built = LearnedTree(n=5, seed=0, example_ones=3, blocks=(B1, B2),
-                        wiring=(wiring, W2))
-    assert B1.flags.writeable and W2.flags.writeable
+                        wiring=(W1, wiring))
+    assert B1.flags.writeable and wiring.flags.writeable
     assert np.shares_memory(built.blocks[0], B1)
-    assert np.shares_memory(built.wiring[1], W2)
-    assert built.wiring[0].dtype == np.int64
-    assert not np.shares_memory(built.wiring[0], wiring)
+    assert np.shares_memory(built.wiring[1], wiring)
+    assert built.wiring[0].dtype == np.uint8
+    assert not np.shares_memory(built.wiring[0], W1)
+
+
+@pytest.mark.parametrize("below, dtype", [
+    (1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+    (65_537, np.uint32), (2 ** 32, np.uint32), (2 ** 32 + 1, np.uint64),
+    (2 ** 64, np.uint64), (2 ** 70, np.uint64)])
+def test_wiring_takes_the_smallest_type_that_indexes_the_level_below(
+        below, dtype):
+    # Level 1 wires into n inputs; level 2 into level 1's width, where the
+    # widths are small enough to build.
+    last = min(below, 2 ** 63) - 1
+    w = np.int64([[0, last, last // 2]])
+    tree = LearnedTree(n=below, seed=0, example_ones=0, blocks=(B1[:1],),
+                       wiring=(w,))
+    assert tree.wiring[0].dtype == dtype and np.array_equal(tree.wiring[0], w)
+    assert LearnedTree.from_json(tree.to_json()) == tree
+    if below <= 65_537:
+        wide = LearnedTree(n=1, seed=0, example_ones=0,
+                           blocks=(np.zeros(below, np.uint8), B1[:1]),
+                           wiring=(np.zeros((below, 3), np.int64), w))
+        assert wide.wiring[0].dtype == np.uint8
+        assert wide.wiring[1].dtype == dtype
+        assert evaluate_learned(wide, [1]) == 1.0
+
+
+def test_every_integer_wiring_type_gives_the_same_tree():
+    tree = learn_threshold(3, 300, make_example(70_000, 30_000), seed=12)
+    assert [w.dtype for w in tree.wiring] == [np.uint32, np.uint16,
+                                              np.uint16]
+    probe = make_example(70_000, 35_000, seed=5)
+    for dtype in (np.int64, np.int32):
+        same = LearnedTree(n=tree.n, seed=tree.seed,
+                           example_ones=tree.example_ones, blocks=tree.blocks,
+                           wiring=tuple(w.astype(dtype) for w in tree.wiring))
+        assert same == tree
+        assert [w.dtype for w in same.wiring] == [w.dtype
+                                                  for w in tree.wiring]
+        assert evaluate_learned(same, probe, return_trace=True) == \
+            evaluate_learned(tree, probe, return_trace=True)
+        assert same.to_json() == tree.to_json() == learned_json(tree)
+
+
+def _traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: One int64 (width, 3) wiring level at width 20,000: the unit of the
+#: temporaries that learning and reading may hold besides the tree.
+LEVEL = 20_000 * 3 * 8
+
+
+def _nbytes(tree):
+    return sum(a.nbytes for a in tree.blocks + tree.wiring)
+
+
+def test_learning_holds_the_tree_and_a_few_levels():
+    # All 40 levels held as int64 (19.2 MB of wiring) would not fit.
+    tree, peak = _traced_peak(lambda: learn_threshold(
+        40, 20_000, make_example(200, 100), seed=13))
+    assert peak <= _nbytes(tree) + 5 * LEVEL, (peak, _nbytes(tree))
+
+
+def test_reading_holds_the_file_the_tree_and_a_few_levels():
+    # A written-back copy of the whole file would not fit.
+    tree = learn_threshold(40, 20_000, make_example(200, 100), seed=13)
+    text = tree.to_json()
+    back, peak = _traced_peak(lambda: LearnedTree.from_json(text))
+    assert back == tree
+    assert peak <= len(text) + _nbytes(tree) + 5 * LEVEL, (
+        peak, len(text), _nbytes(tree))
 
 
 def _learned_text(**changes):
