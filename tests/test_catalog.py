@@ -452,6 +452,20 @@ def test_a_threshold_hint_must_be_a_fixed_point_in_0_1(hint, error):
         TreeDistribution("ak2", ((build_ak(2), 1.0),), threshold=hint)
 
 
+@settings(max_examples=40, deadline=None)
+@given(t=st.floats(1e-4, 1 - 1e-4))
+def test_catalog_hints_and_their_complements_pass_the_check(t):
+    # The tolerance is 1e-9; the catalog's hints sit within a few ulps.
+    for build in (linear_threshold, quad4, quad5, quad6, quad7, quad_k,
+                  lambda t: one_step((t + 1) / 3), lambda t: valiant()):
+        try:
+            dist = build(t)
+        except RangeError:
+            continue
+        for d in (dist, dist.complement()):
+            assert abs(d.evaluate(d.threshold) - d.threshold) <= 1e-15
+
+
 def test_amplifier_capacity_error_reports_achieved_delta():
     with pytest.raises(CapacityError) as err:
         amplifier(build_ak(2), 1e-9, 0.001, max_leaves=4 ** 3)

@@ -292,14 +292,19 @@ def test_huge_n_and_index_take_the_layout_reader():
         _general, text)
 
 
-def test_to_json_cost_follows_the_file_not_the_largest_index():
-    tree = learn_threshold(2, 10, [1, 0] * 1_500_000, 1)
+def _traced_peak(call):
+    """``call()``'s result and the peak of the memory it allocated."""
     tracemalloc.start()
     try:
-        text = tree.to_json()
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_to_json_cost_follows_the_file_not_the_largest_index():
+    tree = learn_threshold(2, 10, [1, 0] * 1_500_000, 1)
+    text, peak = _traced_peak(tree.to_json)
     assert text == learned_json(tree)
     assert peak < 2**20, peak
 
@@ -417,16 +422,6 @@ def test_every_integer_wiring_type_gives_the_same_tree():
         assert evaluate_learned(same, probe, return_trace=True) == \
             evaluate_learned(tree, probe, return_trace=True)
         assert same.to_json() == tree.to_json() == learned_json(tree)
-
-
-def _traced_peak(call):
-    """``call()``'s result and the peak of the memory it allocated."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 #: One int64 (width, 3) wiring level at width 20,000: the unit of the
