@@ -64,10 +64,11 @@ def index(u, size, out=None):
 
 
 def eval_blocks(trees, which, leafbits):
-    """Row i is ``trees[which[i]]`` evaluated on row i of ``leafbits``.
+    """Item i is ``trees[which[i]]`` evaluated on column i of ``leafbits``.
 
-    Every tree runs on the whole (rows, max_leaves) block, reading its
-    leading columns; one ``np.where`` per entry keeps that entry's rows.
+    ``leafbits`` is leaf-major, (max_leaves, items): row l holds every
+    item's leaf l.  Every tree runs on the whole block, reading its
+    leading rows; one ``np.where`` per entry keeps that entry's items.
     """
     out = eval_columns(trees[0], leafbits)
     for e in range(1, len(trees)):

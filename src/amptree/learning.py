@@ -299,8 +299,9 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     trace = [float(cur.mean())]
     for blocks, wires in zip(tree.blocks, tree.wiring):
         # np.take gathers as fast from any index type; cur[wires] takes
-        # twice as long from a type other than intp.
-        cur = eval_blocks(_BLOCKS, blocks, np.take(cur, wires))
+        # twice as long from a type other than intp.  Its transpose is the
+        # leaf-major view eval_blocks reads.
+        cur = eval_blocks(_BLOCKS, blocks, np.take(cur, wires).T)
         trace.append(float(cur.mean()))
     fraction = float(cur[:sample].mean())
     if return_trace:

@@ -9,10 +9,11 @@ Bernoulli inputs (if any), then one uniform block of shape
 (m, 1 + max_leaves) per level, whose column 0 picks the building-block
 tree and whose other columns pick its leaves, and last one uniform for the
 top item.  Trials run in batches, a level of a batch as one (trials, m)
-array; each trial draws its own row of the batch.  So reruns with the same
-config and seed are bit-identical whatever the batch size, trials are
-independent of each other, and a stream run with the same seed and
-``input_p`` draws the same inputs for each trial.
+array; each trial draws its own row of the batch, into a uniform buffer
+that, like the index buffer, every level of every batch of a run reuses.
+So reruns with the same config and seed are bit-identical whatever the
+batch size, trials are independent of each other, and a stream run with
+the same seed and ``input_p`` draws the same inputs for each trial.
 """
 from __future__ import annotations
 
@@ -35,6 +36,13 @@ EXACT_WIDTH_CAP = 2000
 
 #: Memory budget (bytes) per trial batch: one level's uniforms and indices.
 _BATCH_BUDGET = 1 << 20
+
+#: Rows of an exact kernel built at a time.
+_ROW_BLOCK = 64
+
+#: np.exp is +0.0 below -745.1332191019412 (half the least subnormal), so
+#: exponents below this are written as +0.0 without it.
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -90,27 +98,35 @@ def simulate_leveled(dist: TreeDistribution,
     fractions = np.empty((config.trials, levels + 1), dtype=np.float64)
     final_items = np.empty(config.trials, dtype=np.uint8)
     draw = input_draw(config)
-    per_trial = 8 * config.n + 16 * cols * max(config.widths)
+    widest = max(config.widths)
+    per_trial = 8 * config.n + 16 * cols * widest
     batch_size = max(1, min(config.trials, _BATCH_BUDGET // per_trial))
+    # Every level of every batch draws into these and indexes into those.
+    uniforms = np.empty(batch_size * widest * cols)
+    wired = np.empty(batch_size * widest * max_leaves, np.int64)
 
     for start in range(0, config.trials, batch_size):
         batch = range(start, min(start + batch_size, config.trials))
         b, rows = len(batch), slice(batch.start, batch.stop)
         rngs = [generator(config.seed, trial) for trial in batch]
         prev = np.array([draw(rng.random) for rng in rngs])
-        fractions[rows, 0] = prev.mean(axis=1)
+        fractions[rows, 0] = np.count_nonzero(prev, axis=1) / config.n
         prev_size = config.n
         for level, m in enumerate(config.widths, start=1):
-            u = np.empty((b, m, cols))
+            u = uniforms[:b * m * cols].reshape(b, m, cols)
             for row, rng in zip(u, rngs):
                 rng.random(out=row)
             which = pick(cumw, u[..., 0])
-            idx = index(u[..., 1:], prev_size)
-            # One flat gather: 2-D fancy indexing is several times slower.
-            idx += np.arange(0, b * prev_size, prev_size)[:, None, None]
-            prev = eval_blocks(trees, which.ravel(), np.ravel(prev)[idx]
-                               .reshape(b * m, -1)).reshape(b, m)
-            fractions[rows, level] = prev.mean(axis=1)
+            # Leaf-major (leaves, trials, items), offset to each trial's row
+            # of prev: one flat gather.
+            lv = np.moveaxis(u[..., 1:], 2, 0)
+            idx = index(lv, prev_size,
+                        out=wired[:lv.size].reshape(lv.shape))
+            idx += np.arange(0, b * prev_size, prev_size)[:, None]
+            prev = eval_blocks(trees, which.ravel(), np.take(prev, idx)
+                               .reshape(max_leaves, -1)).reshape(b, m)
+            # A count of 0/1 items is exact: the same float as their mean.
+            fractions[rows, level] = np.count_nonzero(prev, axis=1) / m
             prev_size = m
         top = index(np.array([rng.random() for rng in rngs]), prev_size)
         final_items[rows] = prev[np.arange(b), top]
@@ -123,17 +139,34 @@ def _binomial_rows(m: int, q) -> np.ndarray:
 
     Entry j is exp(log C(m, j) + (m - j) log1p(-q) + j log q), with
     log C(m, j) taken from the exact integer; q = 0 and q = 1 give exact
-    point masses.
+    point masses.  The rows are built in place, ``_ROW_BLOCK`` at a time,
+    by the same operations in the same order as the one-expression form:
+    an exponent below ``_EXP_ZERO`` is written as +0.0, the value np.exp
+    gives it, without calling np.exp.
     """
-    q = np.asarray(q, dtype=np.float64)[:, None]
+    q = np.asarray(q, dtype=np.float64)
     j = np.arange(m + 1)
     combs = accumulate(range(m), lambda c, k: c * (m - k) // (k + 1),
                        initial=1)                   # C(m, 0..m), exact ints
     log_comb = np.array([math.log(c) for c in combs])
+    rows = np.empty((len(q), m + 1))
+    part = np.empty((min(_ROW_BLOCK, len(q)), m + 1))
+    live = np.empty(part.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = np.exp(log_comb + (m - j) * np.log1p(-q) + j * np.log(q))
-    rows[q[:, 0] == 0.0] = j == 0
-    rows[q[:, 0] == 1.0] = j == m
+        log_fail, log_q = np.log1p(-q)[:, None], np.log(q)[:, None]
+        for a in range(0, len(q), _ROW_BLOCK):
+            block = rows[a:a + _ROW_BLOCK]
+            k = len(block)
+            np.multiply(m - j, log_fail[a:a + k], out=block)
+            block += log_comb
+            block += np.multiply(j, log_q[a:a + k], out=part[:k])
+            np.exp(block, out=block,
+                   where=np.greater_equal(block, _EXP_ZERO, out=live[:k]))
+            # After exp only the skipped exponents are still below it.
+            np.copyto(block, 0.0,
+                      where=np.less(block, _EXP_ZERO, out=live[:k]))
+    rows[q == 0.0] = j == 0
+    rows[q == 1.0] = j == m
     return rows
 
 

@@ -278,14 +278,14 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
             at = idx.reshape(max_leaves, -1)
             made = bits[:, n + a:n + z]
             made[:] = bits[:, n + a - 1, None]                    # the guess
-            made[:] = eval_blocks(trees, which, flat[at].T).reshape(b, -1)
+            made[:] = eval_blocks(trees, which, flat[at]).reshape(b, -1)
             trial, step = np.divmod(inner, z - a)
             out = trial * size + n + a + step
             at, which = at[:, inner], which[inner]
-            new = eval_blocks(trees, which, flat[at].T)
+            new = eval_blocks(trees, which, flat[at])
             while not np.array_equal(new, flat[out]):             # settle
                 flat[out] = new
-                new = eval_blocks(trees, which, flat[at].T)
+                new = eval_blocks(trees, which, flat[at])
         carried = _carried(bits, n, steps, decay)
         np.divide(carried[:-1], carried[-1], out=x[start:start + b])
         if k:

@@ -9,7 +9,9 @@ reference those must match exactly.  ``memo_fold`` is the memo-dict
 traversal ``trees.fold`` replaced, kept as the reference for the stored
 gate order.  ``learned_json`` is the
 ``json.dumps`` writer of learned structures that ``LearnedTree.to_json``
-must match byte for byte.  ``leveled_reference`` is the leveled
+must match byte for byte.  ``binomial_rows_reference`` is the exact
+chain's kernel as one whole-array expression, which the row-block build
+must match bit for bit.  ``leveled_reference`` is the leveled
 construction one trial and one item at a time, drawn from each trial's
 generator in the documented order, which ``simulate_leveled`` must match
 bit for bit.
@@ -110,6 +112,21 @@ def memo_fold(tree: AndOrTree, leaf_value, and_fn, or_fn):
 
 def binom_pmf(m: int, k: int, q: float) -> float:
     return math.comb(m, k) * q ** k * (1.0 - q) ** (m - k)
+
+
+def binomial_rows_reference(m: int, q) -> np.ndarray:
+    """``leveled._binomial_rows`` as one whole-array expression, with an
+    np.exp call on every exponent."""
+    q = np.asarray(q, dtype=np.float64)[:, None]
+    j = np.arange(m + 1)
+    combs = itertools.accumulate(
+        range(m), lambda c, k: c * (m - k) // (k + 1), initial=1)
+    log_comb = np.array([math.log(c) for c in combs])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows = np.exp(log_comb + (m - j) * np.log1p(-q) + j * np.log(q))
+    rows[q[:, 0] == 0.0] = j == 0
+    rows[q[:, 0] == 1.0] = j == m
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ THREE = (and_(or_(X, X), X), or_(X, X), build_ak(2))
 
 def test_eval_blocks_three_entry_mixture_row_by_row():
     # no catalog construction has three entries; this one makes the
-    # second and third np.where steps select rows
+    # second and third np.where steps select items.  The block is
+    # leaf-major: column i holds item i's leaves.
     rng = generator(3, 1)
-    rows = 200
-    leafbits = (rng.random((rows, 4)) < 0.5).astype(np.uint8)
-    which = rng.integers(0, 3, size=rows)
+    items = 200
+    leafbits = (rng.random((4, items)) < 0.5).astype(np.uint8)
+    which = rng.integers(0, 3, size=items)
     got = eval_blocks(THREE, which, leafbits)
-    want = [eval_tree(THREE[e], leafbits[i, :THREE[e].leaf_count])
+    want = [eval_tree(THREE[e], leafbits[:THREE[e].leaf_count, i])
             for i, e in enumerate(which)]
     assert set(which.tolist()) == {0, 1, 2}
     assert got.dtype == np.uint8

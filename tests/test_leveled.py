@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from amptree.leveled import (LevelConfig, exact_level_distribution,
                              simulate_leveled, width_scaling_experiment)
 from amptree.stream import StreamConfig, simulate_stream
 
-from _oracles import binom_pmf, leveled_reference
+from _oracles import binom_pmf, binomial_rows_reference, leveled_reference
 
 
 def test_config_validation():
@@ -205,6 +206,66 @@ def test_binomial_rows_match_scipy_at_large_width(m):
     big = ref > 1e-250
     assert np.max(np.abs(rows - ref)[big] / ref[big]) <= 2e-12
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 200, 1000, 2000])
+@pytest.mark.parametrize("dist", [quad4(0.5), linear_threshold(0.5),
+                                  valiant()], ids=lambda d: d.label)
+def test_binomial_rows_are_the_one_expression_bit_for_bit(m, dist):
+    # The exact chain's q values, and the ends: point masses, the least
+    # subnormal (log q = -744.4) and the float below 1.  Whole and cut at
+    # the row blocks' edges.
+    qs = np.concatenate([[0.0, 1.0, 5e-324, 1 - 1e-16],
+                         np.clip(dist.evaluate(np.arange(m + 1) / m),
+                                 0.0, 1.0)])
+    for rows in (1, leveled._ROW_BLOCK, leveled._ROW_BLOCK + 1, len(qs)):
+        got = leveled._binomial_rows(m, qs[:rows])
+        want = binomial_rows_reference(m, qs[:rows])
+        assert got.tobytes() == want.tobytes(), rows
+
+
+def test_exp_zero_is_below_every_exponent_exp_keeps():
+    # The kernel writes +0.0 for an exponent below _EXP_ZERO without np.exp:
+    # np.exp gives +0.0 (not -0.0) on all of [-800, _EXP_ZERO], and a
+    # positive value above -745.1332191019412.
+    grid = np.linspace(-800.0, leveled._EXP_ZERO, 1_000_001)
+    assert grid[-1] == leveled._EXP_ZERO == -746.0
+    assert np.exp(grid).tobytes() == np.zeros_like(grid).tobytes()
+    assert np.exp(-745.13) > 0
+    assert np.exp(np.full(100, -745.13)).min() > 0
+
+
+def _traced_peak(call):
+    """The peak of the memory ``call()`` allocated."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_chain_holds_one_kernel_and_two_row_blocks():
+    m, dist = 2000, quad4(0.5)
+    peak = _traced_peak(lambda: exact_level_distribution(dist, m, 0.45, 3))
+    block = leveled._ROW_BLOCK * (m + 1) * 8
+    assert peak <= (m + 1) ** 2 * 8 + 2 * block + 64 * 1024, peak
+
+
+def test_a_leveled_run_holds_its_batch_budget():
+    # quad4's blocks have 4 leaves: 248,000 bytes a trial, so batches of 4
+    # trials fill the budget, and the second batch reuses the first's
+    # buffers.  The warm-up makes what a first run caches.
+    dist = quad4(0.5)
+    config = LevelConfig(widths=(3000,) * 3, n=1000, seed=2, trials=8,
+                         input_p=0.45)
+    assert 4 * (8 * 1000 + 16 * 5 * 3000) <= leveled._BATCH_BUDGET
+    assert 5 * (8 * 1000 + 16 * 5 * 3000) > leveled._BATCH_BUDGET
+    simulate_leveled(dist, LevelConfig(widths=(3,), n=2, seed=1,
+                                       input_p=0.5))
+    peak = _traced_peak(lambda: simulate_leveled(dist, config))
+    fractions = config.trials * 4 * 8
+    assert peak <= leveled._BATCH_BUDGET + fractions + 64 * 1024, peak
 
 
 def test_import_loads_no_scipy():

@@ -66,12 +66,13 @@ SMALL_TREES = [t for n in range(1, 6) for t in all_trees(n)]
 @given(st.lists(st.lists(st.integers(0, 1), min_size=7, max_size=7),
                 min_size=1, max_size=12))
 def test_eval_columns_matches_eval_tree_row_by_row(block):
-    # every tree with 1..5 leaves on the same 7-column block: each reads
-    # its leading columns and leaves the rest unused
-    bits = np.array(block, dtype=np.uint8)
+    # every tree with 1..5 leaves on the same leaf-major 7-row block (a
+    # column per item): each reads its leading rows and leaves the rest
+    # unused
+    bits = np.array(block, dtype=np.uint8).T
     for tree in SMALL_TREES:
         got = eval_columns(tree, bits)
-        want = [eval_tree(tree, row[:tree.leaf_count]) for row in bits]
+        want = [eval_tree(tree, col[:tree.leaf_count]) for col in bits.T]
         assert got.dtype == np.uint8
         assert got.tolist() == want
 
