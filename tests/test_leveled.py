@@ -255,7 +255,8 @@ def test_exact_chain_holds_one_kernel_and_two_row_blocks():
 def test_a_leveled_run_holds_its_batch_budget():
     # quad4's blocks have 4 leaves: 248,000 bytes a trial, so batches of 4
     # trials fill the budget, and the second batch reuses the first's
-    # buffers.  The warm-up makes what a first run caches.
+    # buffers.  The warm-up imports numpy.random, as a process's first run
+    # does.
     dist = quad4(0.5)
     config = LevelConfig(widths=(3000,) * 3, n=1000, seed=2, trials=8,
                          input_p=0.45)
