@@ -66,13 +66,18 @@ def index(u, size, out=None):
 def eval_blocks(trees, which, leafbits):
     """Item i is ``trees[which[i]]`` evaluated on column i of ``leafbits``.
 
-    ``leafbits`` is leaf-major, (max_leaves, items): row l holds every
-    item's leaf l.  Every tree runs on the whole block, reading its
-    leading rows; one ``np.where`` per entry keeps that entry's items.
+    ``leafbits`` is leaf-major, (max_leaves, items), of 0/1 uint8: row l
+    holds every item's leaf l.  Every tree runs on the whole block, reading
+    its leading rows; each later entry keeps its items by a bitwise select,
+    ``out ^ ((new ^ out) & mask)``, which takes no branch per item as
+    ``np.where`` does on a random mask.  ``out`` is never updated in
+    place: a one-leaf entry's result is a row of ``leafbits`` itself.
     """
     out = eval_columns(trees[0], leafbits)
     for e in range(1, len(trees)):
-        out = np.where(which == e, eval_columns(trees[e], leafbits), out)
+        keep = eval_columns(trees[e], leafbits) ^ out
+        keep &= (which == e).view(np.uint8)
+        out = out ^ keep
     return out
 
 

@@ -277,6 +277,12 @@ def learn_threshold(levels: int, width: int, example: Sequence[int],
                        seed=seed, example_ones=int(x.sum()))
 
 
+def _firing(bits) -> float:
+    """The fraction of 0/1 ``bits`` that are 1: an exact count over the
+    size, the same Python float as ``float(bits.mean())``."""
+    return int(np.count_nonzero(bits)) / bits.size
+
+
 def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
                      sample: int | None = None,
                      return_trace: bool = False):
@@ -296,14 +302,14 @@ def evaluate_learned(tree: LearnedTree, input_bits: Sequence[int],
     if cur.size != tree.n:
         raise InputShapeError(
             f"input has {cur.size} bits, learned structure expects {tree.n}")
-    trace = [float(cur.mean())]
+    trace = [_firing(cur)]
     for blocks, wires in zip(tree.blocks, tree.wiring):
         # np.take gathers as fast from any index type; cur[wires] takes
-        # twice as long from a type other than intp.  Its transpose is the
-        # leaf-major view eval_blocks reads.
-        cur = eval_blocks(_BLOCKS, blocks, np.take(cur, wires).T)
-        trace.append(float(cur.mean()))
-    fraction = float(cur[:sample].mean())
+        # twice as long from a type other than intp.  Gathering by the
+        # transpose gives eval_blocks its leaf-major rows, contiguous.
+        cur = eval_blocks(_BLOCKS, blocks, np.take(cur, wires.T))
+        trace.append(_firing(cur))
+    fraction = _firing(cur[:sample])
     if return_trace:
         return fraction, trace
     return fraction

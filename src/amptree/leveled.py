@@ -189,8 +189,11 @@ def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
     p = check_real("p", p, 0, 1, "[]")
     counts = np.arange(m + 1)
     q = np.clip(dist.evaluate(counts / m), 0.0, 1.0)
-    kernel = _binomial_rows(m, q)
-    v = _binomial_rows(m, [min(max(dist.evaluate(p), 0.0), 1.0)])[0]
+    # The kernel's rows and the start row v from one build of log C(m, j);
+    # v is copied out, so that the row returned does not hold the kernel.
+    rows = _binomial_rows(m, np.append(q, min(max(dist.evaluate(p), 0.0),
+                                              1.0)))
+    kernel, v = rows[:-1], rows[-1].copy()
     for _ in range(levels - 1):
         v = v @ kernel
     firing = float(v @ counts) / m

@@ -14,7 +14,9 @@ chain's kernel as one whole-array expression, which the row-block build
 must match bit for bit.  ``leveled_reference`` is the leveled
 construction one trial and one item at a time, drawn from each trial's
 generator in the documented order, which ``simulate_leveled`` must match
-bit for bit.
+bit for bit.  ``learned_reference`` is learned evaluation as a per-level
+``np.where`` on an (items, 3) gather, whose fractions and trace
+``evaluate_learned`` must equal.
 """
 from __future__ import annotations
 
@@ -204,6 +206,26 @@ def learned_json(tree) -> str:
             {"blocks": lvl.tolist(), "wiring": w.tolist()}
             for lvl, w in zip(tree.blocks, tree.wiring)],
     }, separators=(",", ":"))
+
+
+def learned_reference(tree, input_bits, sample=None):
+    """(fraction, trace, levels) of a learned structure on ``input_bits``.
+
+    Level j picks (A v B) ^ C where its block is 1, else (A ^ B) v C, on
+    its items' three leaves ``cur[wires]``; ``levels`` holds every level's
+    uint8 items, the inputs first.  The fraction is ``float(mean)`` of the
+    top level's first ``sample`` items, all of them when it is None, and
+    the trace each level's.
+    """
+    cur = np.asarray(input_bits, dtype=np.uint8)
+    levels = [cur]
+    for blocks, wires in zip(tree.blocks, tree.wiring):
+        leaves = cur[wires]
+        a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
+        cur = np.where(blocks == 1, (a | b) & c, (a & b) | c).astype(np.uint8)
+        levels.append(cur)
+    trace = [float(level.mean()) for level in levels]
+    return float(cur[:sample].mean()), trace, levels
 
 
 def leveled_reference(dist, config) -> tuple[list[list[float]], list[int]]:

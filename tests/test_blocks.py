@@ -2,7 +2,8 @@
 input checks and draws."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from amptree.blocks import (SIM_LEAF_CAP, check_bits, entry_table,
                             eval_blocks, index, input_draw, pick)
@@ -12,7 +13,7 @@ from amptree.learning import evaluate_learned, learn_threshold
 from amptree.leveled import LevelConfig, simulate_leveled
 from amptree.rng import generator
 from amptree.stream import StreamConfig, simulate_stream
-from amptree.trees import and_, build_ak, eval_tree, leaf, or_
+from amptree.trees import all_trees, and_, build_ak, eval_tree, leaf, or_
 
 X = leaf()
 THREE = (and_(or_(X, X), X), or_(X, X), build_ak(2))
@@ -20,7 +21,7 @@ THREE = (and_(or_(X, X), X), or_(X, X), build_ak(2))
 
 def test_eval_blocks_three_entry_mixture_row_by_row():
     # no catalog construction has three entries; this one makes the
-    # second and third np.where steps select items.  The block is
+    # second and third entries' selects keep items.  The block is
     # leaf-major: column i holds item i's leaves.
     rng = generator(3, 1)
     items = 200
@@ -32,6 +33,35 @@ def test_eval_blocks_three_entry_mixture_row_by_row():
     assert set(which.tolist()) == {0, 1, 2}
     assert got.dtype == np.uint8
     assert got.tolist() == want
+
+
+@st.composite
+def blocks_and_items(draw):
+    """1-4 entries of up to 4 leaves (a one-leaf tree too, entry 0
+    included), a uint8 or intp pick per item and a leaf-major 0/1 block."""
+    tree = st.integers(1, 4).flatmap(lambda k: st.sampled_from(all_trees(k)))
+    trees = draw(st.lists(tree, min_size=1, max_size=4))
+    items = draw(st.integers(1, 300))
+    rows = max(t.leaf_count for t in trees)
+    which = draw(arrays(st.sampled_from([np.uint8, np.intp]), items,
+                        elements=st.integers(0, len(trees) - 1)))
+    leafbits = draw(arrays(np.uint8, (rows, items),
+                           elements=st.integers(0, 1)))
+    return tuple(trees), which, leafbits
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=blocks_and_items())
+def test_eval_blocks_is_each_items_tree_on_its_column(case):
+    trees, which, leafbits = case
+    before = leafbits.copy()
+    got = eval_blocks(trees, which, leafbits)
+    assert got.dtype == np.uint8
+    assert got.tolist() == [
+        eval_tree(trees[e], before[:trees[e].leaf_count, i])
+        for i, e in enumerate(which.tolist())]
+    # a one-leaf entry 0 starts from a row of leafbits itself
+    assert np.array_equal(leafbits, before)
 
 
 def test_entry_table_picks_entries_by_cumulative_weight():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from _oracles import learned_json
+from _oracles import learned_json, learned_reference
 from amptree import learning
+from amptree.blocks import index
 from amptree.catalog import linear_threshold
 from amptree.errors import InputShapeError, RangeError
 from amptree.learning import LearnedTree, evaluate_learned, learn_threshold
@@ -122,15 +123,7 @@ def test_monotonicity_exhaustive_small():
     tree = learn_threshold(levels, m, x, seed=8)
 
     def all_levels(bits):
-        cur = np.asarray(bits, dtype=np.uint8)
-        out = [cur]
-        for blocks, wires in zip(tree.blocks, tree.wiring):
-            leaves = cur[wires]
-            a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
-            cur = np.where(blocks == 1, (a | b) & c, (a & b) | c).astype(
-                np.uint8)
-            out.append(cur)
-        return out
+        return learned_reference(tree, bits)[2]
 
     rng = generator(123)
     for _ in range(20):
@@ -142,6 +135,42 @@ def test_monotonicity_exhaustive_small():
             levels_hi = all_levels(flipped)
             for lo, hi in zip(levels_lo, levels_hi):
                 assert np.all(hi >= lo)
+
+
+@st.composite
+def trees_and_inputs(draw):
+    """A LearnedTree of 1-6 levels with 1-300 inputs and widths 1-300, so
+    that its wiring is uint8 (up to 256 items below) or uint16, and an
+    input for it; the arrays come from a drawn seed."""
+    sizes = st.one_of(st.integers(1, 300), st.sampled_from([256, 257]))
+    n = draw(sizes)
+    widths = draw(st.lists(sizes, min_size=1, max_size=6))
+    rng = generator(draw(st.integers(0, 2**64 - 1)))
+    share, ones = draw(st.floats(0, 1)), draw(st.floats(0, 1))
+    blocks, wiring, below = [], [], n
+    for width in widths:
+        blocks.append((rng.random(width) < share).astype(np.uint8))
+        wiring.append(index(rng.random((width, 3)), below))
+        below = width
+    tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
+                       seed=0, example_ones=0)
+    return tree, (rng.random(n) < ones).astype(np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=trees_and_inputs())
+def test_evaluation_matches_the_per_level_where_oracle(case):
+    tree, bits = case
+    top = tree.blocks[-1].size
+    for sample in (1, top, None):
+        want, want_trace, _ = learned_reference(tree, bits, sample)
+        got, trace = evaluate_learned(tree, bits, sample=sample,
+                                      return_trace=True)
+        assert type(got) is float and got == want
+        assert all(type(f) is float for f in trace)
+        assert trace == want_trace
+    assert {w.dtype for w in tree.wiring} <= {np.dtype(np.uint8),
+                                              np.dtype(np.uint16)}
 
 
 def test_json_roundtrip():

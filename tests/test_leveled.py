@@ -224,6 +224,24 @@ def test_binomial_rows_are_the_one_expression_bit_for_bit(m, dist):
         assert got.tobytes() == want.tobytes(), rows
 
 
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 200, 1000, 2000])
+def test_exact_chain_keeps_its_binomial_start_row_and_kernel_bytes(m):
+    # One _binomial_rows call builds the kernel's rows and the start row v
+    # after them (at m = 63, v opens the second row block).  The chain
+    # after one level is v itself, and after two v @ kernel: each must be
+    # the bytes of the two one-expression builds.
+    dist, p = quad4(0.5), 0.45
+    q = np.clip(dist.evaluate(np.arange(m + 1) / m), 0.0, 1.0)
+    kernel = binomial_rows_reference(m, q)
+    v = binomial_rows_reference(m, [min(max(dist.evaluate(p), 0.0),
+                                        1.0)])[0]
+    one = exact_level_distribution(dist, m, p, 1)[1]
+    assert one.tobytes() == v.tobytes()
+    assert one.base is None
+    two = exact_level_distribution(dist, m, p, 2)[1]
+    assert two.tobytes() == (v @ kernel).tobytes()
+
+
 def test_exp_zero_is_below_every_exponent_exp_keeps():
     # The kernel writes +0.0 for an exponent below _EXP_ZERO without np.exp:
     # np.exp gives +0.0 (not -0.0) on all of [-800, _EXP_ZERO], and a
