@@ -334,7 +334,7 @@ def cmd_learn(cfg: ExperimentConfig) -> int:
 
 def cmd_eval(cfg: ExperimentConfig) -> int:
     path = cfg.params["learned_file"]
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         text = fh.read()
     try:
         tree = learning.LearnedTree.from_json(text)

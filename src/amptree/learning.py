@@ -49,9 +49,10 @@ class LearnedTree:
     Construction raises InputShapeError unless n >= 1, example_ones in
     0..n and seed are integers, and each of one or more levels has 1-D,
     non-empty integer 0/1 blocks and integer (width, 3) wiring into the
-    level below.  It keeps read-only uint8 blocks and read-only wiring in
-    each level's index type (see :func:`_index_dtype`), and copies a
-    caller's array only when it has another type.
+    level below, each index below 2^63, past which numpy indexes nothing.
+    It keeps read-only uint8 blocks and read-only wiring in each level's
+    index type (see :func:`_index_dtype`), and copies a caller's array
+    only when it has another type.
     """
 
     n: int
@@ -76,7 +77,8 @@ class LearnedTree:
             if not (b.dtype.kind in "iu" and w.dtype.kind in "iu"
                     and b.ndim == 1 and b.size and w.shape == (b.size, 3)
                     and 0 <= b.min() <= b.max() <= 1
-                    and 0 <= w.min() <= w.max() < below):
+                    and 0 <= w.min()
+                    and int(w.max()) < min(below, 2 ** 63)):
                 raise InputShapeError(f"level {level} is not 0/1 blocks wired "
                                       f"into the {below} items below it")
             b = b.astype(np.uint8, copy=False).view()
@@ -119,49 +121,58 @@ class LearnedTree:
         """:meth:`to_json`'s text in pieces: the head, one piece per level
         and the closing brackets, so that a writer holds one level's text
         at a time, not the file's."""
+        return (piece.decode() for piece in self._byte_pieces())
+
+    def _byte_pieces(self) -> Iterator[bytes]:
+        """:meth:`json_pieces` as the ASCII bytes they encode to."""
         head = json.dumps({key: getattr(self, key) for key in (
             "n", "seed", "example_ones")}, separators=(",", ":"))
-        # Digits for each index up to the largest, or, when those would
-        # outnumber the file's indices, for the distinct ones, looked up.
+        # Row i of the cell table is index i as each cell of a wiring row
+        # writes it, b"[i," b"i," b"i],", NUL-padded, for each index up to
+        # the largest, or, when those cells would outnumber the file's
+        # indices, for the distinct ones, looked up.
         top = max(int(w.max()) for w in self.wiring) + 1
-        sparse = top > sum(w.size for w in self.wiring)
+        sparse = 3 * top > sum(w.size for w in self.wiring)
         present = (np.unique(np.concatenate(self.wiring, axis=None))
-                   if sparse else range(top))
-        table = np.array([str(i).encode() for i in present])
-        yield head[:-1] + ',"levels":['
+                   if sparse else np.arange(top))
+        digits = present.astype(f"S{len(str(top - 1))}")
+        cells = np.stack([np.char.add(np.char.add(b"[", digits), b","),
+                          np.char.add(digits, b","),
+                          np.char.add(digits, b"],")], axis=1)
+        yield head[:-1].encode() + b',"levels":['
         for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
             flags = np.full((b.size, 2), ord(","), np.uint8)
             flags[:, 1] = b + ord("0")
-            # Row i is ",[" then "a," "b," "c]", each cell NUL-padded.
-            rows = np.zeros((len(w), 1 + w.shape[1], table.itemsize + 1),
-                            np.uint8)
-            rows[:, 0, 0] = ord(",")
-            rows[:, :, -1] = np.frombuffer(
-                b"[" + b"," * (w.shape[1] - 1) + b"]", np.uint8)
-            rows[:, 1:, :-1] = np.take(
-                table, np.searchsorted(present, w) if sparse else w,
-                axis=0)[..., None].view(np.uint8)
-            cells = rows.ravel()[1:]
+            rows = cells[np.searchsorted(present, w) if sparse else w,
+                         [0, 1, 2]].tobytes().translate(None, b"\0")
             yield b"".join([b"," * (level > 1), b'{"blocks":[',
                             flags.tobytes()[1:], b'],"wiring":[',
-                            cells[cells != 0].tobytes(), b"]}"]).decode()
-        yield "]}"
+                            memoryview(rows)[:-1], b"]}"])
+        yield b"]}"
 
     @classmethod
-    def from_json(cls, text: str) -> "LearnedTree":
-        """Parse a learned structure from JSON.
+    def from_json(cls, text: str | bytes) -> "LearnedTree":
+        """Parse a learned structure from JSON, as str or as UTF-8 bytes.
 
         Text in exactly :meth:`to_json`'s layout, with at most one trailing
         newline, is read straight into arrays; any other JSON goes through
         the general JSON parser, with the same result and the same refusals.
+        Bytes are read as they are and decoded, as strict UTF-8, only for
+        the general parser.
 
         Raises InputShapeError when the text is not JSON (nested past the
-        recursion limit included) or does not describe a structure
-        :func:`evaluate_learned` can run.
+        recursion limit included), bytes are not UTF-8, or the text does
+        not describe a structure :func:`evaluate_learned` can run.
         """
         tree = _read_layout(text)
         if tree is not None:
             return tree
+        if not isinstance(text, str):
+            # Not json.loads(bytes), which would also take UTF-16 and -32.
+            try:
+                text = text.decode()
+            except UnicodeDecodeError as exc:
+                raise InputShapeError(f"not UTF-8 JSON: {exc}") from exc
         data = load_json(text, "not JSON", InputShapeError)
         try:
             n, seed, ones = data["n"], data["seed"], data["example_ones"]
@@ -183,7 +194,7 @@ class LearnedTree:
                    example_ones=ones)
 
 
-def _read_layout(text: str) -> LearnedTree | None:
+def _read_layout(text: str | bytes) -> LearnedTree | None:
     """The structure ``text`` holds if it is :meth:`LearnedTree.to_json`'s
     bytes plus at most one newline, else None.
 
@@ -192,12 +203,14 @@ def _read_layout(text: str) -> LearnedTree | None:
     parser once its brackets are deleted, then cast to the level's index
     type.  It declines what LearnedTree refuses, so the general parser
     names each refusal, and its result stands only if writing it back
-    gives ``text``, compared piece by piece.
+    gives ``text``, compared piece by piece: bytes with the written bytes,
+    as given, and a str, whose encoded copy the cuts read, with the written
+    str, once that copy is freed.
     """
     try:
-        raw = text.encode()
+        raw = text.encode() if isinstance(text, str) else text
         cut = raw.find(b',"levels":[')
-        head = json.loads(raw[:cut] + b"}") if cut > 0 else None
+        head = json.loads(raw[:cut].decode() + "}") if cut > 0 else None
         n, seed, ones = (head[key] for key in ("n", "seed", "example_ones"))
     except (TypeError, ValueError, KeyError, RecursionError):
         return None
@@ -206,7 +219,7 @@ def _read_layout(text: str) -> LearnedTree | None:
     while not raw.startswith(b"]}", pos):
         start = pos + len(b',{"blocks":[' if blocks else b'{"blocks":[')
         mid = raw.find(b'],"wiring":[', start)
-        end = raw.find(b"]}", mid)
+        end = raw.find(b"}", mid)
         if mid < 0 or end < 0:
             return None
         b = np.frombuffer(raw, np.uint8, mid - start, start)[::2] - ord("0")
@@ -225,20 +238,23 @@ def _read_layout(text: str) -> LearnedTree | None:
         blocks.append(b)
         wiring.append(w)
         below = b.size
-        pos = end + len(b"]}")
-    del raw     # free the text's copy before the text is written again
+        pos = end + len(b"}")
+    newline = raw.endswith(b"\n")
+    del raw
     try:
         tree = LearnedTree(n=n, blocks=tuple(blocks), wiring=tuple(wiring),
                            seed=seed, example_ones=ones)
     except InputShapeError:
         return None
-    # Piece by piece at offsets, so the written text is never held whole.
+    # Piece by piece at offsets, so the written text is never held whole;
+    # after the pieces the text may hold its final newline, and no more.
     at = 0
-    for piece in tree.json_pieces():
+    for piece in (tree.json_pieces() if isinstance(text, str)
+                  else tree._byte_pieces()):
         if not text.startswith(piece, at):
             return None
         at += len(piece)
-    return tree if text[at:at + 2] in ("", "\n") else None
+    return tree if len(text) - at == newline else None
 
 
 def _index_dtype(below: int) -> np.dtype:

@@ -329,8 +329,9 @@ def test_wrong_shape_input_files_exit_2(tmp_path):
         assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
-@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff[1]"],
-                         ids=["deep", "not UTF-8"])
+@pytest.mark.parametrize("content", [b"[" * 100_000, b"\xff[1]",
+                                     b"\xff\xfe{"],
+                         ids=["deep", "not UTF-8", "UTF-16 BOM"])
 @pytest.mark.parametrize("flag", ["--config", "--x-file", "--input-file",
                                   "--learned-file", "--params"])
 def test_unusable_json_text_exits_2(tmp_path, flag, content):

@@ -240,9 +240,10 @@ def _same_structure(a, b):
 def test_layout_reader_matches_the_general_parser(tree):
     text = tree.to_json()
     general = _general(text)
-    for written in (text, text + "\n"):
+    for written in (text, text + "\n", text.encode(), (text + "\n").encode()):
         _same_structure(learning._read_layout(written), general)
         _same_structure(LearnedTree.from_json(written), general)
+        _same_structure(_general(written), general)
 
 
 def test_written_files_skip_json_loads(monkeypatch):
@@ -306,8 +307,34 @@ def test_compact_text_takes_the_layout_reader():
 def test_mutated_files_read_as_before(name):
     text = MUTATIONS[name]
     assert learning._read_layout(text) is None
+    assert learning._read_layout(text.encode()) is None
     assert _outcome(LearnedTree.from_json, text) == _outcome(
-        _general, text)
+        _general, text) == _outcome(LearnedTree.from_json, text.encode())
+
+
+#: Learned files whose bytes are not UTF-8 JSON, though json.loads(bytes)
+#: would read all but the last: it takes UTF-16 and UTF-32 as well.
+NOT_UTF8 = {
+    "UTF-16": COMPACT.encode("utf-16"),
+    "UTF-16-LE": COMPACT.encode("utf-16-le"),
+    "UTF-32": COMPACT.encode("utf-32"),
+    "UTF-8 BOM": COMPACT.encode("utf-8-sig"),
+    "Latin-1 key": (COMPACT[:-1] + ',"caf\xe9":1}').encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_UTF8))
+def test_bytes_that_are_not_utf8_json_are_refused(name):
+    raw = NOT_UTF8[name]
+    assert learning._read_layout(raw) is None
+    with pytest.raises(InputShapeError, match="not (UTF-8 )?JSON"):
+        LearnedTree.from_json(raw)
+    if name == "Latin-1 key":
+        # Decoded, the same text is a learned file with one key more.
+        assert LearnedTree.from_json(raw.decode("latin-1")).to_json() == \
+            COMPACT
+    elif name != "UTF-8 BOM":
+        assert json.loads(raw)["n"] == 5
 
 
 def test_huge_n_and_index_take_the_layout_reader():
@@ -427,6 +454,7 @@ def test_wiring_takes_the_smallest_type_that_indexes_the_level_below(
                        wiring=(w,))
     assert tree.wiring[0].dtype == dtype and np.array_equal(tree.wiring[0], w)
     assert LearnedTree.from_json(tree.to_json()) == tree
+    assert _general(tree.to_json()) == tree
     if below <= 65_537:
         wide = LearnedTree(n=1, seed=0, example_ones=0,
                            blocks=(np.zeros(below, np.uint8), B1[:1]),
@@ -434,6 +462,24 @@ def test_wiring_takes_the_smallest_type_that_indexes_the_level_below(
         assert wide.wiring[0].dtype == np.uint8
         assert wide.wiring[1].dtype == dtype
         assert evaluate_learned(wide, [1]) == 1.0
+
+
+@pytest.mark.parametrize("below", [2 ** 63 + 1, 2 ** 64, 2 ** 70])
+def test_indices_past_what_numpy_indexes_are_refused(below):
+    # numpy indexes below 2^63 only, and neither reader parses more: the
+    # layout reader reads int64, and the general parser's np.asarray turns
+    # a row holding 2^63 into float64.  So the constructor refuses such an
+    # index, and to_json writes no file that the readers refuse.
+    fields = dict(n=below, seed=0, example_ones=0, blocks=(B1[:1],))
+    tree = LearnedTree(**fields, wiring=(np.uint64([[0, 2 ** 63 - 1, 5]]),))
+    with pytest.raises(InputShapeError, match="level 1"):
+        LearnedTree(**fields, wiring=(np.uint64([[0, 2 ** 63, 5]]),))
+    text = tree.to_json()
+    past = text.replace(str(2 ** 63 - 1), str(2 ** 63))
+    for read in (LearnedTree.from_json, _general):
+        assert read(text) == tree
+        with pytest.raises(InputShapeError, match="level 1"):
+            read(past)
 
 
 def test_every_integer_wiring_type_gives_the_same_tree():
@@ -470,13 +516,19 @@ def test_learning_holds_the_tree_and_a_few_levels():
 
 
 def test_reading_holds_the_file_the_tree_and_a_few_levels():
-    # A written-back copy of the whole file would not fit.
+    # A written-back copy of the whole file would not fit.  A str is cut
+    # in an encoded copy; bytes, as eval reads the file, are cut as given.
     tree = learn_threshold(40, 20_000, make_example(200, 100), seed=13)
     text = tree.to_json()
     back, peak = _traced_peak(lambda: LearnedTree.from_json(text))
     assert back == tree
     assert peak <= len(text) + _nbytes(tree) + 5 * LEVEL, (
         peak, len(text), _nbytes(tree))
+    raw = (text + "\n").encode()
+    del text
+    back, peak = _traced_peak(lambda: LearnedTree.from_json(raw))
+    assert back == tree
+    assert peak <= _nbytes(tree) + 8 * LEVEL, (peak, _nbytes(tree))
 
 
 def _learned_text(**changes):
@@ -511,8 +563,11 @@ NON_INTEGER = {
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER))
 def test_from_json_refuses_non_integers(name):
+    text = NON_INTEGER[name]
     with pytest.raises(InputShapeError):
-        LearnedTree.from_json(NON_INTEGER[name])
+        LearnedTree.from_json(text)
+    assert _outcome(LearnedTree.from_json, text.encode()) == _outcome(
+        LearnedTree.from_json, text)
 
 
 def _compact(**changes):
