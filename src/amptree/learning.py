@@ -127,10 +127,11 @@ class LearnedTree:
         """:meth:`json_pieces` as the ASCII bytes they encode to."""
         head = json.dumps({key: getattr(self, key) for key in (
             "n", "seed", "example_ones")}, separators=(",", ":"))
-        # Row i of the cell table is index i as each cell of a wiring row
-        # writes it, b"[i," b"i," b"i],", NUL-padded, for each index up to
-        # the largest, or, when those cells would outnumber the file's
-        # indices, for the distinct ones, looked up.
+        # Cell 3i + c of the table is index i as cell c of a wiring row
+        # writes it, b"[i," b"i," b"i],", NUL-padded to 4, 8, 16 or 32
+        # bytes, which np.take copies whole, for each index up to the
+        # largest, or, when those cells would outnumber the file's indices,
+        # for the distinct ones, looked up.
         top = max(int(w.max()) for w in self.wiring) + 1
         sparse = 3 * top > sum(w.size for w in self.wiring)
         present = (np.unique(np.concatenate(self.wiring, axis=None))
@@ -139,12 +140,14 @@ class LearnedTree:
         cells = np.stack([np.char.add(np.char.add(b"[", digits), b","),
                           np.char.add(digits, b","),
                           np.char.add(digits, b"],")], axis=1)
+        cells = cells.astype(f"S{1 << (cells.itemsize - 1).bit_length()}")
         yield head[:-1].encode() + b',"levels":['
         for level, (b, w) in enumerate(zip(self.blocks, self.wiring), 1):
             flags = np.full((b.size, 2), ord(","), np.uint8)
             flags[:, 1] = b + ord("0")
-            rows = cells[np.searchsorted(present, w) if sparse else w,
-                         [0, 1, 2]].tobytes().translate(None, b"\0")
+            at = np.searchsorted(present, w) if sparse else w.astype(np.intp)
+            rows = np.take(cells, 3 * at + (0, 1, 2)).tobytes().translate(
+                None, b"\0")
             yield b"".join([b"," * (level > 1), b'{"blocks":[',
                             flags.tobytes()[1:], b'],"wiring":[',
                             memoryview(rows)[:-1], b"]}"])

@@ -455,6 +455,13 @@ def test_wiring_takes_the_smallest_type_that_indexes_the_level_below(
     assert tree.wiring[0].dtype == dtype and np.array_equal(tree.wiring[0], w)
     assert LearnedTree.from_json(tree.to_json()) == tree
     assert _general(tree.to_json()) == tree
+    # Index 0 alone: to_json's cell table then has a row for each index up
+    # to the largest, not for the distinct ones, whatever the index type.
+    zeros = LearnedTree(n=below, seed=0, example_ones=0, blocks=(B1[:1],),
+                        wiring=(np.zeros((1, 3), np.int64),))
+    assert zeros.wiring[0].dtype == dtype
+    assert zeros.to_json() == learned_json(zeros)
+    assert LearnedTree.from_json(zeros.to_json()) == zeros
     if below <= 65_537:
         wide = LearnedTree(n=1, seed=0, example_ones=0,
                            blocks=(np.zeros(below, np.uint8), B1[:1]),
