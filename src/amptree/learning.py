@@ -115,10 +115,7 @@ class LearnedTree:
 
     def to_json(self) -> str:
         """``json.dumps`` of the arrays as lists, compact, byte for byte."""
-        # Decoded once, whole: a str per piece, each a little larger than
-        # the freed bytes it came from, fragments the heap (3.5 MB more
-        # peak RSS over a leveled-wide benchmark pass).
-        return b"".join(self._byte_pieces()).decode()
+        return "".join(self.json_pieces())
 
     def json_pieces(self) -> Iterator[str]:
         """:meth:`to_json`'s text in pieces: the head, one piece per level
