@@ -364,7 +364,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _make_parser() -> _Parser:
     parser = _Parser(
         prog="amptree", usage=argparse.SUPPRESS,   # errors on one line
         description="Iterative AND/OR-tree threshold constructions.")
@@ -377,7 +377,16 @@ def main(argv: list[str] | None = None) -> int:
     for name, (typ, _) in PARAMS.items():     # staircase scalars: no flag
         if not isinstance(typ, list) and name not in ("epsilon", "delta"):
             parser.add_argument("--" + name.replace("_", "-"), type=typ)
-    args = parser.parse_args(argv)
+    return parser
+
+
+#: Built once per process: each ``parse_args`` returns a fresh namespace
+#: and every default is None, so no call sees another's flags.
+_PARSER = _make_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         cfg = ExperimentConfig(command=args.command)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (DegenerateInputError, InconsistentFixedPointError,
-                     WeightError, check_int, check_real)
+                     RangeError, WeightError, check_int, check_real)
 
 ATTRACTIVE = "ATTRACTIVE"
 NON_ATTRACTIVE = "NON_ATTRACTIVE"
@@ -174,7 +174,17 @@ def classify(derivative: float) -> str:
 
 def bisect_root(h: Callable[[float], float], lo: float, hi: float,
                 tol: float = DEFAULT_TOL) -> float:
-    """Bisect a sign change of ``h`` on [lo, hi] down to ``tol``."""
+    """Bisect a sign change of ``h`` on [lo, hi] down to ``tol``.
+
+    Stops early once the midpoint rounds onto ``lo`` or ``hi``, when the
+    two are adjacent floats, so a ``tol`` below the bracket's ulp (0
+    included) still returns.  RangeError for a negative or NaN ``tol`` and
+    for ``lo > hi`` or a NaN end.
+    """
+    if not tol >= 0.0:                  # NaN compares false as well
+        raise RangeError(f"tol must be >= 0: {tol!r}")
+    if not lo <= hi:
+        raise RangeError(f"empty bracket [{lo}, {hi}]")
     flo = h(lo)
     if flo == 0.0:
         return lo
@@ -185,6 +195,8 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float,
         raise DegenerateInputError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:           # lo and hi are adjacent floats
+            break
         fm = h(mid)
         if fm == 0.0:
             return mid
@@ -203,7 +215,8 @@ def scan_fixed_points(f: Callable[[float], float]) -> list[float]:
     ``TreeDistribution.evaluate`` do; the bisection then calls it on
     Python floats.  The grid zeros and the cells whose ends are nonzero
     with opposite signs are found by array masks (NaN counts as nonzero
-    and not positive), and each cell is bisected in grid order.  Roots
+    and not positive), and each cell is bisected in grid order from its
+    two ends, the only grid points read as Python floats.  Roots
     closer together than the grid pitch can merge; catalog constructions
     are checked to have well-separated roots.
     """
@@ -211,7 +224,6 @@ def scan_fixed_points(f: Callable[[float], float]) -> list[float]:
         return f(p) - p
 
     points = np.arange(1, DEFAULT_GRID) * (1.0 / DEFAULT_GRID)
-    xs = points.tolist()
     hv = f(points) - points
     nonzero = hv != 0.0
     positive = hv > 0
@@ -219,7 +231,7 @@ def scan_fixed_points(f: Callable[[float], float]) -> list[float]:
     cells = np.flatnonzero(nonzero[:-1] & nonzero[1:]
                            & (positive[:-1] != positive[1:]))
     for i in cells.tolist():
-        roots.append(bisect_root(h, xs[i], xs[i + 1]))
+        roots.append(bisect_root(h, float(points[i]), float(points[i + 1])))
     roots.sort()
     merged: list[float] = []
     for r in roots:

@@ -13,6 +13,7 @@ a handful of distinct nodes exist in memory.
 """
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 from .errors import CapacityError, InputShapeError, check_int
@@ -210,9 +211,7 @@ def activation(tree: AndOrTree, p: float) -> float:
     numerically stable for composed trees whose dense coefficient form
     would be unusable.
     """
-    return fold(tree, p,
-                lambda a, b: a * b,
-                lambda a, b: a + b - a * b)
+    return fold(tree, p, operator.mul, lambda a, b: a + b - a * b)
 
 
 def complement_tree(tree: AndOrTree) -> AndOrTree:

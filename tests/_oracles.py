@@ -16,7 +16,10 @@ construction one trial and one item at a time, drawn from each trial's
 generator in the documented order, which ``simulate_leveled`` must match
 bit for bit.  ``learned_reference`` is learned evaluation as a per-level
 ``np.where`` on an (items, 3) gather, whose fractions and trace
-``evaluate_learned`` must equal.
+``evaluate_learned`` must equal.  ``bisect_root_reference`` is bisection
+without the adjacent-float stop or the argument checks, which
+``polyalg.bisect_root`` must match wherever ``tol`` exceeds the bracket's
+ulp.
 """
 from __future__ import annotations
 
@@ -154,6 +157,28 @@ def scalar_scan_fixed_points(f, grid: int = DEFAULT_GRID) -> list[float]:
         if not merged or r - merged[-1] > 10 * DEFAULT_TOL:
             merged.append(r)
     return merged
+
+
+def bisect_root_reference(h, lo: float, hi: float,
+                          tol: float = DEFAULT_TOL) -> float:
+    """``polyalg.bisect_root`` before it stopped at adjacent floats: loops
+    forever when ``tol`` is below the bracket's ulp."""
+    flo = h(lo)
+    if flo == 0.0:
+        return lo
+    fhi = h(hi)
+    if fhi == 0.0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = h(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def scalar_sweep(lo: float, hi: float, fn, minimize: bool,

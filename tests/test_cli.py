@@ -757,3 +757,31 @@ def test_fuzzed_params_exit_cleanly(fuzz_files, data):
     elif code:      # one line, so a traceback or a second message shows
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
         assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+
+
+def _lone_call(argv):
+    """stdout and exit code of ``argv`` run by a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "amptree.cli"] + argv,
+                          capture_output=True)
+    return proc.returncode, proc.stdout.decode()
+
+
+def test_consecutive_calls_in_one_process_do_not_leak(tmp_path):
+    """The parser is built once per process: flags, --config and a bad
+    flag's exit leave nothing behind for the next call."""
+    config = tmp_path / "config.json"
+    config.write_text(ExperimentConfig(
+        command="simulate", params={"trials": 2, "alpha": 0.5},
+        seed=5, format="csv").to_json())
+    plain = STREAM + ["--alpha", "0", "--trials", "3"]
+    want = _lone_call(plain)
+    assert want[0] == 0 and want[1].startswith("{")
+    for before in (plain + ["--seed", "7", "--format", "csv"],
+                   STREAM + ["--config", str(config)]):
+        code, text = run_cli(before)
+        assert code == 0 and text != want[1]
+        assert run_cli(plain) == want, before
+    with pytest.raises(SystemExit) as exc:
+        run_cli_err(plain + ["--no-such-flag"])
+    assert exc.value.code == 2
+    assert run_cli(plain) == want

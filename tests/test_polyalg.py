@@ -4,20 +4,22 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from amptree import polyalg
 from amptree.errors import (DegenerateInputError, InconsistentFixedPointError,
-                            WeightError)
+                            RangeError, WeightError)
 from amptree.polyalg import (ATTRACTIVE, MARGINAL, NON_ATTRACTIVE, Polynomial,
-                             compose, divergence_ratio, fixed_points,
-                             iterate_point, mix, scan_fixed_points)
+                             bisect_root, compose, divergence_ratio,
+                             fixed_points, iterate_point, mix,
+                             scan_fixed_points)
 from amptree.trees import (achievable_by_degree, achievable_witnesses, and_,
                            build_ak, build_bk, complement_tree,
                            enumerate_achievable, leaf, or_,
                            substitute_leaves, tree_polynomial)
 
-from _oracles import brute_force_activation, verified_interior_roots
+from _oracles import (bisect_root_reference, brute_force_activation,
+                      verified_interior_roots)
 
 VALIANT_POLY = Polynomial((0.0, 0.0, 4.0, -4.0, 1.0))
 PHI = (1 + math.sqrt(5)) / 2
@@ -166,6 +168,56 @@ def test_scan_matches_report_for_valiant():
     roots = scan_fixed_points(VALIANT_POLY)
     assert len(roots) == 1
     assert abs(roots[0] - (2 - PHI)) <= 1e-9
+
+
+def _counted(h, limit=2_000):
+    """``h`` that raises on its call past ``limit``, so a bisection that
+    never stops fails instead of hanging."""
+    calls = 0
+
+    def wrapped(p):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise AssertionError(f"bisect_root called h {calls} times")
+        return h(p)
+    return wrapped
+
+
+@pytest.mark.parametrize("h, lo, hi, root, tol", [
+    (lambda p: p * p - 0.5, 0.0, 1.0, math.sqrt(0.5), 0.0),
+    (lambda p: p * p - 0.5, 0.0, 1.0, math.sqrt(0.5), 1e-300),
+    (lambda p: p * p - 2e20, 0.0, 1e11, math.sqrt(2e20), 1e-12),  # < ulp
+    (lambda p: 0.25 - p, 0.0, 1.0, 0.25, 0.0),
+])
+def test_bisect_root_stops_at_adjacent_floats(h, lo, hi, root, tol):
+    r = bisect_root(_counted(h), lo, hi, tol=tol)
+    assert abs(r - root) <= 2 * math.ulp(root)
+
+
+@pytest.mark.parametrize("lo, hi, tol", [
+    (0.0, 1.0, -1.0), (0.0, 1.0, math.nan), (1.0, 0.0, 1e-12),
+    (math.nan, 1.0, 1e-12), (0.0, math.nan, 1e-12),
+])
+def test_bisect_root_refuses_a_bad_tol_or_bracket(lo, hi, tol):
+    with pytest.raises(RangeError):
+        bisect_root(_counted(lambda p: p * p - 0.5), lo, hi, tol=tol)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(1e-15, 0.1),
+       st.floats(-1.0, 1.0), st.floats(1e-13, 0.5))
+def test_bisect_root_above_the_ulp_is_the_unguarded_loop(lo, width, a, tol):
+    """Where ``tol`` exceeds the bracket's ulp, the adjacent-float stop
+    never fires, so every result is the one the plain loop gives."""
+    hi = lo + width
+    root = lo + (0.5 + 0.49 * a) * width
+
+    def h(p):
+        return math.atan(p - root)
+    assume(h(lo) < 0.0 < h(hi))
+    assert bisect_root(h, lo, hi, tol=tol) == \
+        bisect_root_reference(h, lo, hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------
