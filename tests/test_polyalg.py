@@ -189,6 +189,7 @@ def _counted(h, limit=2_000):
     (lambda p: p * p - 0.5, 0.0, 1.0, math.sqrt(0.5), 1e-300),
     (lambda p: p * p - 2e20, 0.0, 1e11, math.sqrt(2e20), 1e-12),  # < ulp
     (lambda p: 0.25 - p, 0.0, 1.0, 0.25, 0.0),
+    (lambda p: p - 1.5e308, 1e308, 1.7e308, 1.5e308, 1e-12),  # lo + hi = inf
 ])
 def test_bisect_root_stops_at_adjacent_floats(h, lo, hi, root, tol):
     r = bisect_root(_counted(h), lo, hi, tol=tol)
