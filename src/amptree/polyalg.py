@@ -178,9 +178,9 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float,
 
     Stops early once the midpoint rounds onto ``lo`` or ``hi``, when the
     two are adjacent floats, so a ``tol`` below the bracket's ulp (0
-    included) still returns.  Where ``lo + hi`` overflows, the ends are
-    halved before they are added.  RangeError for a negative or NaN
-    ``tol`` and for ``lo > hi`` or a NaN end.
+    included) still returns.  The ends are halved before they are added,
+    so a bracket whose sum overflows still bisects.  RangeError for a
+    negative or NaN ``tol`` and for ``lo > hi`` or a NaN end.
     """
     if not tol >= 0.0:                  # NaN compares false as well
         raise RangeError(f"tol must be >= 0: {tol!r}")
@@ -195,11 +195,9 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float,
     if (flo > 0) == (fhi > 0):
         raise DegenerateInputError(f"no sign change on [{lo}, {hi}]")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            mid = 0.5 * lo + 0.5 * hi   # lo + hi may have overflowed
-            if not lo < mid < hi:       # lo and hi are adjacent floats
-                return mid
+        mid = 0.5 * lo + 0.5 * hi      # halved first: lo + hi may overflow
+        if not lo < mid < hi:           # lo and hi are adjacent floats
+            return mid
         fm = h(mid)
         if fm == 0.0:
             return mid
@@ -207,7 +205,7 @@ def bisect_root(h: Callable[[float], float], lo: float, hi: float,
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def scan_fixed_points(f: Callable[[float], float]) -> list[float]:

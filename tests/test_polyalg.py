@@ -196,6 +196,15 @@ def test_bisect_root_stops_at_adjacent_floats(h, lo, hi, root, tol):
     assert abs(r - root) <= 2 * math.ulp(root)
 
 
+@pytest.mark.parametrize("tol", [1e300, 1e308])
+def test_bisect_root_halves_ends_whose_sum_overflows(tol):
+    """A ``tol`` wide enough to end the loop early (or skip it) still
+    returns a finite point of the bracket, not ``inf``."""
+    lo, hi = 1e308, 1.7e308
+    r = bisect_root(_counted(lambda p: p - 1.5e308), lo, hi, tol=tol)
+    assert math.isfinite(r) and lo <= r <= hi
+
+
 @pytest.mark.parametrize("lo, hi, tol", [
     (0.0, 1.0, -1.0), (0.0, 1.0, math.nan), (1.0, 0.0, 1e-12),
     (math.nan, 1.0, 1e-12), (0.0, math.nan, 1e-12),
