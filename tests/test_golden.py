@@ -5,7 +5,9 @@ learned structure's JSON, the evaluation trace, or the CLI's csv output),
 or one infinite-width analysis result (fixed points, condition reports,
 the certified corridor, the exact chain, the ``analyze`` output, the quad
 constructions' mixing weights, each construction's JSON with its mixture,
-the ``enumerate`` output, the exact A_k/B_k coefficients), and
+the ``enumerate`` output, the exact A_k/B_k coefficients, the width
+scaling and phase reports, the achievable polynomials and their witness
+trees, the dense fixed-point trees), and
 compares its sha256 with a value pinned in ``GOLDEN``.  A change that
 alters any seeded output fails here even if run-against-run determinism
 still holds.  The values were taken with numpy 2.4.6; a numpy release
@@ -23,17 +25,20 @@ import numpy as np
 import pytest
 
 from amptree.catalog import (GOLDEN as PHI, VALIANT_THRESHOLD,
-                             linear_threshold, one_step, quad4, quad5, quad6,
+                             dense_fixed_point, linear_threshold, one_step, quad4, quad5, quad6,
                              quad7, quad_k, soft_threshold, valiant)
 from amptree.cli import main
 from amptree.dynamics import certified_corridor, profile, verify_conditions
 from amptree.learning import evaluate_learned, learn_threshold
 from amptree.leveled import (LevelConfig, exact_level_distribution,
-                             simulate_leveled)
+                             simulate_leveled, width_scaling_experiment)
 from amptree.polyalg import fixed_points
 from amptree.rng import generator
-from amptree.stream import StreamConfig, simulate_stream
-from amptree.trees import build_ak, build_bk, tree_polynomial
+from amptree.stream import (StreamConfig, phase_progress_report,
+                            simulate_stream)
+from amptree.trees import (achievable_witnesses, activation, build_ak,
+                           build_bk, enumerate_achievable, format_tree,
+                           tree_polynomial)
 
 BITS_N = 40
 BITS = tuple(int(i % 5 < 2) for i in range(BITS_N))      # 16 of 40 ones
@@ -75,6 +80,12 @@ STREAMS = {
 def _stream(name: str) -> bytes:
     dist, kw = STREAMS[name]
     return _csv(simulate_stream(dist, StreamConfig(seed=77, **kw)))
+
+
+def _phase_report() -> bytes:
+    dist, kw = STREAMS["wild"]
+    trace = simulate_stream(dist, StreamConfig(seed=77, **kw))
+    return phase_progress_report(trace, dist.threshold).to_json().encode()
 
 
 def _learned():
@@ -207,6 +218,22 @@ def _exact() -> bytes:
     return repr(firing).encode() + v.tobytes()
 
 
+def _witnesses() -> bytes:
+    return repr(sorted((poly.coeffs, format_tree(tree)) for poly, tree
+                       in achievable_witnesses(6).items())).encode()
+
+
+#: The dense fixed-point trees can pass SEXPR_LEAF_CAP and so cannot be
+#: formatted: each is its leaf count and its activation on this grid.
+DENSE_GRID = np.linspace(0.0, 1.0, 101)
+
+
+def _dense(target: float) -> bytes:
+    tree = dense_fixed_point(target, 1e-3)
+    return (repr(tree.leaf_count).encode()
+            + activation(tree, DENSE_GRID).tobytes())
+
+
 CASES = {
     **{f"leveled-{name}-{inputs}": (lambda n=name, i=inputs: _leveled(n, i))
        for name in LEVELED_DISTS for inputs in ("p", "bits")},
@@ -227,12 +254,21 @@ CASES = {
     "corridor-quad_k": lambda: repr(
         certified_corridor(quad_k(0.9).evaluate, 0.9)).encode(),
     "exact-quad4": _exact,
+    "width-scaling-quad4": lambda: width_scaling_experiment(
+        quad4(0.5), (0.2, 0.1), (0.1,)).to_json().encode(),
+    "phase-report-wild": _phase_report,
+    "achievable-7": lambda: repr(sorted(
+        poly.coeffs for poly in enumerate_achievable(7))).encode(),
+    "witnesses-6": _witnesses,
+    **{f"dense-fixed-point-{t}": (lambda t=t: _dense(t))
+       for t in (0.3, 0.57, 0.8)},
     **{f"json-{name}": (lambda n=name: DISTRIBUTIONS[n]().to_json().encode())
        for name in DISTRIBUTIONS},
     "polynomials-ak-bk": _tree_polynomials,
 }
 
 GOLDEN = {
+    'achievable-7': '9c26fcf9438832bb1011a5f3a2fd13495efcb530d8b05a0c3c7e22bfa301ce46',
     'cli-analyze': 'd3587f5a440429354442725e7c4741173a32cf150a578e09b730a73604c18d49',
     'cli-analyze-soft6': 'c0a28f57559db7ac1606350b85ed2c658f98f6080b86f6c4cf752946f738cef6',
     'cli-analyze-staircase': '7a9d9da2bdef9acbc2279b814feb66bc3d361464fd756e6a397f027eea82021c',
@@ -245,6 +281,9 @@ GOLDEN = {
     'conditions-quad4': '1d02968b8aba79dc2bd1b44e8606796fb459555c8ddb5818e913edbf993b0585',
     'conditions-quad5': 'e65aee72c62836efb9e64c786ccd3f477e162ae603af694ef3aff838bbbe2d83',
     'corridor-quad_k': '42158e39096f57ba908ef7f0e8e179143119d5bfe20a945f41e7a6a7c5705650',
+    'dense-fixed-point-0.3': '604bcb3036b315d7c8611a0779ac5f09b75ec53444e747f3da3a31a2b34c2438',
+    'dense-fixed-point-0.57': 'b437504c3cf08ad0b65da0dc07f7dd392045f39e9098917a1b83a3edb7a5bb5c',
+    'dense-fixed-point-0.8': '2ad26e053a733642ca809f5631486ce9fa191b05b19c59e2c2b3b1927a4604e3',
     'exact-quad4': '4e90e221fef379c471f0af8ed7ea4df0578118585a6135dbebfd4f44b2892a95',
     'fixed-points-quad4': 'b11e2f86b228d875cdcbabb5e269bf7bbae5b5e219c3784fede3ab4071a3c26e',
     'fixed-points-soft6': '0e9a98e6da50496361cf14cefb4203ae069925b14df500cd44e27ae0f2bf62ba',
@@ -268,6 +307,7 @@ GOLDEN = {
     'leveled-quad4-p': '28fdbfdad8920bb7420ecb7351d4ba00a336b202b5228d852df3d2e0dcb12edb',
     'leveled-valiant-bits': '64966cd37ccc59d4072634465aa6c959e86387be13c22347c68c1e6f921860c5',
     'leveled-valiant-p': 'c95f4c6ed6a6e7fc6d8fdd65ffd96361b229a618022a550e2cd37e5d38fe4001',
+    'phase-report-wild': '9814c15c2a41cc0b537fac91b6e3c5c7a560eb79ebfd3fde46ec3f19078836d4',
     'polynomials-ak-bk': 'a026e6ca0a331dba9e96f477e0afd341f283e8508615955f8c1243b03aca79fa',
     'stream-decay': '60af889078a9ca980c327532ea2c0c41fed01351edbbb4f9c2be0e25c5a8923a',
     'stream-fallback': 'f2100a51ff1123fa4b094cc4247ee95d5b83d60ac3a2bbadb2942b1a3ba90c3f',
@@ -280,6 +320,8 @@ GOLDEN = {
     'weights-quad6': '50c342817aba4915b821bc9245b7e6cb52045f4d411ef869ce82f8f59343206a',
     'weights-quad7': '207b0c37468a39d38159ef6a5316248a156d6ed78fd0e61911d1912bd706334b',
     'weights-quad_k': '1fab6b4500309182497eb1c1d605ded5c1020f37d75e386bde0ca80dcf004338',
+    'width-scaling-quad4': 'ee87081d5ca6d45334835d74e0e8697da912b18a57d086db0b2df343f5fa9b61',
+    'witnesses-6': '122dc22732c6e683dab1fc904739989be080fce225cac192d207d2c216b53ee4',
 }
 
 
