@@ -229,17 +229,19 @@ def test_exact_chain_keeps_its_binomial_start_row_and_kernel_bytes(m):
     # One _binomial_rows call builds the kernel's rows and the start row v
     # after them (at m = 63, v opens the second row block).  The chain
     # after one level is v itself, and after two v @ kernel: each must be
-    # the bytes of the two one-expression builds.
-    dist, p = quad4(0.5), 0.45
-    q = np.clip(dist.evaluate(np.arange(m + 1) / m), 0.0, 1.0)
-    kernel = binomial_rows_reference(m, q)
-    v = binomial_rows_reference(m, [min(max(dist.evaluate(p), 0.0),
-                                        1.0)])[0]
-    one = exact_level_distribution(dist, m, p, 1)[1]
-    assert one.tobytes() == v.tobytes()
-    assert one.base is None
-    two = exact_level_distribution(dist, m, p, 2)[1]
-    assert two.tobytes() == (v @ kernel).tobytes()
+    # the bytes of the two one-expression builds, with v's probability
+    # clamped as a scalar, at the ends p = 0 and 1 as well.
+    for dist in (quad4(0.5), linear_threshold(0.3), valiant()):
+        q = np.clip(dist.evaluate(np.arange(m + 1) / m), 0.0, 1.0)
+        kernel = binomial_rows_reference(m, q)
+        for p in (0.0, 0.45, 1.0):
+            v = binomial_rows_reference(m, [min(max(dist.evaluate(p), 0.0),
+                                                1.0)])[0]
+            one = exact_level_distribution(dist, m, p, 1)[1]
+            assert one.tobytes() == v.tobytes(), (dist.label, p)
+            assert one.base is None
+            two = exact_level_distribution(dist, m, p, 2)[1]
+            assert two.tobytes() == (v @ kernel).tobytes(), (dist.label, p)
 
 
 def test_exp_zero_is_below_every_exponent_exp_keeps():
