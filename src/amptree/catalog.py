@@ -392,18 +392,13 @@ def dense_fixed_point(target: float, epsilon: float,
             dense_fixed_point(1.0 - target, epsilon, max_leaves=max_leaves))
 
     tree, fp = build_ak(2), VALIANT_THRESHOLD
-    k = 2
-    while True:
+    for k in range(2, 65):
         b = bk_fixed_point(k)
-        if b <= target:
-            tree, fp = build_bk(k), b
-            k += 1
-        else:
+        if b > target:
             if b - target <= epsilon:
                 return build_bk(k)
             break
-        if k > 64:
-            break
+        tree, fp = build_bk(k), b
 
     while abs(fp - target) > epsilon:
         # The step bound only needs to be fine near the target: a step

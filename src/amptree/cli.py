@@ -216,19 +216,15 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     failures: list = []
     try:
         fp_report = fixed_points(dist.mixture)
-        report["fixed_points"] = [
-            {"location": f.location, "derivative": f.derivative,
-             "class": f.kind} for f in fp_report.points]
+        report["fixed_points"] = fp_report.as_dicts()
+        interior = [f.location for f in fp_report.interior_points()]
     except AmptreeError:
-        roots = dist.interior_fixed_points()
-        report["fixed_points"] = [{"location": r} for r in roots]
-    if dist.threshold is not None:
-        interior = [f["location"] for f in report["fixed_points"]
-                    if 0 < f["location"] < 1]
-        if not any(abs(r - dist.threshold) < 1e-6 for r in interior):
-            failures.append({"check": "threshold-fixed-point",
-                             "expected": dist.threshold,
-                             "found": interior})
+        interior = dist.interior_fixed_points()        # all in (0, 1)
+        report["fixed_points"] = [{"location": r} for r in interior]
+    if dist.threshold is not None and not any(
+            abs(r - dist.threshold) < 1e-6 for r in interior):
+        failures.append({"check": "threshold-fixed-point",
+                         "expected": dist.threshold, "found": interior})
     if "u" in cfg.params:
         cond = dynamics.verify_conditions(dist, _threshold(dist),
                                           cfg.params["u"], cfg.params["v"])
@@ -294,8 +290,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             if trace.final_bits is not None:
                 summary["final_item_rate"] = float(trace.final_bits.mean())
             if dist.threshold is not None:
-                phases = stream.phase_progress_report(trace, dist.threshold)
-                summary["phases"] = stream._phase_dicts(phases.rows)
+                summary["phases"] = stream.phase_progress_report(
+                    trace, dist.threshold).as_dicts()
             _emit(cfg, json.dumps(summary, sort_keys=True) + "\n")
         return 0
     if mode == "exact":

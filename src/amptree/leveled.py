@@ -18,7 +18,7 @@ the same seed and ``input_p`` draws the same inputs for each trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate, product
 from typing import Sequence, TextIO
 
@@ -188,11 +188,11 @@ def exact_level_distribution(dist: TreeDistribution, m: int, p: float,
             f"{EXACT_WIDTH_CAP}; use simulate_leveled for wide levels")
     p = check_real("p", p, 0, 1, "[]")
     counts = np.arange(m + 1)
-    q = np.clip(dist.evaluate(counts / m), 0.0, 1.0)
-    # The kernel's rows and the start row v from one build of log C(m, j);
-    # v is copied out, so that the row returned does not hold the kernel.
-    rows = _binomial_rows(m, np.append(q, min(max(dist.evaluate(p), 0.0),
-                                              1.0)))
+    # The kernel's rows, then the start row v, from one evaluation and one
+    # build of log C(m, j); v is copied out, so that the row returned does
+    # not hold the kernel.
+    rows = _binomial_rows(m, np.clip(dist.evaluate(np.append(counts / m, p)),
+                                     0.0, 1.0))
     kernel, v = rows[:-1], rows[-1].copy()
     for _ in range(levels - 1):
         v = v @ kernel
@@ -221,14 +221,7 @@ class WidthScalingResult:
 
     def to_json(self) -> str:
         import json
-        return json.dumps({
-            "rows": [{"gamma": r.gamma, "epsilon": r.epsilon,
-                      "min_width": r.min_width, "predictor": r.predictor}
-                     for r in self.rows],
-            "slope": self.slope,
-            "r_squared": self.r_squared,
-            "verdict": self.verdict,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def width_scaling_experiment(dist: TreeDistribution,

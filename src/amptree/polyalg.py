@@ -157,11 +157,13 @@ class FixedPointReport:
     def interior_points(self) -> list[FixedPoint]:
         return [fp for fp in self.points if fp.interior]
 
+    def as_dicts(self) -> list[dict]:
+        """The points as ``to_json`` and the CLI's ``analyze`` write them."""
+        return [{"location": fp.location, "derivative": fp.derivative,
+                 "class": fp.kind} for fp in self.points]
+
     def to_json(self) -> str:
-        return json.dumps([
-            {"location": fp.location, "derivative": fp.derivative,
-             "class": fp.kind}
-            for fp in self.points])
+        return json.dumps(self.as_dicts())
 
 
 def classify(derivative: float) -> str:

@@ -303,8 +303,9 @@ def _simulate_vectorized(dist: TreeDistribution, config: StreamConfig,
         for start in range(0, trials, batch_size):
             run_batch(start, rngs(start))
     else:
-        # Imported here: it pulls in logging, about 0.7 MB of RSS that a
-        # run on one thread, or with no stream at all, need not hold.
+        # Imported here: it pulls in logging, about 0.26 MB resident once
+        # amptree is imported, that a run on one thread, or with no stream
+        # at all, need not hold.
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(workers) as pool:
             running: deque = deque()
@@ -431,20 +432,18 @@ class PhaseReport:
     def all_ok(self) -> bool:
         return all(r.passed for r in self.rows)
 
+    def as_dicts(self) -> list[dict]:
+        """The rows as ``to_json`` and the CLI's stream summary write them."""
+        return [{"step_start": r.step_start, "step_end": r.step_end,
+                 "mean_start": r.mean_start, "mean_end": r.mean_end,
+                 "epsilon": r.epsilon, "factor": r.factor,
+                 "expected_bound": r.expected_bound, "passed": r.passed}
+                for r in self.rows]
+
     def to_json(self) -> str:
         import json
-        return json.dumps({"all_ok": self.all_ok,
-                           "phases": _phase_dicts(self.rows)},
+        return json.dumps({"all_ok": self.all_ok, "phases": self.as_dicts()},
                           sort_keys=True)
-
-
-def _phase_dicts(rows: tuple[PhaseRow, ...]) -> list[dict]:
-    """The rows as ``to_json`` and the CLI's stream summary write them."""
-    return [{"step_start": r.step_start, "step_end": r.step_end,
-             "mean_start": r.mean_start, "mean_end": r.mean_end,
-             "epsilon": r.epsilon, "factor": r.factor,
-             "expected_bound": r.expected_bound, "passed": r.passed}
-            for r in rows]
 
 
 def phase_progress_report(trace: StreamTrace, t: float) -> PhaseReport:

@@ -327,11 +327,7 @@ def enumerate_achievable(max_degree: int) -> set[Polynomial]:
     rules, deduplicating by polynomial.  Many trees share one polynomial;
     the polynomial set is what is enumerated.
     """
-    table = _achievable_table(max_degree)
-    out: set[Polynomial] = set()
-    for d in range(1, max_degree + 1):
-        out.update(Polynomial(c) for c in table[d])
-    return out
+    return set().union(*achievable_by_degree(max_degree).values())
 
 
 def achievable_by_degree(max_degree: int) -> dict[int, set[Polynomial]]:
@@ -346,13 +342,12 @@ def achievable_witnesses(max_degree: int) -> dict[Polynomial, AndOrTree]:
 
     The witness is an arbitrary representative (first found in the
     bottom-up combination order); no canonical tree per polynomial exists.
+    A polynomial's degree is its tree's leaf count, so no two degrees share
+    one.
     """
     table = _achievable_table(max_degree)
-    out: dict[Polynomial, AndOrTree] = {}
-    for d in range(1, max_degree + 1):
-        for coeffs, tree in table[d].items():
-            out.setdefault(Polynomial(coeffs), tree)
-    return out
+    return {Polynomial(coeffs): tree for d in range(1, max_degree + 1)
+            for coeffs, tree in table[d].items()}
 
 
 def all_trees(leaves: int) -> list[AndOrTree]:
