@@ -378,7 +378,8 @@ def dense_fixed_point(target: float, epsilon: float,
     target, then repeatedly replace the tree T (fixed point p) by T^k with
     every leaf fed through the (OR_j ^ x) gadget, which nudges the fixed
     point up by less than epsilon per step.  Targets below 1/2 are built
-    for 1-target and complemented.
+    for 1-target and complemented, and so is the best tree (with its fixed
+    point) that a CapacityError from the size guard carries.
 
     The anchor with fixed point 2-phi is the 4-leaf tree (A v B) ^ (C v D);
     fixed points of the B_k family serve as higher anchors to shorten the
@@ -387,16 +388,19 @@ def dense_fixed_point(target: float, epsilon: float,
     target = check_real("target", target, 0, 1)
     epsilon = check_real("epsilon", epsilon, 0)
     max_leaves = check_int("max_leaves", max_leaves, 1)
-    if target < 0.5:
-        return complement_tree(
-            dense_fixed_point(1.0 - target, epsilon, max_leaves=max_leaves))
+    flip = target < 0.5
+    if flip:
+        target = 1.0 - target
+
+    def result(tree: AndOrTree) -> AndOrTree:
+        return complement_tree(tree) if flip else tree
 
     tree, fp = build_ak(2), VALIANT_THRESHOLD
     for k in range(2, 65):
         b = bk_fixed_point(k)
         if b > target:
             if b - target <= epsilon:
-                return build_bk(k)
+                return result(build_bk(k))
             break
         tree, fp = build_bk(k), b
 
@@ -425,13 +429,14 @@ def dense_fixed_point(target: float, epsilon: float,
                 f"composition failed to overtake {hi} from fixed point {fp}")
         new_leaves = tree.leaf_count ** steps * (j + 1)
         if new_leaves > max_leaves:
+            best = 1.0 - fp if flip else fp
             raise CapacityError(
                 f"size guard {max_leaves} exceeded (next tree would have "
                 f"{new_leaves} leaves); closest achieved fixed point "
-                f"{fp:.9f}", best_tree=tree, best_value=fp)
+                f"{best:.9f}", best_tree=result(tree), best_value=best)
         fp = bisect_root(lambda q: composed(q, steps) - q, x, hi, tol=1e-13)
         tree = substitute_leaves(self_compose(tree, steps), _g_tree(j))
-    return tree
+    return result(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ a handful of distinct nodes exist in memory.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import CapacityError, InputShapeError, check_int
@@ -32,11 +33,22 @@ POLYNOMIAL_LEAF_CAP = 4096
 #: Serialization refuses trees whose text form would be enormous.
 SEXPR_LEAF_CAP = 100_000
 
+#: activation compiles gate orders up to this length into one function;
+#: longer ones (quad_k(1e-8) has 20,001 gates) are walked by fold.
+#: Compiling costs about 6-7 us per gate and saves about 0.05 us per gate
+#: per call (Python 3.11 on a 2-core Xeon), so a long order would repay its
+#: compile only after a hundred-odd calls.
+_WALK_GATES = 512
+
+#: Nodes are written through this once-bound setter, which their own
+#: __setattr__ refuses; building a node writes six slots.
+_set = object.__setattr__
+
 
 class AndOrTree:
     """A node of an AND/OR tree.  Treat instances as immutable."""
 
-    __slots__ = ("op", "left", "right", "leaf_count", "_gates")
+    __slots__ = ("op", "left", "right", "leaf_count", "_gates", "_walk")
 
     def __init__(self, op: str, left: "AndOrTree | None" = None,
                  right: "AndOrTree | None" = None):
@@ -50,11 +62,12 @@ class AndOrTree:
             count = left.leaf_count + right.leaf_count
         else:
             raise InputShapeError(f"unknown node kind {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "leaf_count", count)
-        object.__setattr__(self, "_gates", None)
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "leaf_count", count)
+        _set(self, "_gates", None)
+        _set(self, "_walk", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("AndOrTree is immutable")
@@ -122,7 +135,8 @@ def fold(tree: AndOrTree, leaf_value, and_fn: Callable, or_fn: Callable):
     ``leaf_value`` and the i-th gate's result goes to slot i, so each
     distinct gate is combined once, which makes this O(#distinct gates)
     even when the unfolded tree is enormous, and no depth reaches the
-    recursion limit.
+    recursion limit.  No folded value is stored; :func:`activation`
+    stores a compiled form of this walk instead.
     """
     order = tree._gates
     if order is None:
@@ -162,7 +176,7 @@ def _gate_order(tree: AndOrTree) -> tuple[tuple[bool, int, int], ...]:
             slot[node] = len(gates)
             stack.pop()
     order = tuple(gates)
-    object.__setattr__(tree, "_gates", order)
+    _set(tree, "_gates", order)
     return order
 
 
@@ -209,9 +223,41 @@ def activation(tree: AndOrTree, p: float) -> float:
 
     Evaluated pointwise by the gate recursion (AND: g*h, OR: g+h-g*h);
     numerically stable for composed trees whose dense coefficient form
-    would be unusable.
+    would be unusable.  The first call stores on the node one function
+    compiled from its gate order (:func:`_compiled_walk`), which applies
+    the float operations :func:`fold` would, in the same order, so the
+    result is fold's bit for bit; orders longer than ``_WALK_GATES`` are
+    walked by :func:`fold` itself, and the slot then holds False.
     """
-    return fold(tree, p, operator.mul, lambda a, b: a + b - a * b)
+    walk = tree._walk
+    if walk is None:
+        order = tree._gates
+        if order is None:
+            order = _gate_order(tree)
+        walk = _compiled_walk(order) if len(order) <= _WALK_GATES else False
+        _set(tree, "_walk", walk)
+    if walk is False:
+        return fold(tree, p, operator.mul, lambda a, b: a + b - a * b)
+    return walk(p)
+
+
+@lru_cache(maxsize=256)
+def _compiled_walk(order: tuple[tuple[bool, int, int], ...]) -> Callable:
+    """One straight-line function of the leaf value for a gate order.
+
+    Gate i becomes ``v{i} = v{l} * v{r}`` (AND) or
+    ``v{i} = v{l} + v{r} - v{l} * v{r}`` (OR), and the function returns the
+    last slot, so it is fold's walk with the lanes inlined.  The source
+    holds only slot numbers; trees of one shape share the cached function.
+    """
+    lines = ["def walk(v0):"]
+    for i, (is_and, left, right) in enumerate(order, 1):
+        lines.append(f" v{i} = v{left} * v{right}" if is_and else
+                     f" v{i} = v{left} + v{right} - v{left} * v{right}")
+    lines.append(f" return v{len(order)}")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["walk"]
 
 
 def complement_tree(tree: AndOrTree) -> AndOrTree:

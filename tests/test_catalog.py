@@ -508,6 +508,16 @@ def test_dense_capacity_guard():
     assert 0 < err.value.best_value < 1
 
 
+def test_dense_capacity_guard_below_half_reports_the_complemented_tree():
+    with pytest.raises(CapacityError) as err:
+        dense_fixed_point(0.05, 1e-3)
+    best, tree = err.value.best_value, err.value.best_tree
+    assert best < 0.5
+    assert best == pytest.approx(0.0535, abs=1e-3)
+    assert f"closest achieved fixed point {best:.9f}" in str(err.value)
+    assert abs(activation(tree, best) - best) <= 1e-9
+
+
 def test_dense_rejects_bad_target():
     for target in (0.0, 1.0, -1.0):
         with pytest.raises(RangeError):

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from amptree.catalog import quad_k
 from amptree.errors import CapacityError, InputShapeError
 from amptree.trees import (activation, achievable_by_degree,
-                           achievable_witnesses, all_trees, and_, build_ak,
-                           build_bk, complement_tree, enumerate_achievable,
-                           eval_columns, eval_tree, fold, format_tree,
-                           has_and_path, has_or_path, leaf, or_, parse_tree,
-                           self_compose, substitute_leaves, tree_polynomial)
-from amptree.trees import _mul, _or
+                           achievable_witnesses, all_trees, and_, and_chain,
+                           build_ak, build_bk, complement_tree,
+                           enumerate_achievable, eval_columns, eval_tree, fold,
+                           format_tree, has_and_path, has_or_path, leaf, or_,
+                           or_chain, parse_tree, self_compose,
+                           substitute_leaves, tree_polynomial)
+from amptree.trees import _WALK_GATES, _mul, _or
 
 from _oracles import brute_force_activation, memo_fold
 
@@ -409,6 +411,37 @@ def test_fold_combines_each_distinct_gate_once(tree):
     want = combines(memo_fold)
     assert combines(fold) == want
     assert combines(fold) == want       # walks the order the first stored
+
+
+@pytest.mark.parametrize("gates", [_WALK_GATES, _WALK_GATES + 1])
+def test_walks_at_the_compile_limit_match_the_oracle(gates):
+    half = gates // 2
+    tree = and_(or_chain(half + 1), and_chain(gates - half))
+    _assert_fold_matches_oracle(tree, [0.0, 1e-4, 2e-3, 0.3, 0.5, 0.998, 1.0])
+    assert len(tree._gates) == gates
+    assert (tree._walk is False) == (gates > _WALK_GATES)
+
+
+def test_trees_of_one_shape_share_one_walk():
+    a, b = build_ak(3), build_ak(3)
+    assert a is not b
+    activation(a, 0.4)
+    activation(b, 0.6)
+    assert callable(a._walk) and a._walk is b._walk
+
+
+def test_a_bare_leaf_returns_p_unchanged():
+    grid = np.linspace(0.0, 1.0, 5)
+    for p in (0.0, 0.37, 1.0, grid):
+        assert activation(X, p) is p
+
+
+def test_long_gate_orders_keep_the_fold_walk():
+    dist = quad_k(1e-8)
+    for tree, _ in dist.entries:
+        assert activation(tree, 0.5) == fold(
+            tree, 0.5, lambda a, b: a * b, lambda a, b: a + b - a * b)
+        assert len(tree._gates) > _WALK_GATES and tree._walk is False
 
 
 # ---------------------------------------------------------------------------
