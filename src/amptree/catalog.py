@@ -378,8 +378,8 @@ def dense_fixed_point(target: float, epsilon: float,
     target, then repeatedly replace the tree T (fixed point p) by T^k with
     every leaf fed through the (OR_j ^ x) gadget, which nudges the fixed
     point up by less than epsilon per step.  Targets below 1/2 are built
-    for 1-target and complemented, and so is the best tree (with its fixed
-    point) that a CapacityError from the size guard carries.
+    for 1-target and complemented, and so are the best tree and fixed
+    point that a CapacityError carries and the points an error names.
 
     The anchor with fixed point 2-phi is the 4-leaf tree (A v B) ^ (C v D);
     fixed points of the B_k family serve as higher anchors to shorten the
@@ -394,6 +394,9 @@ def dense_fixed_point(target: float, epsilon: float,
 
     def result(tree: AndOrTree) -> AndOrTree:
         return complement_tree(tree) if flip else tree
+
+    def point(q: float) -> float:
+        return 1.0 - q if flip else q
 
     tree, fp = build_ak(2), VALIANT_THRESHOLD
     for k in range(2, 65):
@@ -426,14 +429,15 @@ def dense_fixed_point(target: float, epsilon: float,
                 break
         if steps is None:
             raise DegenerateInputError(
-                f"composition failed to overtake {hi} from fixed point {fp}")
+                f"composition failed to pass {point(hi)} from fixed point "
+                f"{point(fp)}")
         new_leaves = tree.leaf_count ** steps * (j + 1)
         if new_leaves > max_leaves:
-            best = 1.0 - fp if flip else fp
             raise CapacityError(
                 f"size guard {max_leaves} exceeded (next tree would have "
                 f"{new_leaves} leaves); closest achieved fixed point "
-                f"{best:.9f}", best_tree=result(tree), best_value=best)
+                f"{point(fp):.9f}", best_tree=result(tree),
+                best_value=point(fp))
         fp = bisect_root(lambda q: composed(q, steps) - q, x, hi, tol=1e-13)
         tree = substitute_leaves(self_compose(tree, steps), _g_tree(j))
     return result(tree)

@@ -34,10 +34,15 @@ POLYNOMIAL_LEAF_CAP = 4096
 SEXPR_LEAF_CAP = 100_000
 
 #: activation compiles gate orders up to this length into one function;
-#: longer ones (quad_k(1e-8) has 20,001 gates) are walked by fold.
-#: Compiling costs about 6-7 us per gate and saves about 0.05 us per gate
-#: per call (Python 3.11 on a 2-core Xeon), so a long order would repay its
-#: compile only after a hundred-odd calls.
+#: longer ones are walked by fold.  Compiling costs 6.5-15 us per gate and
+#: saves 0.04-0.09 us per gate per call (Python 3.11 on a 2-core Xeon), so
+#: an order repays its compile after 80-330 calls whatever its length, and
+#: an order walked only a few times loses its whole compile: quad_k near 0
+#: or 1 walks each of its 2,000-20,001-gate orders three times, and
+#: compiling them made quad_k(t) plus its scan 7-28% slower.  The cap
+#: bounds that loss at 3-8 ms per order; its price is that a long order
+#: walked hundreds of times keeps fold's speed (soft_threshold(300)'s
+#: profile, 806 walks of 599 gates, ran 13% faster with it compiled).
 _WALK_GATES = 512
 
 #: Nodes are written through this once-bound setter, which their own

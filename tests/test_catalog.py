@@ -1,5 +1,6 @@
 """Construction catalog: thresholds, staircases, amplification."""
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -516,6 +517,18 @@ def test_dense_capacity_guard_below_half_reports_the_complemented_tree():
     assert best == pytest.approx(0.0535, abs=1e-3)
     assert f"closest achieved fixed point {best:.9f}" in str(err.value)
     assert abs(activation(tree, best) - best) <= 1e-9
+
+
+@pytest.mark.parametrize("target", [0.3, 0.7])
+def test_dense_stall_names_points_on_the_targets_side(monkeypatch, target):
+    # A map that never climbs stalls the walk; below 1/2 the error must
+    # name the complemented walk's points, which lie below 1/2 too.
+    monkeypatch.setattr("amptree.catalog.activation", lambda tree, x: x / 2)
+    with pytest.raises(DegenerateInputError, match="failed to pass") as err:
+        dense_fixed_point(target, 1e-3)
+    named = [float(x) for x in re.findall(r"\d\.\d+", str(err.value))]
+    assert len(named) == 2
+    assert all((x < 0.5) == (target < 0.5) for x in named)
 
 
 def test_dense_rejects_bad_target():
